@@ -2,7 +2,8 @@
 
 Each trial side is scored against a cohort of per-speaker mean embeddings,
 the top N cohort scores per side give that side's mean and population
-standard deviation, and the normalized score is the average of the two
+standard deviation (computed once per unique trial-side utterance, from its
+mean embedding), and the normalized score is the average of the two
 z-normalized raw scores:
 
     0.5 * ((raw - mu_e) / sd_e + (raw - mu_t) / sd_t)
@@ -13,15 +14,14 @@ symmetric.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ChunkEmbeddings
+from .dataio import ChunkEmbeddings, Trial
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import cosine_matrix
+from .scoring import cosine_matrix, trial_sides
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,20 @@ def top_n_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
     return float(top.mean()), float(top.std())
 
 
+def _normalize(raw, mu_e, sd_e, mu_t, sd_t):
+    """The AS-Norm formula over scalars or aligned arrays, after checking that
+    every raw score is finite and every side's spread is usable."""
+    raw, sd_e, sd_t = (np.asarray(v, dtype=np.float64) for v in (raw, sd_e, sd_t))
+    if not np.all(np.isfinite(raw)):
+        raise ToolkitError(f"non-finite raw score {float(raw[~np.isfinite(raw)][0])!r}")
+    small = (sd_e <= 1e-12) | (sd_t <= 1e-12)
+    if np.any(small):
+        raise DegenerateCohortError(
+            f"cohort score spread too small (enroll {float(sd_e[small][0])}, test {float(sd_t[small][0])})"
+        )
+    return 0.5 * ((raw - mu_e) / sd_e + (raw - mu_t) / sd_t)
+
+
 def normalize_from_cohort_scores(
     raw: float,
     enroll_cohort_scores: np.ndarray,
@@ -114,53 +128,25 @@ def normalize_from_cohort_scores(
     top_n: int,
 ) -> float:
     """AS-Norm given precomputed per-side cohort score vectors."""
-    if not math.isfinite(raw):
-        raise ToolkitError(f"non-finite raw score {raw!r}")
     mu_e, sd_e = top_n_stats(enroll_cohort_scores, top_n)
     mu_t, sd_t = top_n_stats(test_cohort_scores, top_n)
-    if sd_e <= 1e-12 or sd_t <= 1e-12:
-        raise DegenerateCohortError(f"cohort score spread too small (enroll {sd_e}, test {sd_t})")
-    return 0.5 * ((raw - mu_e) / sd_e + (raw - mu_t) / sd_t)
-
-
-def cohort_scores(embedding: np.ndarray, cohort: Cohort) -> np.ndarray:
-    """Cosines between one utterance-level embedding and every cohort row."""
-    embedding = np.asarray(embedding, dtype=np.float64)
-    if embedding.ndim != 1:
-        raise ToolkitError(f"expected a 1-D embedding, got shape {embedding.shape}")
-    return cosine_matrix(embedding[None, :], cohort.embeddings)[0]
-
-
-def asnorm_score(
-    raw: float,
-    enroll_embedding: np.ndarray,
-    test_embedding: np.ndarray,
-    cohort: Cohort,
-    config: AsNormConfig = AsNormConfig(),
-) -> float:
-    """Normalized score for one trial given its raw score and embeddings."""
-    if len(cohort) < config.top_n:
-        raise ToolkitError(f"cohort has {len(cohort)} speakers, need >= top_n={config.top_n}")
-    e_scores = cohort_scores(enroll_embedding, cohort)
-    t_scores = cohort_scores(test_embedding, cohort)
-    return normalize_from_cohort_scores(raw, e_scores, t_scores, config.top_n)
+    return float(_normalize(raw, mu_e, sd_e, mu_t, sd_t))
 
 
 def asnorm_trials(
     raw_scores: np.ndarray,
-    enroll_embeddings: np.ndarray,
-    test_embeddings: np.ndarray,
+    pairs: list[Trial],
+    records: list[ChunkEmbeddings],
     cohort: Cohort,
     config: AsNormConfig = AsNormConfig(),
 ) -> np.ndarray:
-    """AS-Norm over aligned vectors of raw scores and per-side embeddings."""
+    """AS-Norm of each scored pair, with the sides' embeddings looked up in ``records``."""
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
-    n = raw_scores.shape[0]
-    enroll_embeddings = np.asarray(enroll_embeddings, dtype=np.float64)
-    test_embeddings = np.asarray(test_embeddings, dtype=np.float64)
-    if enroll_embeddings.shape[0] != n or test_embeddings.shape[0] != n:
-        raise ToolkitError("raw scores and embedding sides must have equal length")
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        out[i] = asnorm_score(float(raw_scores[i]), enroll_embeddings[i], test_embeddings[i], cohort, config)
-    return out
+    if raw_scores.shape != (len(pairs),):
+        raise ToolkitError("raw scores and trial pairs must have equal length")
+    if len(cohort) < config.top_n:
+        raise ToolkitError(f"cohort has {len(cohort)} speakers, need >= top_n={config.top_n}")
+    side_records, enroll, test = trial_sides(records, pairs)
+    sims = cosine_matrix(np.stack([rec.mean_embedding() for rec in side_records]), cohort.embeddings)
+    mu, sd = np.array([top_n_stats(row, config.top_n) for row in sims]).T
+    return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

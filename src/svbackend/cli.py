@@ -76,27 +76,14 @@ def cohort(embeddings, speakers, per_speaker, seed, out):
 def asnorm_cmd(scores, embeddings, cohort_path, top_n, out):
     """Apply adaptive symmetric score normalization."""
     pairs, raw = dataio.read_scores(scores)
-    store = dataio.embeddings_by_id(dataio.read_embeddings(embeddings))
+    records = dataio.read_embeddings(embeddings)
     cohort_records = dataio.read_embeddings(cohort_path)
     built = asnorm_mod.Cohort(
         speaker_ids=tuple(rec.utt_id for rec in cohort_records),
         embeddings=np.stack([rec.mean_embedding() for rec in cohort_records]),
     )
     config = asnorm_mod.AsNormConfig(top_n=top_n)
-    means: dict[str, np.ndarray] = {}
-    for pair in pairs:
-        for utt_id in (pair.enroll_id, pair.test_id):
-            if utt_id not in means:
-                if utt_id not in store:
-                    raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
-                means[utt_id] = store[utt_id].mean_embedding()
-    normalized = asnorm_mod.asnorm_trials(
-        raw,
-        np.stack([means[p.enroll_id] for p in pairs]),
-        np.stack([means[p.test_id] for p in pairs]),
-        built,
-        config,
-    )
+    normalized = asnorm_mod.asnorm_trials(raw, pairs, records, built, config)
     dataio.write_scores(pairs, normalized, out)
 
 

@@ -29,6 +29,7 @@ Formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -49,11 +50,18 @@ def format_float(value: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` via a synced temp file renamed over ``path``, with the mode
+    ``open`` gives a new file (0o666 less the umask) rather than mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -411,8 +419,6 @@ def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
 
 
 def write_attributes(table: AttributeTable, path: str) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("utt_id",) + table.columns)
@@ -436,8 +442,6 @@ def write_attributes(table: AttributeTable, path: str) -> None:
 
 def write_trial_features(trials: list[Trial], names: list[str], matrix, path: str) -> None:
     """CSV of per-trial features; NaN cells are written blank (missing)."""
-    import io
-
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial, embeddings_by_id
+from .dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
 from .errors import ToolkitError
-from .scoring import vector_norm
+from .scoring import trial_sides, vector_norm
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -151,16 +151,8 @@ def trial_feature_matrix(
 ) -> tuple[list[str], np.ndarray]:
     """Raw (unscaled) QMF matrix for a trial list, one row per trial."""
     names = feature_names(schema)
-    store = embeddings_by_id(records)
-    qmf_cache: dict[str, EmbeddingQmf] = {}
-
-    def utt_qmf(utt_id: str) -> EmbeddingQmf:
-        if utt_id not in qmf_cache:
-            if utt_id not in store:
-                raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
-            qmf_cache[utt_id] = embedding_qmf(store[utt_id])
-        return qmf_cache[utt_id]
-
+    side_records, enroll, test = trial_sides(records, trials)
+    side_qmf = [embedding_qmf(rec) for rec in side_records]
     matrix = np.empty((len(trials), len(names)), dtype=np.float64)
     for i, trial in enumerate(trials):
         for utt_id in (trial.enroll_id, trial.test_id):
@@ -168,9 +160,9 @@ def trial_feature_matrix(
                 raise ToolkitError(f"utterance {utt_id!r} missing from attribute table")
         vector = build_trial_qmf(
             table.rows[trial.enroll_id],
-            utt_qmf(trial.enroll_id),
+            side_qmf[enroll[i]],
             table.rows[trial.test_id],
-            utt_qmf(trial.test_id),
+            side_qmf[test[i]],
             schema,
         )
         matrix[i] = vector.values

@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ChunkEmbeddings, Trial, embeddings_by_id
+from . import dataio
+from .dataio import ChunkEmbeddings, Trial
 from .errors import ToolkitError
+
+# Bytes of elementwise products cosine_matrix forms at once; larger blocks raise peak memory.
+COSINE_BLOCK_BYTES = 1 << 20
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -44,6 +48,10 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     the reduction runs over the contiguous last axis exactly as in the scalar
     path, and the result is symmetric under swapping the two inputs (entry
     (i, j) becomes entry (j, i) with the same value).
+
+    Products are formed for blocks of ``rows_a`` within ``COSINE_BLOCK_BYTES``
+    (at least one row each). Blocking splits only the row axis, so each entry
+    is still the same last-axis sum and stays bit-identical.
     """
     a = np.ascontiguousarray(rows_a, dtype=np.float64)
     b = np.ascontiguousarray(rows_b, dtype=np.float64)
@@ -53,8 +61,12 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     norms_b = np.sqrt(np.sum(b * b, axis=1))
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
-    dots = (a[:, None, :] * b[None, :, :]).sum(axis=2)
-    sims = dots / (norms_a[:, None] * norms_b[None, :])
+    sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    step = max(1, COSINE_BLOCK_BYTES // max(1, b.size * 8))
+    for start in range(0, a.shape[0], step):
+        rows = slice(start, start + step)
+        dots = (a[rows, None, :] * b[None, :, :]).sum(axis=2)
+        sims[rows] = dots / (norms_a[rows, None] * norms_b[None, :])
     np.clip(sims, -1.0, 1.0, out=sims)
     return sims
 
@@ -87,13 +99,25 @@ def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseSc
     return PairwiseScore(value=value, n_pairs=n_pairs)
 
 
+def trial_sides(
+    records: list[ChunkEmbeddings], trials: list[Trial]
+) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
+    """The records the trials reference, each once in order of first
+    appearance, and each trial's enroll and test row in that list."""
+    store = dataio.embeddings_by_id(records)  # through the module, so perfbench's tracer sees the call
+    rows: dict[str, int] = {}
+    sides = np.empty((2, len(trials)), dtype=np.intp)
+    for i, trial in enumerate(trials):
+        for side, utt_id in enumerate((trial.enroll_id, trial.test_id)):
+            if utt_id not in rows:
+                if utt_id not in store:
+                    raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
+                rows[utt_id] = len(rows)
+            sides[side, i] = rows[utt_id]
+    return [store[utt_id] for utt_id in rows], sides[0], sides[1]
+
+
 def score_trials(records: list[ChunkEmbeddings], trials: list[Trial]) -> np.ndarray:
     """Pairwise scores for a trial list, in trial order."""
-    store = embeddings_by_id(records)
-    scores = np.empty(len(trials), dtype=np.float64)
-    for i, trial in enumerate(trials):
-        for utt_id in (trial.enroll_id, trial.test_id):
-            if utt_id not in store:
-                raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
-        scores[i] = pairwise_score(store[trial.enroll_id], store[trial.test_id]).value
-    return scores
+    side_records, enroll, test = trial_sides(records, trials)
+    return np.array([pairwise_score(side_records[e], side_records[t]).value for e, t in zip(enroll, test)])

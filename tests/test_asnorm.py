@@ -6,13 +6,12 @@ import pytest
 from svbackend.asnorm import (
     AsNormConfig,
     Cohort,
-    asnorm_score,
     asnorm_trials,
     build_cohort,
-    cohort_scores,
     normalize_from_cohort_scores,
     top_n_stats,
 )
+from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import DegenerateCohortError, ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
 from svbackend.scoring import cosine, mean_embedding
@@ -171,6 +170,17 @@ def test_build_cohort_errors(small_synth):
 # Trial normalization
 
 
+def _manual_asnorm(raw, e_emb, t_emb, cohort, top_n):
+    e_scores = np.array([cosine(e_emb, row) for row in cohort.embeddings])
+    t_scores = np.array([cosine(t_emb, row) for row in cohort.embeddings])
+    return normalize_from_cohort_scores(raw, e_scores, t_scores, top_n)
+
+
+def _single_chunk_records(embeddings):
+    """One single-chunk record per row, so each record's mean embedding is the row itself."""
+    return [ChunkEmbeddings(f"u{i}", row[None, :]) for i, row in enumerate(embeddings)]
+
+
 def test_asnorm_score_matches_manual_pipeline(small_synth, np_rng):
     records, speaker_map = small_synth
     config = AsNormConfig(top_n=4, utterances_per_speaker=2)
@@ -178,25 +188,19 @@ def test_asnorm_score_matches_manual_pipeline(small_synth, np_rng):
     e_emb = np_rng.normal(size=8)
     t_emb = np_rng.normal(size=8)
     raw = 0.37
-    got = asnorm_score(raw, e_emb, t_emb, cohort, config)
+    got = asnorm_trials(np.array([raw]), [Trial("u0", "u1")], _single_chunk_records([e_emb, t_emb]), cohort, config)
     e_scores = np.array([cosine(e_emb, row) for row in cohort.embeddings])
     t_scores = np.array([cosine(t_emb, row) for row in cohort.embeddings])
     expected = normalize_from_cohort_scores(raw, e_scores, t_scores, 4)
-    assert got == expected
-
-
-def test_cohort_scores_shape(small_synth, np_rng):
-    records, speaker_map = small_synth
-    cohort = build_cohort(records, speaker_map, AsNormConfig(top_n=2, utterances_per_speaker=2))
-    scores = cohort_scores(np_rng.normal(size=8), cohort)
-    assert scores.shape == (len(cohort),)
+    assert got[0] == expected
 
 
 def test_asnorm_score_requires_enough_cohort(small_synth, np_rng):
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map, AsNormConfig(top_n=2, utterances_per_speaker=2))
+    sides = _single_chunk_records(np_rng.normal(size=(2, 8)))
     with pytest.raises(ToolkitError, match="top_n"):
-        asnorm_score(0.1, np_rng.normal(size=8), np_rng.normal(size=8), cohort, AsNormConfig(top_n=100))
+        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, cohort, AsNormConfig(top_n=100))
 
 
 def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
@@ -206,11 +210,52 @@ def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
     raw = np_rng.normal(size=5) * 0.2
     e = np_rng.normal(size=(5, 8))
     t = np_rng.normal(size=(5, 8))
-    out = asnorm_trials(raw, e, t, cohort, config)
+    sides = _single_chunk_records(np.concatenate([e, t]))
+    pairs = [Trial(f"u{i}", f"u{i + 5}") for i in range(5)]
+    out = asnorm_trials(raw, pairs, sides, cohort, config)
     for i in range(5):
-        assert out[i] == asnorm_score(float(raw[i]), e[i], t[i], cohort, config)
+        assert out[i] == _manual_asnorm(float(raw[i]), e[i], t[i], cohort, 4)
     with pytest.raises(ToolkitError, match="equal length"):
-        asnorm_trials(raw[:3], e, t, cohort, config)
+        asnorm_trials(raw[:3], pairs, sides, cohort, config)
+
+
+def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_rng):
+    """Utterances shared across trials, multi-chunk sides and self-trials all
+    match the per-trial oracle bit for bit."""
+    records, speaker_map = small_synth
+    config = AsNormConfig(top_n=4, utterances_per_speaker=2)
+    cohort = build_cohort(records, speaker_map, config, seed=3)
+    sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(3, 8))) for i in range(4)]
+    pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 4, size=(12, 2))]
+    pairs.append(Trial("s2", "s2"))
+    raw = np_rng.normal(size=len(pairs)) * 0.3
+    by_id = {rec.utt_id: rec for rec in sides}
+    out = asnorm_trials(raw, pairs, sides + records[:2], cohort, config)
+    for i, pair in enumerate(pairs):
+        expected = _manual_asnorm(
+            float(raw[i]), by_id[pair.enroll_id].mean_embedding(), by_id[pair.test_id].mean_embedding(), cohort, 4
+        )
+        assert out[i] == expected
+
+
+def test_asnorm_trials_swap_symmetry_is_bitwise(small_synth, np_rng):
+    records, speaker_map = small_synth
+    config = AsNormConfig(top_n=4, utterances_per_speaker=2)
+    cohort = build_cohort(records, speaker_map, config, seed=4)
+    sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(2, 8))) for i in range(5)]
+    pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 5, size=(15, 2))]
+    raw = np_rng.normal(size=len(pairs)) * 0.3
+    forward = asnorm_trials(raw, pairs, sides, cohort, config)
+    swapped = asnorm_trials(raw, [Trial(p.test_id, p.enroll_id) for p in pairs], sides, cohort, config)
+    assert forward.tobytes() == swapped.tobytes()
+
+
+def test_asnorm_trials_missing_utterance(small_synth, np_rng):
+    records, speaker_map = small_synth
+    config = AsNormConfig(top_n=2, utterances_per_speaker=2)
+    cohort = build_cohort(records, speaker_map, config)
+    with pytest.raises(ToolkitError, match="'ghost' missing from embedding store"):
+        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, "ghost")], records, cohort, config)
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -40,6 +41,17 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     dataio.atomic_write_text(str(path), "new contents\n")
     assert path.read_text() == "new contents\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        dataio.atomic_write_text(str(path), "contents\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 def test_read_text_missing_file_is_data_error(tmp_path):

@@ -8,11 +8,13 @@ import pytest
 from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import ToolkitError
 from svbackend.scoring import (
+    COSINE_BLOCK_BYTES,
     cosine,
     cosine_matrix,
     mean_embedding,
     pairwise_score,
     score_trials,
+    trial_sides,
     vector_norm,
 )
 
@@ -63,6 +65,20 @@ def test_cosine_matrix_transpose_symmetry(np_rng):
     forward = cosine_matrix(a, b)
     backward = cosine_matrix(b, a)
     assert forward.tobytes() == backward.T.copy().tobytes()
+
+
+def test_cosine_matrix_spanning_row_blocks_bit_identical(np_rng):
+    # 13 rows of 700 x 64 products take about 4.5 budgets; the transpose's
+    # 700 rows of 13 x 64 products take about 4.5 budgets too, so both
+    # directions span several row blocks with a partial last block.
+    a = np_rng.normal(size=(13, 64))
+    b = np_rng.normal(size=(700, 64))
+    assert a.size * b.shape[0] * 8 > 4 * COSINE_BLOCK_BYTES
+    forward = cosine_matrix(a, b)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            assert forward[i, j] == cosine(a[i], b[j])
+    assert forward.tobytes() == cosine_matrix(b, a).T.copy().tobytes()
 
 
 def test_vector_norm_and_mean_embedding():
@@ -141,3 +157,13 @@ def test_score_trials_missing_utterance(np_rng):
     records = [ChunkEmbeddings("u0", np_rng.normal(size=(1, 4)))]
     with pytest.raises(ToolkitError, match="ghost"):
         score_trials(records, [Trial("u0", "ghost")])
+
+
+def test_trial_sides_indexes_unique_utterances_in_first_appearance_order(np_rng):
+    records = [ChunkEmbeddings(f"u{i}", np_rng.normal(size=(1, 4))) for i in range(5)]
+    trials = [Trial("u3", "u1"), Trial("u1", "u3"), Trial("u0", "u0"), Trial("u3", "u0")]
+    side_records, enroll, test = trial_sides(records, trials)
+    assert [rec.utt_id for rec in side_records] == ["u3", "u1", "u0"]
+    assert enroll.tolist() == [0, 1, 2, 0]
+    assert test.tolist() == [1, 0, 2, 2]
+    assert side_records[0] is records[3]
