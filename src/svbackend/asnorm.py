@@ -133,6 +133,12 @@ def normalize_from_cohort_scores(
     return float(_normalize(raw, mu_e, sd_e, mu_t, sd_t))
 
 
+def require_cohort_size(n_speakers: int, config: AsNormConfig) -> None:
+    """A cohort needs at least ``top_n`` speakers to give each side ``top_n`` scores."""
+    if n_speakers < config.top_n:
+        raise ToolkitError(f"cohort has {n_speakers} speakers, need >= top_n={config.top_n}")
+
+
 def asnorm_trials(
     raw_scores: np.ndarray,
     pairs: list[Trial],
@@ -144,8 +150,9 @@ def asnorm_trials(
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
-    if len(cohort) < config.top_n:
-        raise ToolkitError(f"cohort has {len(cohort)} speakers, need >= top_n={config.top_n}")
+    require_cohort_size(len(cohort), config)
+    if not pairs:
+        return raw_scores
     side_records, enroll, test = trial_sides(records, pairs)
     sims = cosine_matrix(np.stack([rec.mean_embedding() for rec in side_records]), cohort.embeddings)
     mu, sd = np.array([top_n_stats(row, config.top_n) for row in sims]).T

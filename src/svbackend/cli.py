@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asnorm as asnorm_mod
 from . import curation, dataio, fusion, metrics, qmf, scoring, synth, trainspec
-from .errors import FeatureMismatchError, ToolkitError
+from .errors import ToolkitError
 
 
 @click.group(name="svbackend")
@@ -78,11 +78,12 @@ def asnorm_cmd(scores, embeddings, cohort_path, top_n, out):
     pairs, raw = dataio.read_scores(scores)
     records = dataio.read_embeddings(embeddings)
     cohort_records = dataio.read_embeddings(cohort_path)
+    config = asnorm_mod.AsNormConfig(top_n=top_n)
+    asnorm_mod.require_cohort_size(len(cohort_records), config)
     built = asnorm_mod.Cohort(
         speaker_ids=tuple(rec.utt_id for rec in cohort_records),
         embeddings=np.stack([rec.mean_embedding() for rec in cohort_records]),
     )
-    config = asnorm_mod.AsNormConfig(top_n=top_n)
     normalized = asnorm_mod.asnorm_trials(raw, pairs, records, built, config)
     dataio.write_scores(pairs, normalized, out)
 
@@ -103,11 +104,13 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
     dataio.write_trial_features(trial_list, names, matrix, out)
 
 
-def _score_feature_columns(
+def _assemble_raw_features(
     score_paths: tuple[str, ...],
+    qmf_path: str | None,
     reference: list[dataio.Trial] | None,
-) -> tuple[list[dataio.Trial], list[str], list[np.ndarray]]:
-    """Read score files as feature columns aligned against a reference pair list."""
+) -> tuple[list[dataio.Trial], list[str], np.ndarray]:
+    """Read score files, then the optional feature CSV, as named raw feature
+    columns aligned against a reference pair list (the first file's when None)."""
     names: list[str] = []
     columns: list[np.ndarray] = []
     for path in score_paths:
@@ -122,15 +125,6 @@ def _score_feature_columns(
         names.append(name)
         columns.append(values)
     assert reference is not None
-    return reference, names, columns
-
-
-def _assemble_raw_features(
-    score_paths: tuple[str, ...],
-    qmf_path: str | None,
-    reference: list[dataio.Trial] | None,
-) -> tuple[list[dataio.Trial], list[str], np.ndarray]:
-    reference, names, columns = _score_feature_columns(score_paths, reference)
     if qmf_path is not None:
         pairs, qmf_names, matrix = dataio.read_trial_features(qmf_path)
         dataio.check_score_alignment(reference, pairs, qmf_path)
@@ -157,23 +151,7 @@ def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     trial_list = dataio.read_trials(trials, expect_labels=True)
     _, names, raw = _assemble_raw_features(scores, qmf_path, trial_list)
     labels = np.array([t.label for t in trial_list], dtype=bool)
-    params = qmf.minmax_fit(raw, names)
-    problem = fusion.FusionProblem(
-        features=qmf.minmax_apply(raw, params),
-        labels=labels,
-        lam=lam,
-        feature_names=tuple(names),
-    )
-    fitted = fusion.fit(problem, max_iters=max_iters, tol=tol)
-    model = dataio.FusionModel(
-        feature_names=tuple(names),
-        weights=fitted.weights,
-        intercept=fitted.intercept,
-        feature_min=params.lo,
-        feature_max=params.hi,
-        medians=params.median,
-        lam=lam,
-    )
+    model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
     dataio.save_fusion_model(model, out)
 
 
@@ -186,14 +164,7 @@ def fuse_apply(model_path, scores, qmf_path, out):
     """Apply a fitted fusion model; emits per-trial probabilities."""
     model = dataio.load_fusion_model(model_path)
     pairs, names, raw = _assemble_raw_features(scores, qmf_path, None)
-    if len(names) != len(model.feature_names):
-        raise FeatureMismatchError(
-            f"model expects {len(model.feature_names)} features, got {len(names)}"
-        )
-    for i, (expected, got) in enumerate(zip(model.feature_names, names)):
-        if expected != got:
-            raise FeatureMismatchError(f"feature {i + 1}: model expects {expected!r}, got {got!r}")
-    probabilities = fusion.apply_model(raw, model)
+    probabilities = fusion.apply_model(raw, names, model)
     dataio.write_scores(pairs, probabilities, out)
 
 

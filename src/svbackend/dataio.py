@@ -485,44 +485,63 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
 # Fusion model file
 
 
+def _feature_vector(values, k: int, name: str) -> np.ndarray:
+    """``values`` as a finite float vector of one entry per feature."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (k,):
+        raise ValueError(f"{name} must have shape ({k},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"non-finite values in {name}")
+    return arr
+
+
+@dataclass(frozen=True)
+class MinMaxParams:
+    """Per-feature scaling fixed at fit time: observed range and median."""
+
+    names: tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    median: np.ndarray
+
+    def __post_init__(self):
+        for attr in ("lo", "hi", "median"):
+            object.__setattr__(self, attr, _feature_vector(getattr(self, attr), len(self.names), attr))
+        if np.any(self.lo > self.hi):
+            raise ValueError("feature minimum above feature maximum")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate feature names")
+
+
 @dataclass
 class FusionModel:
-    """Fitted fusion parameters plus the feature scaling fixed at fit time."""
+    """Fitted fusion weights plus the feature scaling fixed at fit time."""
 
-    feature_names: tuple[str, ...]
+    scaling: MinMaxParams
     weights: np.ndarray
     intercept: float
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-    medians: np.ndarray
     lam: float
 
     def __post_init__(self):
-        k = len(self.feature_names)
-        for attr in ("weights", "feature_min", "feature_max", "medians"):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
-            if arr.shape != (k,):
-                raise ValueError(f"{attr} must have shape ({k},), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite values in {attr}")
-            setattr(self, attr, arr)
+        self.weights = _feature_vector(self.weights, len(self.feature_names), "weights")
         if not math.isfinite(self.intercept):
             raise ValueError("non-finite intercept")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if np.any(self.feature_min > self.feature_max):
-            raise ValueError("feature_min above feature_max")
-        if len(set(self.feature_names)) != k:
-            raise ValueError("duplicate feature names")
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.scaling.names
 
 
 def save_fusion_model(model: FusionModel, path: str) -> None:
+    scaling = model.scaling
     payload = {
         "feature_names": list(model.feature_names),
         "weights": [float(w) for w in model.weights],
         "intercept": float(model.intercept),
-        "minmax": [[float(lo), float(hi)] for lo, hi in zip(model.feature_min, model.feature_max)],
-        "medians": [float(m) for m in model.medians],
+        "minmax": [[float(lo), float(hi)] for lo, hi in zip(scaling.lo, scaling.hi)],
+        "medians": [float(m) for m in scaling.median],
         "lambda": float(model.lam),
     }
     atomic_write_text(str(path), json.dumps(payload, indent=2) + "\n")
@@ -543,13 +562,16 @@ def load_fusion_model(path: str) -> FusionModel:
             raise DataFormatError(f"missing key {key!r}", path=path)
     try:
         minmax = payload["minmax"]
+        scaling = MinMaxParams(
+            names=tuple(str(n) for n in payload["feature_names"]),
+            lo=np.asarray([pair[0] for pair in minmax], dtype=np.float64),
+            hi=np.asarray([pair[1] for pair in minmax], dtype=np.float64),
+            median=np.asarray(payload["medians"], dtype=np.float64),
+        )
         model = FusionModel(
-            feature_names=tuple(str(n) for n in payload["feature_names"]),
+            scaling=scaling,
             weights=np.asarray(payload["weights"], dtype=np.float64),
             intercept=float(payload["intercept"]),
-            feature_min=np.asarray([pair[0] for pair in minmax], dtype=np.float64),
-            feature_max=np.asarray([pair[1] for pair in minmax], dtype=np.float64),
-            medians=np.asarray(payload["medians"], dtype=np.float64),
             lam=float(payload["lambda"]),
         )
     except (TypeError, ValueError, IndexError) as exc:

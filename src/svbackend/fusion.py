@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmf
 from .dataio import FusionModel
-from .errors import ToolkitError
-from .qmf import scale_features
+from .errors import FeatureMismatchError, ToolkitError
 
 
 def sigmoid(x):
@@ -145,39 +145,36 @@ def fit(problem: FusionProblem, max_iters: int = 100000, tol: float = 1e-9) -> F
 
 
 # ---------------------------------------------------------------------------
-# Applying fitted parameters
+# Training and applying models on raw features
 
 
-def fuse_logit(scores, qmfs, model: FittedFusion) -> float:
-    """Linear fusion logit for one trial's already-scaled feature values.
-
-    ``scores`` are the per-system score features and ``qmfs`` the quality
-    features, concatenated in the model's training order.
-    """
-    features = np.concatenate(
-        [np.asarray(scores, dtype=np.float64).ravel(), np.asarray(qmfs, dtype=np.float64).ravel()]
-    )
-    if features.shape[0] != model.weights.shape[0]:
-        raise ToolkitError(f"model expects {model.weights.shape[0]} features, got {features.shape[0]}")
-    return float(features @ model.weights + model.intercept)
-
-
-def fuse_probability(scores, qmfs, model: FittedFusion) -> float:
-    """Target probability for one trial (sigmoid of the fusion logit)."""
-    return float(sigmoid(fuse_logit(scores, qmfs, model)))
+def train(
+    raw_features: np.ndarray,
+    labels: np.ndarray,
+    names: list[str],
+    lam: float = 0.01,
+    max_iters: int = 100000,
+    tol: float = 1e-9,
+) -> FusionModel:
+    """Fit min-max scaling on raw (unscaled) feature rows, then the fusion
+    weights on the scaled rows; the model carries both."""
+    scaling = qmf.minmax_fit(raw_features, names)
+    problem = FusionProblem(features=qmf.minmax_apply(raw_features, scaling), labels=labels, lam=lam)
+    fitted = fit(problem, max_iters=max_iters, tol=tol)
+    return FusionModel(scaling=scaling, weights=fitted.weights, intercept=fitted.intercept, lam=lam)
 
 
-def apply_model(raw_features: np.ndarray, model: FusionModel) -> np.ndarray:
-    """Fusion probabilities for raw (unscaled) feature rows under a saved model.
+def apply_model(raw_features: np.ndarray, names: list[str], model: FusionModel) -> np.ndarray:
+    """Fusion probabilities for raw (unscaled) feature rows under a model.
 
-    Applies the model's stored median imputation and min-max scaling, then
+    ``names`` label the columns and must equal the model's feature names in
+    order. Applies the model's median imputation and min-max scaling, then
     the linear logit and sigmoid. One probability per row.
     """
-    raw_features = np.asarray(raw_features, dtype=np.float64)
-    if raw_features.ndim != 2:
-        raise ToolkitError(f"expected a 2-D feature matrix, got shape {raw_features.shape}")
-    if raw_features.shape[1] != len(model.feature_names):
-        raise ToolkitError(f"model expects {len(model.feature_names)} features, got {raw_features.shape[1]}")
-    scaled = scale_features(raw_features, model.feature_min, model.feature_max, model.medians)
-    logits = scaled @ model.weights + model.intercept
-    return sigmoid(logits)
+    if len(names) != len(model.feature_names):
+        raise FeatureMismatchError(f"model expects {len(model.feature_names)} features, got {len(names)}")
+    for i, (expected, got) in enumerate(zip(model.feature_names, names)):
+        if expected != got:
+            raise FeatureMismatchError(f"feature {i + 1}: model expects {expected!r}, got {got!r}")
+    scaled = qmf.minmax_apply(raw_features, model.scaling)
+    return sigmoid(scaled @ model.weights + model.intercept)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
+from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial
 from .errors import ToolkitError
 from .scoring import trial_sides, vector_norm
 
@@ -173,14 +173,6 @@ def trial_feature_matrix(
 # Min-max scaling with median imputation
 
 
-@dataclass(frozen=True)
-class MinMaxParams:
-    names: tuple[str, ...]
-    lo: np.ndarray
-    hi: np.ndarray
-    median: np.ndarray
-
-
 def minmax_fit(matrix: np.ndarray, names: list[str]) -> MinMaxParams:
     """Per-feature (lo, hi) range and median over the observed (non-NaN) values."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -202,28 +194,20 @@ def minmax_fit(matrix: np.ndarray, names: list[str]) -> MinMaxParams:
     return MinMaxParams(names=tuple(names), lo=lo, hi=hi, median=median)
 
 
-def scale_features(matrix: np.ndarray, lo: np.ndarray, hi: np.ndarray, median: np.ndarray) -> np.ndarray:
-    """Impute NaNs with medians, then map each feature to [0, 1].
+def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:
+    """Impute NaNs with the fitted medians, then map each feature to [0, 1].
 
     Values outside the fitted range clamp to 0 or 1; a constant feature
     (lo == hi) maps to 0.5 everywhere.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    vector_input = matrix.ndim == 1
-    if vector_input:
-        matrix = matrix[None, :]
-    if matrix.shape[1] != lo.shape[0]:
-        raise ToolkitError(f"expected {lo.shape[0]} features, got {matrix.shape[1]}")
-    filled = np.where(np.isnan(matrix), median[None, :], matrix)
+    if matrix.ndim != 2 or matrix.shape[1] != len(params.names):
+        raise ToolkitError(f"expected a 2-D matrix of {len(params.names)} features, got shape {matrix.shape}")
+    filled = np.where(np.isnan(matrix), params.median[None, :], matrix)
     if not np.all(np.isfinite(filled)):
         raise ToolkitError("non-finite feature value")
-    span = hi - lo
+    span = params.hi - params.lo
     constant = span == 0.0
     safe_span = np.where(constant, 1.0, span)
-    scaled = np.clip((filled - lo[None, :]) / safe_span[None, :], 0.0, 1.0)
-    scaled = np.where(constant[None, :], 0.5, scaled)
-    return scaled[0] if vector_input else scaled
-
-
-def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:
-    return scale_features(matrix, params.lo, params.hi, params.median)
+    scaled = np.clip((filled - params.lo[None, :]) / safe_span[None, :], 0.0, 1.0)
+    return np.where(constant[None, :], 0.5, scaled)

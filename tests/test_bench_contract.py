@@ -3,15 +3,19 @@
 ``perfbench/spans.py`` replaces ``svbackend.<module>.<attr>`` for every key
 of ``WRAPPED`` (timing pass) and ``PEAKED`` (allocation pass). A rename in
 the package would make ``perfbench/run.py --trace 1`` fail, so the names
-are checked here against the package itself.
+are checked here against the package itself, and a fit-then-apply run
+checks that the fusion layers' calls go through those attributes.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+
+from svbackend import cli
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +41,34 @@ def test_traced_attributes_resolve(table):
         if not callable(getattr(importlib.import_module(f"svbackend.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_fusion_calls_route_through_traced_attributes(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "n_speakers": 4, "utts_per_speaker": 3, "chunks_per_utt": 2, "dim": 4,
+        "within_spread": 0.3, "between_spread": 1.0, "seed": 5,
+        "trials": {"n_pos": 8, "n_neg": 12, "seed": 5},
+    }))
+    data = tmp_path / "data"
+    raw, model = tmp_path / "raw.txt", tmp_path / "model.json"
+    assert cli.main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    assert cli.main(["score", "--embeddings", str(data / "embeddings.txt"),
+                     "--trials", str(data / "trials.txt"), "--out", str(raw)]) == 0
+    modules = {name: importlib.import_module(f"svbackend.{name}") for name in {m for m, _ in SPANS.WRAPPED}}
+    tracer = SPANS.Tracer(modules)
+    with tracer.installed():
+        for argv in (
+            ["fuse-fit", "--scores", str(raw), "--trials", str(data / "trials.txt"), "--out", str(model)],
+            ["fuse-apply", "--model", str(model), "--scores", str(raw), "--out", str(tmp_path / "fused.txt")],
+        ):
+            assert tracer.stage(argv[0], lambda: cli.main(argv)) == 0
+    recorded = {(span.stage, span.name) for span in tracer.spans}
+    for stage, name in (("fuse-fit", "qmf.minmax_fit"), ("fuse-fit", "qmf.minmax_apply"),
+                        ("fuse-fit", "fusion.fit"), ("fuse-apply", "fusion.apply_model"),
+                        ("fuse-apply", "qmf.minmax_apply")):
+        assert (f"cli.{stage}", name) in recorded
+    fits = [span for span in tracer.spans if span.name == "fusion.fit"]
+    assert len(fits) == 1
+    trace = fits[0].info["fitted"].objective_trace
+    assert (trace[1:] <= trace[:-1]).all()

@@ -123,6 +123,25 @@ def test_asnorm_scores_are_standardized(pipeline):
     assert norm.std() > 0.0
 
 
+def test_asnorm_empty_score_file_gives_empty_output(pipeline):
+    empty = pipeline["root"] / "empty_raw.txt"
+    empty.write_text("")
+    out = pipeline["root"] / "empty_norm.txt"
+    rc = main(["asnorm", "--scores", str(empty), "--embeddings", str(pipeline["embeddings"]),
+               "--cohort", str(pipeline["cohort"]), "--top-n", "4", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == b""
+
+
+def test_asnorm_header_only_cohort_is_data_error(pipeline, capsys):
+    cohort = pipeline["root"] / "header_only_cohort.txt"
+    cohort.write_text("dim=8\n")
+    rc = main(["asnorm", "--scores", str(pipeline["raw_scores"]), "--embeddings", str(pipeline["embeddings"]),
+               "--cohort", str(cohort), "--top-n", "4", "--out", str(pipeline["root"] / "never.txt")])
+    assert rc == 2
+    assert "error: cohort has 0 speakers, need >= top_n=4" in capsys.readouterr().err
+
+
 def test_qmf_csv_layout(pipeline):
     trials, names, matrix = dataio.read_trial_features(str(pipeline["qmf"]))
     schema = dataio.read_schema(str(pipeline["schema"]))

@@ -337,12 +337,14 @@ def test_trial_features_errors(tmp_path):
 
 def make_model() -> dataio.FusionModel:
     return dataio.FusionModel(
-        feature_names=("sys1", "emb_l2_norm_min"),
+        scaling=dataio.MinMaxParams(
+            names=("sys1", "emb_l2_norm_min"),
+            lo=np.array([0.0, 1.0]),
+            hi=np.array([1.0, 3.0]),
+            median=np.array([0.5, 2.0]),
+        ),
         weights=np.array([1.5, -0.25]),
         intercept=0.125,
-        feature_min=np.array([0.0, 1.0]),
-        feature_max=np.array([1.0, 3.0]),
-        medians=np.array([0.5, 2.0]),
         lam=0.01,
     )
 
@@ -355,9 +357,9 @@ def test_fusion_model_round_trip(tmp_path):
     assert back.feature_names == model.feature_names
     assert back.weights.tobytes() == model.weights.tobytes()
     assert back.intercept == model.intercept
-    assert back.feature_min.tobytes() == model.feature_min.tobytes()
-    assert back.feature_max.tobytes() == model.feature_max.tobytes()
-    assert back.medians.tobytes() == model.medians.tobytes()
+    assert back.scaling.lo.tobytes() == model.scaling.lo.tobytes()
+    assert back.scaling.hi.tobytes() == model.scaling.hi.tobytes()
+    assert back.scaling.median.tobytes() == model.scaling.median.tobytes()
     assert back.lam == model.lam
     payload = json.loads(open(path).read())
     assert set(payload) == {"feature_names", "weights", "intercept", "minmax", "medians", "lambda"}
@@ -384,4 +386,35 @@ def test_fusion_model_file_errors(tmp_path):
     mismatched = dict(good, weights=[1.0, 2.0])
     path.write_text(json.dumps(mismatched))
     with pytest.raises(DataFormatError):
+        dataio.load_fusion_model(str(path))
+
+
+SCALING_DEFECTS = {
+    "lo above hi": (dict(lo=[2.0, 1.0], hi=[1.0, 3.0]), "minimum above"),
+    "non-finite": (dict(median=[0.5, float("nan")]), "non-finite"),
+    "duplicate names": (dict(names=["a", "a"]), "duplicate"),
+    "wrong shape": (dict(median=[0.5, 2.0, 1.0]), "shape"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCALING_DEFECTS))
+def test_minmax_params_reject_defects_and_loader_locates_them(tmp_path, defect):
+    changes, message = SCALING_DEFECTS[defect]
+    fields = {"names": ["a", "b"], "lo": [0.0, 1.0], "hi": [1.0, 3.0], "median": [0.5, 2.0], **changes}
+    with pytest.raises(ValueError, match=message):
+        dataio.MinMaxParams(
+            names=tuple(fields["names"]),
+            **{k: np.array(fields[k]) for k in ("lo", "hi", "median")},
+        )
+    payload = {
+        "feature_names": fields["names"],
+        "weights": [1.0, -1.0],
+        "intercept": 0.0,
+        "minmax": [[lo, hi] for lo, hi in zip(fields["lo"], fields["hi"])],
+        "medians": fields["median"],
+        "lambda": 0.01,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=f"model.json: invalid model contents: .*{message}"):
         dataio.load_fusion_model(str(path))

@@ -13,18 +13,17 @@ from fusion_grid_oracle import (
     make_grid_problem,
     problem_digest,
 )
-from svbackend.dataio import FusionModel
-from svbackend.errors import ToolkitError
+from svbackend import qmf
+from svbackend.dataio import FusionModel, MinMaxParams
+from svbackend.errors import FeatureMismatchError, ToolkitError
 from svbackend.fusion import (
-    FittedFusion,
     FusionProblem,
     apply_model,
     fit,
-    fuse_logit,
-    fuse_probability,
     objective_value,
     sigmoid,
     soft_threshold,
+    train,
 )
 from svbackend.metrics import det_curve, eer
 
@@ -50,17 +49,17 @@ def test_soft_threshold_values():
 
 
 def test_fuse_logit_hand_value():
-    model = FittedFusion(
+    # identity scaling on [0, 1], so the features reach the logit unchanged
+    model = FusionModel(
+        scaling=MinMaxParams(("s", "q"), lo=np.zeros(2), hi=np.ones(2), median=np.zeros(2)),
         weights=np.array([2.0, -1.0]),
         intercept=0.5,
-        objective=0.0,
-        iterations=0,
-        objective_trace=np.array([0.0]),
+        lam=0.0,
     )
-    assert fuse_logit([0.25], [0.5], model) == 0.5
-    assert fuse_probability([0.25], [0.5], model) == sigmoid(0.5)
+    # logit 2 * 0.25 - 1 * 0.5 + 0.5 = 0.5
+    assert apply_model(np.array([[0.25, 0.5]]), ["s", "q"], model).tolist() == [sigmoid(0.5)]
     with pytest.raises(ToolkitError, match="features"):
-        fuse_logit([0.25, 0.5], [0.5], model)
+        apply_model(np.array([[0.25, 0.5, 0.5]]), ["s", "q", "r"], model)
 
 
 def test_problem_validation(np_rng):
@@ -174,16 +173,18 @@ def test_fitted_objective_beats_frozen_grid_minimum():
 
 def test_apply_model_matches_manual_pipeline(np_rng):
     model = FusionModel(
-        feature_names=("a", "b"),
+        scaling=MinMaxParams(
+            ("a", "b"),
+            lo=np.array([0.0, 10.0]),
+            hi=np.array([2.0, 30.0]),
+            median=np.array([1.0, 20.0]),
+        ),
         weights=np.array([1.2, -0.4]),
         intercept=0.3,
-        feature_min=np.array([0.0, 10.0]),
-        feature_max=np.array([2.0, 30.0]),
-        medians=np.array([1.0, 20.0]),
         lam=0.01,
     )
     raw = np.array([[1.0, np.nan], [4.0, 10.0]])
-    probs = apply_model(raw, model)
+    probs = apply_model(raw, ["a", "b"], model)
     # row 0: feature a scales to 0.5, missing b imputes to its median (0.5)
     expected0 = sigmoid(1.2 * 0.5 - 0.4 * 0.5 + 0.3)
     # row 1: a clamps to 1.0, b scales to 0.0
@@ -191,6 +192,37 @@ def test_apply_model_matches_manual_pipeline(np_rng):
     assert probs[0] == expected0
     assert probs[1] == expected1
     with pytest.raises(ToolkitError):
-        apply_model(np.ones((2, 3)), model)
+        apply_model(np.ones((2, 3)), ["a", "b"], model)
     with pytest.raises(ToolkitError):
-        apply_model(np.ones(2), model)
+        apply_model(np.ones(2), ["a", "b"], model)
+
+
+def test_apply_model_rejects_mismatched_feature_names():
+    model = FusionModel(
+        scaling=MinMaxParams(("raw", "norm"), lo=np.zeros(2), hi=np.ones(2), median=np.zeros(2)),
+        weights=np.array([1.0, 1.0]),
+        intercept=0.0,
+        lam=0.0,
+    )
+    with pytest.raises(FeatureMismatchError, match="^model expects 2 features, got 3$"):
+        apply_model(np.zeros((1, 3)), ["raw", "norm", "extra"], model)
+    with pytest.raises(FeatureMismatchError, match="^feature 1: model expects 'raw', got 'norm'$"):
+        apply_model(np.zeros((1, 2)), ["norm", "raw"], model)
+
+
+def test_train_matches_manual_pipeline(np_rng):
+    names = ["a", "b", "c"]
+    raw = np_rng.normal(size=(40, 3)) * np.array([1.0, 10.0, 0.1])
+    raw[3, 1] = np.nan
+    labels = raw[:, 0] + 0.3 * np_rng.normal(size=40) > 0.0
+    model = train(raw, labels, names, lam=0.02, max_iters=5000, tol=1e-10)
+
+    params = qmf.minmax_fit(raw, names)
+    problem = FusionProblem(qmf.minmax_apply(raw, params), labels, lam=0.02)
+    fitted = fit(problem, max_iters=5000, tol=1e-10)
+    assert model.weights.tobytes() == fitted.weights.tobytes()
+    assert model.intercept == fitted.intercept
+    assert model.lam == 0.02
+    assert model.feature_names == tuple(names)
+    for attr in ("lo", "hi", "median"):
+        assert getattr(model.scaling, attr).tobytes() == getattr(params, attr).tobytes()

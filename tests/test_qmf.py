@@ -14,7 +14,6 @@ from svbackend.qmf import (
     feature_names,
     minmax_apply,
     minmax_fit,
-    scale_features,
     trial_feature_matrix,
 )
 
@@ -207,7 +206,7 @@ def test_minmax_imputes_median_then_scales():
 
 def test_minmax_clamps_out_of_range():
     params = minmax_fit(np.array([[0.0], [10.0]]), ["f"])
-    scaled = scale_features(np.array([[-5.0], [15.0]]), params.lo, params.hi, params.median)
+    scaled = minmax_apply(np.array([[-5.0], [15.0]]), params)
     assert scaled.tolist() == [[0.0], [1.0]]
 
 
@@ -219,9 +218,12 @@ def test_minmax_constant_feature_maps_to_half():
 
 def test_minmax_vector_input_round_trip():
     params = minmax_fit(np.array([[0.0, 2.0], [4.0, 6.0]]), ["a", "b"])
-    one = scale_features(np.array([2.0, 4.0]), params.lo, params.hi, params.median)
-    assert one.shape == (2,)
-    assert one.tolist() == [0.5, 0.5]
+    one = minmax_apply(np.array([[2.0, 4.0]]), params)
+    assert one.shape == (1, 2)
+    assert one.tolist() == [[0.5, 0.5]]
+    # a bare feature vector is not a matrix of rows
+    with pytest.raises(ToolkitError, match="2-D"):
+        minmax_apply(np.array([2.0, 4.0]), params)
 
 
 def test_minmax_all_missing_feature_rejected():
