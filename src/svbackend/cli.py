@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import asnorm as asnorm_mod
 from . import curation, dataio, fusion, metrics, qmf, scoring, synth, trainspec
-from .errors import ToolkitError
+from .errors import ConvergenceWarning, ToolkitError
 
 
 @click.group(name="svbackend")
@@ -144,14 +145,18 @@ def _assemble_raw_features(
 @click.option("--trials", required=True, help="Labeled trial list.")
 @click.option("--lambda", "lam", default=0.01, show_default=True, help="L1 penalty weight.")
 @click.option("--max-iters", default=100000, show_default=True, help="Iteration cap.")
-@click.option("--tol", default=1e-9, show_default=True, help="Objective improvement stop threshold.")
+@click.option("--tol", default=1e-9, show_default=True, help="KKT residual stop threshold.")
 @click.option("--out", required=True, help="Output model JSON.")
 def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
     _, names, raw = _assemble_raw_features(scores, qmf_path, trial_list)
     labels = np.array([t.label for t in trial_list], dtype=bool)
-    model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConvergenceWarning)
+        model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
+    for warning in caught:
+        click.echo(f"warning: {warning.message}", err=True)
     dataio.save_fusion_model(model, out)
 
 

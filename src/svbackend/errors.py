@@ -25,3 +25,7 @@ class DegenerateCohortError(ToolkitError):
 
 class FeatureMismatchError(ToolkitError):
     """Feature names or counts at apply time disagree with the fitted model."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative solver reached its iteration cap before its stop rule held."""

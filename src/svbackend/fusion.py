@@ -5,24 +5,39 @@ features, each min-max scaled to [0, 1]) to a target probability
 
     P = 1 / (1 + exp(-(w . x + b)))
 
-and is fit by proximal gradient descent (ISTA): a gradient step on the mean
-logistic loss followed by soft thresholding of the weights. The intercept b
-is not penalized. The step size starts at 1/L with L the Frobenius bound
-``sum(X_aug**2) / (4 n)`` on the loss curvature (X_aug includes the
-intercept column, so L > 0) and halves whenever a step fails to decrease
-the penalized objective, so the objective trace is monotone nonincreasing.
+and is fit by monotone FISTA (MFISTA; Beck & Teboulle, SIAM J. Imaging Sci.
+2009 and IEEE TIP 2009): accelerated proximal gradient steps on the mean
+logistic loss, each followed by soft thresholding of the weights, with a
+candidate kept only if it does not raise the penalized objective, so the
+objective trace is monotone nonincreasing. A rejected candidate also
+restarts the momentum (the function-value restart of O'Donoghue & Candès,
+Found. Comput. Math. 2015); without it, momentum built up over hundreds of
+iterations can keep the candidates rejected for thousands more. The
+intercept b is not penalized. Step sizes backtrack on the descent lemma and
+double after every iteration; they never drop below
+``4 n / (sum(X**2) + n)``, the inverse of the Frobenius bound on the loss
+curvature (with the intercept column, so the bound is finite), at which the
+descent lemma always holds. The solver stops on an optimality certificate:
+the max-norm KKT residual
+
+    |g_j + lam * sign(w_j)|  for w_j != 0,
+    max(|g_j| - lam, 0)      for w_j == 0,
+    |g_b|                    for the intercept,
+
+with g the loss gradient at the kept iterate, at most ``tol``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmf
 from .dataio import FusionModel
-from .errors import FeatureMismatchError, ToolkitError
+from .errors import ConvergenceWarning, FeatureMismatchError, ToolkitError
 
 
 def sigmoid(x):
@@ -87,61 +102,106 @@ class FittedFusion:
     objective: float
     iterations: int
     objective_trace: np.ndarray
+    kkt_residual: float
+    converged: bool
+
+
+def _mean_loss(neg_sign: np.ndarray, logits: np.ndarray) -> float:
+    """Mean logistic loss from logits; ``neg_sign`` is -1 for targets, +1 otherwise."""
+    return float(np.logaddexp(0.0, neg_sign * logits).mean())
 
 
 def objective_value(problem: FusionProblem, weights, intercept: float) -> float:
     """Mean logistic loss plus lam * ||weights||_1 (intercept unpenalized)."""
     weights = np.asarray(weights, dtype=np.float64)
-    z = problem.features @ weights + intercept
-    sign = np.where(problem.labels, 1.0, -1.0)
-    loss = float(np.logaddexp(0.0, -sign * z).mean())
-    return loss + problem.lam * float(np.abs(weights).sum())
+    logits = problem.features @ weights + intercept
+    neg_sign = np.where(problem.labels, -1.0, 1.0)
+    return _mean_loss(neg_sign, logits) + problem.lam * float(np.abs(weights).sum())
 
 
 def fit(problem: FusionProblem, max_iters: int = 100000, tol: float = 1e-9) -> FittedFusion:
-    """ISTA fit from zero initialization. Stops when an accepted step improves
-    the objective by less than ``tol`` or after ``max_iters`` iterations."""
+    """MFISTA fit from zero initialization (see the module docstring).
+
+    Each iteration takes a backtracked proximal gradient step from the
+    extrapolated point to a candidate and keeps the candidate only if it
+    does not raise the objective; otherwise the previous iterate is kept,
+    the candidate only steers the next extrapolation, and momentum starts
+    over. Stops when the KKT residual at the kept iterate is at most ``tol``
+    (``converged``) or after ``max_iters`` iterations. The zero start is
+    iteration 0, so the trace of kept objectives has ``iterations + 1``
+    entries.
+    """
     if max_iters < 1:
         raise ToolkitError(f"max_iters must be >= 1, got {max_iters}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ToolkitError(f"tol must be finite and >= 0, got {tol}")
     X = problem.features
     n, k = X.shape
+    lam = problem.lam
     y01 = problem.labels.astype(np.float64)
-    lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
-    step0 = 1.0 / lipschitz
+    neg_sign = np.where(problem.labels, -1.0, 1.0)
+    # the descent lemma holds at this step from any point, so backtracking stops here
+    step0 = 4.0 * n / (float((X * X).sum()) + n)
 
-    weights = np.zeros(k)
-    intercept = 0.0
-    current = objective_value(problem, weights, intercept)
+    def gradient(logits):
+        residual = sigmoid(logits) - y01
+        return X.T @ residual / n, float(residual.mean())
+
+    def kkt_residual(weights, grad_w, grad_b):
+        per_weight = np.where(
+            weights != 0.0,
+            np.abs(grad_w + lam * np.sign(weights)),
+            np.maximum(np.abs(grad_w) - lam, 0.0),
+        )
+        return max(float(per_weight.max(initial=0.0)), abs(grad_b))
+
+    weights, intercept = np.zeros(k), 0.0
+    logits = X @ weights + intercept
+    loss = current = _mean_loss(neg_sign, logits)
+    grad_w, grad_b = gradient(logits)
+    residual = kkt_residual(weights, grad_w, grad_b)
     trace = [current]
-    iterations = 0
-
+    # extrapolated point y, its loss and gradient; y_1 = x_0
+    y_w, y_b, y_loss, y_grad_w, y_grad_b = weights, intercept, loss, grad_w, grad_b
+    t = 1.0
     step = step0
-    for _ in range(max_iters):
-        probs = sigmoid(X @ weights + intercept)
-        residual = probs - y01
-        grad_w = X.T @ residual / n
-        grad_b = float(residual.mean())
-
+    iterations = 0
+    while residual > tol and iterations < max_iters:
         while True:
-            cand_w = soft_threshold(weights - step * grad_w, step * problem.lam)
-            cand_b = intercept - step * grad_b
-            cand_obj = objective_value(problem, cand_w, cand_b)
-            if cand_obj <= current:
+            cand_w = soft_threshold(y_w - step * y_grad_w, step * lam)
+            cand_b = y_b - step * y_grad_b
+            cand_logits = X @ cand_w + cand_b
+            cand_loss = _mean_loss(neg_sign, cand_logits)
+            if step == step0:
+                break
+            d_w, d_b = cand_w - y_w, cand_b - y_b
+            linear = float(y_grad_w @ d_w) + y_grad_b * d_b
+            if cand_loss <= y_loss + linear + (float(d_w @ d_w) + d_b * d_b) / (2.0 * step):
                 break
             step *= 0.5
-            if step < step0 * 2.0**-200:
-                # no decrease at any representable step: converged
-                return FittedFusion(weights, intercept, current, iterations, np.asarray(trace))
+        cand_obj = cand_loss + lam * float(np.abs(cand_w).sum())
 
-        improvement = current - cand_obj
-        weights, intercept, current = cand_w, cand_b, cand_obj
         iterations += 1
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if cand_obj <= current:
+            momentum = (t - 1.0) / t_next
+            y_w = cand_w + momentum * (cand_w - weights)
+            y_b = cand_b + momentum * (cand_b - intercept)
+            weights, intercept, loss, current = cand_w, cand_b, cand_loss, cand_obj
+            grad_w, grad_b = gradient(cand_logits)
+            residual = kkt_residual(weights, grad_w, grad_b)
+            t = t_next
+        else:
+            pull = t / t_next
+            y_w = weights + pull * (cand_w - weights)
+            y_b = intercept + pull * (cand_b - intercept)
+            t = 1.0
         trace.append(current)
-        if improvement < tol:
-            break
-    return FittedFusion(weights, intercept, current, iterations, np.asarray(trace))
+        y_logits = X @ y_w + y_b
+        y_loss = _mean_loss(neg_sign, y_logits)
+        y_grad_w, y_grad_b = gradient(y_logits)
+        step *= 2.0
+    return FittedFusion(weights, intercept, current, iterations, np.asarray(trace), residual, residual <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +217,19 @@ def train(
     tol: float = 1e-9,
 ) -> FusionModel:
     """Fit min-max scaling on raw (unscaled) feature rows, then the fusion
-    weights on the scaled rows; the model carries both."""
+    weights on the scaled rows; the model carries both. A fit that stops at
+    ``max_iters`` before its KKT residual reaches ``tol`` still returns its
+    model, and issues a ``ConvergenceWarning`` saying how far it got."""
     scaling = qmf.minmax_fit(raw_features, names)
     problem = FusionProblem(features=qmf.minmax_apply(raw_features, scaling), labels=labels, lam=lam)
     fitted = fit(problem, max_iters=max_iters, tol=tol)
+    if not fitted.converged:
+        warnings.warn(
+            f"fusion stopped after {fitted.iterations} iterations with KKT residual "
+            f"{fitted.kkt_residual:.3g} > tol {tol:g}",
+            ConvergenceWarning,
+            stacklevel=2,
+        )
     return FusionModel(scaling=scaling, weights=fitted.weights, intercept=fitted.intercept, lam=lam)
 
 

@@ -70,5 +70,9 @@ def test_fusion_calls_route_through_traced_attributes(tmp_path):
         assert (f"cli.{stage}", name) in recorded
     fits = [span for span in tracer.spans if span.name == "fusion.fit"]
     assert len(fits) == 1
-    trace = fits[0].info["fitted"].objective_trace
-    assert (trace[1:] <= trace[:-1]).all()
+    # perfbench/run.py reads these for fusion.iterations and fusion.objective_gap
+    fitted, problem = fits[0].info["fitted"], fits[0].info["problem"]
+    assert isinstance(fitted.iterations, int) and isinstance(fitted.objective, float)
+    assert (fitted.objective_trace[1:] <= fitted.objective_trace[:-1]).all()
+    assert problem.features.ndim == 2 and problem.labels.shape == problem.features.shape[:1]
+    assert isinstance(problem.lam, float)

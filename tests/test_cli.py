@@ -161,6 +161,25 @@ def test_fuse_fit_names_columns_from_basenames(pipeline):
     assert model.lam == 0.01
 
 
+def test_fuse_fit_warns_when_stopped_before_convergence(pipeline, capsys):
+    def fuse_fit(*extra):
+        out = pipeline["root"] / "capped.json"
+        rc = main(["fuse-fit", "--scores", str(pipeline["raw_scores"]),
+                   "--scores", str(pipeline["norm_scores"]), "--qmf", str(pipeline["qmf"]),
+                   "--trials", str(pipeline["trials"]), *extra, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == ""
+        model = dataio.load_fusion_model(str(out))
+        assert model.feature_names == dataio.load_fusion_model(str(pipeline["model"])).feature_names
+        return captured.err
+
+    assert fuse_fit() == ""
+    lines = fuse_fit("--max-iters", "1").splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"warning: fusion stopped after 1 iterations with KKT residual \S+ > tol 1e-09", lines[0])
+
+
 def test_fuse_apply_emits_probabilities(pipeline):
     pairs, probs = dataio.read_scores(str(pipeline["fused"]))
     assert len(pairs) == 60

@@ -132,6 +132,70 @@ def test_extreme_penalty_recovers_prior_logit(np_rng):
     assert abs(result.intercept - prior_logit) <= 1e-3
 
 
+def kkt_residual(problem, weights, intercept):
+    """Max-norm KKT residual of the fusion objective, coordinate by coordinate."""
+    X, labels = problem.features, problem.labels.astype(float)
+    residual = 1.0 / (1.0 + np.exp(-(X @ weights + intercept))) - labels
+    worst = abs(residual.mean())
+    for j, w in enumerate(weights):
+        g = float(np.mean(residual * X[:, j]))
+        if w > 0.0:
+            worst = max(worst, abs(g + problem.lam))
+        elif w < 0.0:
+            worst = max(worst, abs(g - problem.lam))
+        else:
+            worst = max(worst, abs(g) - problem.lam)
+    return worst
+
+
+def grid_problem(lam):
+    problem = make_grid_problem()
+    return FusionProblem(problem.features, problem.labels, lam=lam)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [separated_problem(), grid_problem(0.0), grid_problem(0.01), grid_problem(0.05)],
+    ids=["separated", "grid-0", "grid-0.01", "grid-0.05"],
+)
+def test_fit_stops_on_kkt_certificate(problem):
+    result = fit(problem, tol=1e-9)
+    assert result.converged
+    assert result.kkt_residual <= 1e-9
+    assert kkt_residual(problem, result.weights, result.intercept) <= 1e-9
+    assert result.iterations >= 1
+
+
+def test_optimal_start_returns_without_iterating():
+    # balanced labels make b = 0 optimal, and lam = 0.1 exceeds both weight gradients at w = 0
+    result = fit(grid_problem(0.1))
+    assert result.converged
+    assert result.iterations == 0
+    assert result.objective_trace.shape == (1,)
+    assert np.all(result.weights == 0.0)
+    assert result.intercept == 0.0
+
+
+def test_iteration_cap_reports_not_converged():
+    result = fit(grid_problem(0.01), max_iters=1)
+    assert result.iterations == 1
+    assert not result.converged
+    assert result.kkt_residual > 1e-9
+    assert result.kkt_residual == pytest.approx(kkt_residual(grid_problem(0.01), result.weights, result.intercept))
+
+
+def test_momentum_restart_converges_on_nearly_separable_data():
+    # without the restart on a rejected candidate MFISTA needs about 18k
+    # iterations here: candidates stay rejected while old momentum decays
+    rng = np.random.default_rng(21)
+    features = rng.uniform(size=(100, 3))
+    logits = (features - 0.5) @ np.array([6.0, 3.0, 0.0]) + 0.1 * rng.normal(size=100)
+    problem = FusionProblem(features, logits > 0.0, lam=0.0)
+    result = fit(problem, max_iters=2000)
+    assert result.converged
+    assert kkt_residual(problem, result.weights, result.intercept) <= 1e-9
+
+
 def test_fit_parameter_validation():
     problem = separated_problem()
     with pytest.raises(ToolkitError):
