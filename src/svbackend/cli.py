@@ -12,8 +12,6 @@ stderr; all output files are written atomically.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
@@ -211,12 +209,9 @@ def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
     except ValueError as exc:
         raise ToolkitError(str(exc)) from None
     selections = curation.ddf_select(source, targets, config)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["speaker_id", "max_similarity", "nearest_target"])
-    for sel in selections:
-        writer.writerow([sel.speaker_id, dataio.format_float(sel.max_similarity), sel.nearest_target_id])
-    dataio.atomic_write_text(out, buf.getvalue())
+    dataio.write_selections(
+        [(sel.speaker_id, sel.max_similarity, sel.nearest_target_id) for sel in selections], out
+    )
 
 
 @cli.command(name="schedule")

@@ -4,7 +4,10 @@ All formats are line-oriented text. Floats are rendered with ``repr``, the
 canonical shortest decimal that round-trips to the same IEEE-754 double, so
 write-then-read is bit exact. Writers are atomic (temp file + ``os.replace``).
 Readers raise :class:`~svbackend.errors.DataFormatError` with path and line
-number for anything malformed; they never raise bare parse exceptions.
+number for anything malformed; they never raise bare parse exceptions. The
+store reader casts each record's values with one numpy call and falls back to
+parsing token by token on any line that fails the cast or its checks, so the
+error text and line number are the token path's.
 
 Formats:
 
@@ -21,6 +24,8 @@ Formats:
   ``log1p``) or ``categorical`` (transform ``match``).
 * Trial feature table: CSV with header ``enroll,test,<feature>,...``; blank
   cell means missing.
+* Distractor selection table: CSV with header
+  ``speaker_id,max_similarity,nearest_target``, one row per selected speaker.
 * Fusion model: JSON object with keys ``feature_names``, ``weights``,
   ``intercept``, ``minmax`` (per-feature ``[lo, hi]``), ``medians`` and
   ``lambda``.
@@ -148,30 +153,54 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     records: list[ChunkEmbeddings] = []
     seen: set[str] = set()
     for lineno, raw in lines[1:]:
-        tokens = raw.split()
-        if len(tokens) < 2:
-            raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
-        utt_id = tokens[0]
-        try:
-            n_chunks = int(tokens[1])
-        except ValueError:
-            raise DataFormatError(f"invalid chunk count {tokens[1]!r}", path=path, line=lineno) from None
-        if n_chunks < 1:
-            raise DataFormatError(f"chunk count must be >= 1, got {n_chunks}", path=path, line=lineno)
-        expected = n_chunks * dim
-        values = tokens[2:]
-        if len(values) != expected:
-            raise DataFormatError(
-                f"expected {expected} values for {n_chunks} chunks of dim {dim}, found {len(values)}",
-                path=path,
-                line=lineno,
-            )
-        if utt_id in seen:
-            raise DataFormatError(f"duplicate utt_id {utt_id!r}", path=path, line=lineno)
-        seen.add(utt_id)
-        flat = np.array([_parse_float(tok, path, lineno) for tok in values], dtype=np.float64)
-        records.append(ChunkEmbeddings(utt_id, flat.reshape(n_chunks, dim)))
+        record = _fast_record(raw, dim, seen)
+        if record is None:
+            record = _token_record(raw, dim, seen, path, lineno)
+        seen.add(record.utt_id)
+        records.append(record)
     return records
+
+
+def _fast_record(raw: str, dim: int, seen: set[str]) -> ChunkEmbeddings | None:
+    """One store record parsed with a single numpy cast, or None for any line
+    that :func:`_token_record` must judge (it raises the located error)."""
+    try:
+        utt_id, count, rest = raw.split(None, 2)
+        n_chunks = int(count)
+        values = np.array(rest.split(), dtype=np.float64)
+    except ValueError:
+        return None
+    # rest holds at least one value, so a size match implies n_chunks >= 1
+    if not (np.isfinite(values).all() and values.size == n_chunks * dim and utt_id not in seen):
+        return None
+    return ChunkEmbeddings(utt_id, values.reshape(n_chunks, dim))
+
+
+def _token_record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
+    """One store record parsed token by token, raising the located error for
+    the first fault in the line."""
+    tokens = raw.split()
+    if len(tokens) < 2:
+        raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
+    utt_id = tokens[0]
+    try:
+        n_chunks = int(tokens[1])
+    except ValueError:
+        raise DataFormatError(f"invalid chunk count {tokens[1]!r}", path=path, line=lineno) from None
+    if n_chunks < 1:
+        raise DataFormatError(f"chunk count must be >= 1, got {n_chunks}", path=path, line=lineno)
+    expected = n_chunks * dim
+    values = tokens[2:]
+    if len(values) != expected:
+        raise DataFormatError(
+            f"expected {expected} values for {n_chunks} chunks of dim {dim}, found {len(values)}",
+            path=path,
+            line=lineno,
+        )
+    if utt_id in seen:
+        raise DataFormatError(f"duplicate utt_id {utt_id!r}", path=path, line=lineno)
+    flat = np.array([_parse_float(tok, path, lineno) for tok in values], dtype=np.float64)
+    return ChunkEmbeddings(utt_id, flat.reshape(n_chunks, dim))
 
 
 def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
@@ -186,7 +215,7 @@ def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
         if rec.utt_id in seen:
             raise ValueError(f"duplicate utt_id {rec.utt_id!r}")
         seen.add(rec.utt_id)
-        values = " ".join(format_float(v) for v in rec.chunks.ravel())
+        values = " ".join(map(repr, rec.chunks.ravel().tolist()))  # repr of a Python float is format_float
         parts.append(f"{rec.utt_id} {rec.n_chunks} {values}\n")
     atomic_write_text(str(path), "".join(parts))
 
@@ -479,6 +508,20 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
         rows.append([math.nan if cell == "" else _parse_float(cell, path, lineno) for cell in fields[2:]])
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
     return trials, names, matrix
+
+
+# ---------------------------------------------------------------------------
+# Distractor selection table
+
+
+def write_selections(rows, path: str) -> None:
+    """CSV of ``(speaker_id, max_similarity, nearest_target)`` rows, in the given order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["speaker_id", "max_similarity", "nearest_target"])
+    for speaker_id, similarity, nearest in rows:
+        writer.writerow([speaker_id, format_float(similarity), nearest])
+    atomic_write_text(str(path), buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

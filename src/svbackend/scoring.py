@@ -4,7 +4,8 @@ A trial score is the mean cosine similarity over the full cross product of
 enroll chunks and test chunks. The mean uses ``math.fsum`` (exact compensated
 summation), and each pair's cosine is computed with the same elementwise
 multiply + axis sum on both sides, so swapping enroll and test yields the
-identical double, bit for bit.
+identical double, bit for bit. :func:`score_trials` scores a whole trial list
+with one batched kernel, and :func:`pairwise_score` is that kernel on one trial.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from . import dataio
 from .dataio import ChunkEmbeddings, Trial
 from .errors import ToolkitError
 
-# Bytes of elementwise products cosine_matrix forms at once; larger blocks raise peak memory.
+# Bytes one block of cosine_matrix or score_trials may hold: the elementwise products and,
+# in score_trials, the chunks gathered for them. Larger blocks raise peak memory.
 COSINE_BLOCK_BYTES = 1 << 20
 
 
@@ -41,6 +43,12 @@ def cosine(u, v) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as a sum of squares over the contiguous last axis."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    return np.sqrt(np.sum(rows * rows, axis=1))
+
+
 def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """Cosines between every row of ``rows_a`` and every row of ``rows_b``.
 
@@ -57,8 +65,8 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     b = np.ascontiguousarray(rows_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ToolkitError(f"cosine_matrix requires matching row dims, got shapes {a.shape} and {b.shape}")
-    norms_a = np.sqrt(np.sum(a * a, axis=1))
-    norms_b = np.sqrt(np.sum(b * b, axis=1))
+    norms_a = _row_norms(a)
+    norms_b = _row_norms(b)
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
     sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
@@ -71,11 +79,6 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     return sims
 
 
-def mean_embedding(record: ChunkEmbeddings) -> np.ndarray:
-    """Component-wise mean of the chunk embeddings, not renormalized."""
-    return record.chunks.mean(axis=0)
-
-
 @dataclass(frozen=True)
 class PairwiseScore:
     value: float
@@ -83,20 +86,16 @@ class PairwiseScore:
 
 
 def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseScore:
-    """Mean cosine over all (enroll chunk, test chunk) pairs.
+    """Mean cosine over all (enroll chunk, test chunk) pairs: :func:`score_trials`
+    for one trial.
 
     Exactly symmetric: ``pairwise_score(a, b).value == pairwise_score(b, a).value``
     as doubles, since per-pair cosines are swap-invariant and ``math.fsum`` is
     order independent.
     """
-    if enroll.dim != test.dim:
-        raise ToolkitError(
-            f"embedding dim mismatch: {enroll.utt_id!r} has {enroll.dim}, {test.utt_id!r} has {test.dim}"
-        )
-    sims = cosine_matrix(enroll.chunks, test.chunks)
-    n_pairs = sims.size
-    value = math.fsum(sims.ravel()) / n_pairs
-    return PairwiseScore(value=value, n_pairs=n_pairs)
+    sides = np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)
+    value = float(_score_sides([enroll, test], *sides)[0])
+    return PairwiseScore(value=value, n_pairs=enroll.n_chunks * test.n_chunks)
 
 
 def trial_sides(
@@ -119,5 +118,62 @@ def trial_sides(
 
 def score_trials(records: list[ChunkEmbeddings], trials: list[Trial]) -> np.ndarray:
     """Pairwise scores for a trial list, in trial order."""
-    side_records, enroll, test = trial_sides(records, trials)
-    return np.array([pairwise_score(side_records[e], side_records[t]).value for e, t in zip(enroll, test)])
+    return _score_sides(*trial_sides(records, trials))
+
+
+def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: np.ndarray) -> np.ndarray:
+    """Mean chunk-pair cosine of ``side_records[enroll[i]]`` against
+    ``side_records[test[i]]`` for every trial i.
+
+    Each side's chunk norms are computed once. Trials are grouped by their
+    (enroll chunks, test chunks, dim) shape, and each group is scored in
+    blocks of trials whose gathered chunks and products fit in
+    ``COSINE_BLOCK_BYTES``; a trial over that budget alone has its products
+    split over its enroll chunks, as :func:`cosine_matrix` splits its rows.
+    Every cosine is the same last-axis sum, division and clip as in
+    :func:`cosine_matrix`, and every score the same ``math.fsum`` over them
+    divided by the pair count, so a trial's score is the same double whatever
+    else is scored with it.
+    """
+    if not side_records:
+        return np.empty(0, dtype=np.float64)
+    # every side's chunk norms in one vector, side k's from offsets[k]
+    norms = np.concatenate([_row_norms(rec.chunks) for rec in side_records])
+    counts = np.array([rec.n_chunks for rec in side_records], dtype=np.intp)
+    offsets = np.cumsum(counts) - counts
+    dims = np.array([rec.dim for rec in side_records], dtype=np.intp)
+    zero = ~(np.minimum.reduceat(norms, offsets) > 0.0)
+    bad = (dims[enroll] != dims[test]) | zero[enroll] | zero[test]
+    if bad.any():
+        first = int(np.argmax(bad))
+        e, t = side_records[enroll[first]], side_records[test[first]]
+        if e.dim != t.dim:
+            raise ToolkitError(f"embedding dim mismatch: {e.utt_id!r} has {e.dim}, {t.utt_id!r} has {t.dim}")
+        raise ToolkitError("cosine undefined for zero-norm vector")
+
+    scores = np.empty(len(enroll), dtype=np.float64)
+    trial_shapes = np.stack([counts[enroll], counts[test], dims[enroll]], axis=1)
+    shapes, group = np.unique(trial_shapes, axis=0, return_inverse=True)
+    group = group.ravel()
+    for g, (n_e, n_t, dim) in enumerate(shapes.tolist()):
+        members = np.flatnonzero(group == g)
+        per_block = max(1, COSINE_BLOCK_BYTES // ((n_e * n_t + n_e + n_t) * dim * 8))
+        row_step = min(n_e, max(1, COSINE_BLOCK_BYTES // (n_t * dim * 8)))
+        for start in range(0, members.size, per_block):
+            block = members[start:start + per_block]
+            # np.array builds C-ordered blocks (np.stack would keep a Fortran-ordered record's
+            # layout), so every product below has a contiguous last axis
+            e_chunks = np.array([side_records[i].chunks for i in enroll[block].tolist()])
+            t_chunks = np.array([side_records[i].chunks for i in test[block].tolist()])
+            e_norms = norms[offsets[enroll[block], None] + np.arange(n_e)]
+            t_norms = norms[offsets[test[block], None] + np.arange(n_t)]
+            sims = np.empty((block.size, n_e, n_t), dtype=np.float64)
+            for r in range(0, n_e, row_step):
+                rs = slice(r, r + row_step)
+                dots = (e_chunks[:, rs, None, :] * t_chunks[:, None, :, :]).sum(axis=3)
+                sims[:, rs] = dots / (e_norms[:, rs, None] * t_norms[:, None, :])
+            np.clip(sims, -1.0, 1.0, out=sims)
+            n_pairs = n_e * n_t
+            scores[block] = [math.fsum(row) / n_pairs for row in sims.reshape(block.size, n_pairs).tolist()]
+    return scores
+

@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from svbackend.synth import SynthConfig, gen_dataset
+
+# Property tests draw the same examples on every run and carry no time limit,
+# so a slow spell of the machine cannot fail them.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from svbackend.asnorm import (
 from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import DegenerateCohortError, ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
-from svbackend.scoring import cosine, mean_embedding
+from svbackend.scoring import cosine
 
 
 def test_hand_example():
@@ -142,7 +142,7 @@ def test_build_cohort_matches_substream_replay(small_synth):
         )
         rng = SplitMix64(derive_seed(seed, f"cohort/{speaker}"))
         chosen = rng.take(utts, min(3, len(utts)))
-        expected = np.stack([mean_embedding(r) for r in chosen]).mean(axis=0)
+        expected = np.stack([r.mean_embedding() for r in chosen]).mean(axis=0)
         assert row.tobytes() == expected.tobytes()
 
 
@@ -151,7 +151,7 @@ def test_build_cohort_uses_all_when_quota_exceeds(small_synth):
     config = AsNormConfig(top_n=3, utterances_per_speaker=50)
     cohort = build_cohort(records, speaker_map, config, seed=0)
     for row, speaker in zip(cohort.embeddings, cohort.speaker_ids):
-        means = [mean_embedding(r) for r in records if speaker_map[r.utt_id] == speaker]
+        means = [r.mean_embedding() for r in records if speaker_map[r.utt_id] == speaker]
         # all utterances contribute; summation order follows the subsample draw
         assert np.allclose(row, np.stack(means).mean(axis=0), rtol=0, atol=1e-12)
 

@@ -418,3 +418,11 @@ def test_minmax_params_reject_defects_and_loader_locates_them(tmp_path, defect):
     path.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError, match=f"model.json: invalid model contents: .*{message}"):
         dataio.load_fusion_model(str(path))
+
+
+def test_write_selections_csv(tmp_path):
+    path = tmp_path / "ddf.csv"
+    dataio.write_selections([("spk1", 0.1 + 0.2, "t0"), ("s,2", -0.0, "t1")], path)
+    assert path.read_text() == (
+        "speaker_id,max_similarity,nearest_target\nspk1,0.30000000000000004,t0\n\"s,2\",-0.0,t1\n"
+    )

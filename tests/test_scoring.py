@@ -11,7 +11,6 @@ from svbackend.scoring import (
     COSINE_BLOCK_BYTES,
     cosine,
     cosine_matrix,
-    mean_embedding,
     pairwise_score,
     score_trials,
     trial_sides,
@@ -84,7 +83,7 @@ def test_cosine_matrix_spanning_row_blocks_bit_identical(np_rng):
 def test_vector_norm_and_mean_embedding():
     assert vector_norm(np.array([3.0, 4.0])) == 5.0
     rec = ChunkEmbeddings("u", np.array([[1.0, 2.0], [3.0, 6.0]]))
-    assert np.array_equal(mean_embedding(rec), np.array([2.0, 4.0]))
+    assert np.array_equal(rec.mean_embedding(), np.array([2.0, 4.0]))
 
 
 def test_pairwise_score_matches_double_loop_oracle(np_rng):
@@ -151,6 +150,26 @@ def test_score_trials_order_and_values(np_rng):
     by_id = {r.utt_id: r for r in records}
     for trial, value in zip(trials, scores):
         assert value == pairwise_score(by_id[trial.enroll_id], by_id[trial.test_id]).value
+
+
+def test_score_trials_scores_mixed_dims_and_reports_the_first_bad_trial(np_rng):
+    records = [
+        ChunkEmbeddings("a4", np_rng.normal(size=(2, 4))),
+        ChunkEmbeddings("b4", np_rng.normal(size=(3, 4))),
+        ChunkEmbeddings("c8", np_rng.normal(size=(1, 8))),
+        ChunkEmbeddings("d8", np_rng.normal(size=(2, 8))),
+        ChunkEmbeddings("zero", np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])),
+    ]
+    by_id = {r.utt_id: r for r in records}
+    good = [Trial("a4", "b4"), Trial("d8", "c8"), Trial("b4", "b4"), Trial("c8", "d8")]
+    scores = score_trials(records, good)
+    assert scores.tolist() == [pairwise_score(by_id[t.enroll_id], by_id[t.test_id]).value for t in good]
+
+    mismatch, zero = Trial("a4", "c8"), Trial("zero", "a4")
+    with pytest.raises(ToolkitError, match=r"^embedding dim mismatch: 'a4' has 4, 'c8' has 8$"):
+        score_trials(records, good + [mismatch, zero])
+    with pytest.raises(ToolkitError, match=r"^cosine undefined for zero-norm vector$"):
+        score_trials(records, good + [zero, mismatch])
 
 
 def test_score_trials_missing_utterance(np_rng):
