@@ -7,7 +7,8 @@ Readers raise :class:`~svbackend.errors.DataFormatError` with path and line
 number for anything malformed; they never raise bare parse exceptions. The
 store reader casts each record's values with one numpy call and falls back to
 parsing token by token on any line that fails the cast or its checks, so the
-error text and line number are the token path's.
+error text and line number are the token path's. The store writer formats and
+writes one record at a time, so the store's text is never held whole.
 
 Formats:
 
@@ -39,6 +40,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +56,13 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` via a synced temp file renamed over ``path``, with the mode
-    ``open`` gives a new file (0o666 less the umask) rather than mkstemp's 0o600."""
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or an iterable of str pieces, via a synced temp file
+    renamed over ``path``, with the mode ``open`` gives a new file (0o666 less
+    the umask) rather than mkstemp's 0o600. If producing a piece raises, the
+    temp file is removed and ``path`` is left as it was."""
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -64,7 +70,7 @@ def atomic_write_text(path: str, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(text)
             handle.flush()
             os.fsync(fd)
         os.replace(tmp, path)
@@ -92,6 +98,11 @@ def _parse_float(token: str, path: str, line: int) -> float:
     return value
 
 
+def _is_token(s: str) -> bool:
+    """True when ``s`` is non-empty and holds no whitespace character."""
+    return s.split() == [s]
+
+
 def _data_lines(text: str, path: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,7 +124,7 @@ class ChunkEmbeddings:
     chunks: np.ndarray
 
     def __post_init__(self):
-        if not self.utt_id or any(ch.isspace() for ch in self.utt_id):
+        if not _is_token(self.utt_id):
             raise ValueError(f"utt_id must be non-empty without whitespace, got {self.utt_id!r}")
         chunks = np.asarray(self.chunks, dtype=np.float64)
         if chunks.ndim != 2 or chunks.shape[0] < 1 or chunks.shape[1] < 1:
@@ -163,17 +174,18 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
 
 def _fast_record(raw: str, dim: int, seen: set[str]) -> ChunkEmbeddings | None:
     """One store record parsed with a single numpy cast, or None for any line
-    that :func:`_token_record` must judge (it raises the located error)."""
+    that :func:`_token_record` must judge (it raises the located error).
+    Finiteness is left to the record's own check."""
     try:
         utt_id, count, rest = raw.split(None, 2)
         n_chunks = int(count)
         values = np.array(rest.split(), dtype=np.float64)
+        # rest holds at least one value, so a size match implies n_chunks >= 1
+        if values.size != n_chunks * dim or utt_id in seen:
+            return None
+        return ChunkEmbeddings(utt_id, values.reshape(n_chunks, dim))
     except ValueError:
         return None
-    # rest holds at least one value, so a size match implies n_chunks >= 1
-    if not (np.isfinite(values).all() and values.size == n_chunks * dim and utt_id not in seen):
-        return None
-    return ChunkEmbeddings(utt_id, values.reshape(n_chunks, dim))
 
 
 def _token_record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
@@ -204,11 +216,18 @@ def _token_record(raw: str, dim: int, seen: set[str], path: str, lineno: int) ->
 
 
 def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
+    """Write the store one record at a time. A mixed dimension or a duplicate
+    id raises ``ValueError`` when its record is reached, and ``path`` is left
+    as it was."""
     if not records:
         raise ValueError("cannot write an empty embedding store")
+    atomic_write_text(str(path), _store_lines(records))
+
+
+def _store_lines(records: list[ChunkEmbeddings]) -> Iterator[str]:
     dim = records[0].dim
     seen: set[str] = set()
-    parts = [f"dim={dim}\n"]
+    yield f"dim={dim}\n"
     for rec in records:
         if rec.dim != dim:
             raise ValueError(f"mixed dimensions in store: {dim} vs {rec.dim} ({rec.utt_id!r})")
@@ -216,8 +235,7 @@ def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
             raise ValueError(f"duplicate utt_id {rec.utt_id!r}")
         seen.add(rec.utt_id)
         values = " ".join(map(repr, rec.chunks.ravel().tolist()))  # repr of a Python float is format_float
-        parts.append(f"{rec.utt_id} {rec.n_chunks} {values}\n")
-    atomic_write_text(str(path), "".join(parts))
+        yield f"{rec.utt_id} {rec.n_chunks} {values}\n"
 
 
 def embeddings_by_id(records: list[ChunkEmbeddings]) -> dict[str, ChunkEmbeddings]:
@@ -236,7 +254,7 @@ class Trial:
 
     def __post_init__(self):
         for name, value in (("enroll_id", self.enroll_id), ("test_id", self.test_id)):
-            if not value or any(ch.isspace() for ch in value):
+            if not _is_token(value):
                 raise ValueError(f"{name} must be non-empty without whitespace, got {value!r}")
 
 
@@ -275,13 +293,13 @@ def sniff_trial_labels(path: str) -> bool:
 
 
 def write_trials(trials: list[Trial], path: str) -> None:
-    parts = []
-    for trial in trials:
-        if trial.label is None:
-            parts.append(f"{trial.enroll_id} {trial.test_id}\n")
-        else:
-            parts.append(f"{int(trial.label)} {trial.enroll_id} {trial.test_id}\n")
-    atomic_write_text(str(path), "".join(parts))
+    lines = (
+        f"{trial.enroll_id} {trial.test_id}\n"
+        if trial.label is None
+        else f"{int(trial.label)} {trial.enroll_id} {trial.test_id}\n"
+        for trial in trials
+    )
+    atomic_write_text(str(path), lines)
 
 
 def read_scores(path: str) -> tuple[list[Trial], np.ndarray]:
@@ -304,11 +322,8 @@ def write_scores(trials: list[Trial], scores, path: str) -> None:
         raise ValueError(f"expected one score per trial, got {len(trials)} trials and {scores.shape} scores")
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite score")
-    parts = [
-        f"{trial.enroll_id} {trial.test_id} {format_float(score)}\n"
-        for trial, score in zip(trials, scores)
-    ]
-    atomic_write_text(str(path), "".join(parts))
+    lines = (f"{trial.enroll_id} {trial.test_id} {format_float(score)}\n" for trial, score in zip(trials, scores))
+    atomic_write_text(str(path), lines)
 
 
 def check_score_alignment(trials: list[Trial], pairs: list[Trial], path: str) -> None:
@@ -344,8 +359,7 @@ def read_speaker_map(path: str) -> dict[str, str]:
 
 
 def write_speaker_map(mapping: dict[str, str], path: str) -> None:
-    parts = [f"{utt} {spk}\n" for utt, spk in mapping.items()]
-    atomic_write_text(str(path), "".join(parts))
+    atomic_write_text(str(path), (f"{utt} {spk}\n" for utt, spk in mapping.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +373,7 @@ class SchemaColumn:
     transform: str
 
     def __post_init__(self):
-        if not self.name or any(ch.isspace() for ch in self.name) or "," in self.name:
+        if not _is_token(self.name) or "," in self.name:
             raise ValueError(f"column name must be non-empty without whitespace or commas, got {self.name!r}")
         if self.kind == "real":
             allowed = _REAL_TRANSFORMS
@@ -391,8 +405,7 @@ def read_schema(path: str) -> list[SchemaColumn]:
 
 
 def write_schema(columns: list[SchemaColumn], path: str) -> None:
-    parts = [f"{c.name} {c.kind} {c.transform}\n" for c in columns]
-    atomic_write_text(str(path), "".join(parts))
+    atomic_write_text(str(path), (f"{c.name} {c.kind} {c.transform}\n" for c in columns))
 
 
 @dataclass

@@ -11,7 +11,9 @@ noise on top, so noise 0 gives attributes that depend only on the ids.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +59,16 @@ class SynthConfig:
             raise ValueError(f"attribute_noise must be >= 0, got {self.attribute_noise}")
 
 
-def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.sqrt(np.sum(vector * vector)))
-    if not norm > 0.0:
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Each row of ``matrix`` over its Euclidean norm.
+
+    The row-wise sum over the last axis adds each row as ``np.sum`` adds
+    that row alone, so every row is the same bits as normalising it alone.
+    """
+    norms = np.sqrt(np.sum(matrix * matrix, axis=-1))
+    if not np.all(norms > 0.0):
         raise ToolkitError("degenerate zero-norm draw")
-    return vector / norm
+    return matrix / norms[..., None]
 
 
 def speaker_id(index: int) -> str:
@@ -80,20 +87,73 @@ def gen_dataset(cfg: SynthConfig) -> tuple[list[ChunkEmbeddings], dict[str, str]
     differing only in ``within_spread`` share identical speaker means.
     """
     rng = SplitMix64(derive_seed(cfg.seed, "dataset"))
-    center = _unit(np.asarray(rng.gauss_vector(cfg.dim)))
+    center = _unit_rows(rng.gauss_vector(cfg.dim))
+    n_chunks = cfg.utts_per_speaker * cfg.chunks_per_utt
     records: list[ChunkEmbeddings] = []
     speaker_map: dict[str, str] = {}
     for s in range(cfg.n_speakers):
         spk = speaker_id(s)
-        mean = _unit(center + cfg.between_spread * np.asarray(rng.gauss_vector(cfg.dim)))
+        # one block per speaker: its mean's draws, then every chunk's, row by row
+        draws = rng.gauss_vector(cfg.dim * (1 + n_chunks)).reshape(1 + n_chunks, cfg.dim)
+        mean = _unit_rows(center + cfg.between_spread * draws[0])
+        chunks = _unit_rows(mean + cfg.within_spread * draws[1:])
         for u in range(cfg.utts_per_speaker):
             utt = utt_id(spk, u)
-            chunks = np.empty((cfg.chunks_per_utt, cfg.dim))
-            for c in range(cfg.chunks_per_utt):
-                chunks[c] = _unit(mean + cfg.within_spread * np.asarray(rng.gauss_vector(cfg.dim)))
-            records.append(ChunkEmbeddings(utt, chunks))
+            rows = slice(u * cfg.chunks_per_utt, (u + 1) * cfg.chunks_per_utt)
+            records.append(ChunkEmbeddings(utt, chunks[rows]))
             speaker_map[utt] = spk
     return records, speaker_map
+
+
+class _PairsByRank(Sequence):
+    """The same-speaker or the cross-speaker pairs ``(utts[i], utts[j])``,
+    ``i < j``, in lexicographic order of ``(i, j)``, unranked on demand.
+
+    ``utts`` is sorted, so a speaker's utterances need not be contiguous.
+    Row ``i`` holds the pairs with first index ``i``, and a bisect over the
+    rows' prefix counts finds the row of a rank. In the row, the ``t``-th
+    same-speaker partner is read from the speaker's sorted index list. The
+    ``t``-th cross-speaker partner is ``i + 1 + t + c``, where ``c`` counts
+    the speaker's later members passed on the way; a bisect over
+    ``members[q] - q``, the other speakers' utterances before the speaker's
+    ``q``-th one, finds it.
+    """
+
+    def __init__(self, utts: list[str], speaker_map: dict[str, str], same: bool):
+        members: dict[str, list[int]] = {}
+        for i, utt in enumerate(utts):
+            members.setdefault(speaker_map[utt], []).append(i)
+        others_before = {spk: [i - q for q, i in enumerate(indices)] for spk, indices in members.items()}
+        self._utts = utts
+        self._same = same
+        self._members = [members[speaker_map[utt]] for utt in utts]
+        self._others_before = [others_before[speaker_map[utt]] for utt in utts]
+        self._slot = [0] * len(utts)  # position of i in its speaker's index list
+        for indices in members.values():
+            for q, i in enumerate(indices):
+                self._slot[i] = q
+        counts = []
+        for i in range(len(utts)):
+            later_same = len(self._members[i]) - 1 - self._slot[i]
+            counts.append(later_same if same else len(utts) - 1 - i - later_same)
+        self._starts = list(itertools.accumulate(counts, initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, rank: int) -> tuple[str, str]:
+        if not 0 <= rank < len(self):
+            raise IndexError("pair rank out of range")
+        i = bisect.bisect_right(self._starts, rank) - 1
+        t = rank - self._starts[i]
+        slot = self._slot[i]
+        if self._same:
+            j = self._members[i][slot + 1 + t]
+        else:
+            # others_before[slot] == i - slot; members after i passed before the t-th other
+            passed = bisect.bisect_right(self._others_before[i], i - slot + t, lo=slot + 1) - slot - 1
+            j = i + 1 + t + passed
+        return self._utts[i], self._utts[j]
 
 
 def gen_trials(
@@ -110,13 +170,8 @@ def gen_trials(
     for utt in utts:
         if utt not in speaker_map:
             raise ToolkitError(f"utterance {utt!r} missing from speaker map")
-    pos_pairs = []
-    neg_pairs = []
-    for a, b in itertools.combinations(utts, 2):
-        if speaker_map[a] == speaker_map[b]:
-            pos_pairs.append((a, b))
-        else:
-            neg_pairs.append((a, b))
+    pos_pairs = _PairsByRank(utts, speaker_map, same=True)
+    neg_pairs = _PairsByRank(utts, speaker_map, same=False)
     if n_pos > len(pos_pairs):
         raise ToolkitError(f"requested {n_pos} same-speaker pairs, only {len(pos_pairs)} available")
     if n_neg > len(neg_pairs):

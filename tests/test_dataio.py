@@ -128,6 +128,40 @@ def test_write_embeddings_rejects_bad_stores(tmp_path):
         dataio.write_embeddings([r1, r1], path)
 
 
+@pytest.mark.parametrize("fault", ["duplicate id", "mixed dims"])
+def test_streaming_store_writer_fault_in_last_record_keeps_target(tmp_path, fault):
+    records = [dataio.ChunkEmbeddings(f"u{i}", np.full((2, 3), i + 0.5)) for i in range(50)]
+    if fault == "duplicate id":
+        records.append(dataio.ChunkEmbeddings("u7", np.ones((1, 3))))
+    else:
+        records.append(dataio.ChunkEmbeddings("last", np.ones((1, 4))))
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"dim=1\nold 1 0.5\n")
+    with pytest.raises(ValueError, match="duplicate utt_id" if fault == "duplicate id" else "mixed dimensions"):
+        dataio.write_embeddings(records, str(path))
+    assert path.read_bytes() == b"dim=1\nold 1 0.5\n"
+    assert os.listdir(tmp_path) == ["emb.txt"]
+
+
+def test_atomic_write_takes_pieces(tmp_path):
+    path = tmp_path / "out.txt"
+    dataio.atomic_write_text(str(path), (f"line {i}\n" for i in range(3)))
+    assert path.read_text() == "line 0\nline 1\nline 2\n"
+    dataio.atomic_write_text(str(path), [])
+    assert path.read_text() == ""
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_is_token_agrees_with_isspace_rule_on_every_code_point():
+    # the rule it replaced: invalid when empty or when any character is whitespace
+    def old_rule(s):
+        return not (not s or any(ch.isspace() for ch in s))
+
+    assert not dataio._is_token("")
+    samples = (text for cp in range(0x110000) for text in (chr(cp), f"a{chr(cp)}b"))
+    assert [s for s in samples if dataio._is_token(s) != old_rule(s)] == []
+
+
 def test_chunk_embeddings_validation():
     with pytest.raises(ValueError):
         dataio.ChunkEmbeddings("has space", np.ones((1, 2)))

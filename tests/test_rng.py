@@ -1,7 +1,9 @@
 """The seeded generator against straight-line reference reimplementations."""
 
 import math
+from collections.abc import Sequence
 
+import numpy as np
 import pytest
 
 from svbackend.rng import SplitMix64, derive_seed, fnv1a64, mix64
@@ -119,6 +121,47 @@ def test_gauss_moments_are_sane():
     assert 0.94 < var < 1.06
 
 
+def scalar_gauss(gen: SplitMix64, n: int) -> np.ndarray:
+    return np.array([gen.gauss() for _ in range(n)], dtype=np.float64)
+
+
+def same_state(a: SplitMix64, b: SplitMix64) -> bool:
+    return a._state == b._state and a._gauss_cache == b._gauss_cache
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 128, 129, 1001])
+def test_gauss_vector_equals_scalar_gauss_calls(seed, n):
+    for primed in (False, True):  # primed: a cached second value is pending
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        if primed:
+            assert block.gauss() == scalar.gauss()
+        got = block.gauss_vector(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == scalar_gauss(scalar, n).tobytes()
+        assert same_state(block, scalar)
+        assert block.next_u64() == scalar.next_u64()
+
+
+def test_gauss_vector_interleaves_with_gauss_and_next_u64():
+    script = [("v", 5), ("g", 1), ("v", 2), ("u", 1), ("v", 1), ("v", 1), ("g", 1),
+              ("v", 4), ("u", 3), ("v", 0), ("g", 1), ("v", 3), ("v", 6), ("u", 1)]
+    block, scalar = SplitMix64(77), SplitMix64(77)
+    for op, n in script:
+        if op == "v":
+            assert block.gauss_vector(n).tobytes() == scalar_gauss(scalar, n).tobytes()
+        elif op == "g":
+            assert block.gauss() == scalar.gauss()
+        else:
+            assert [block.next_u64() for _ in range(n)] == [scalar.next_u64() for _ in range(n)]
+        assert same_state(block, scalar)
+
+
+def test_gauss_vector_rejects_negative_size():
+    with pytest.raises(ValueError):
+        SplitMix64(0).gauss_vector(-1)
+
+
 def test_shuffle_matches_reference_fisher_yates():
     items = list(range(20))
     gen = SplitMix64(55)
@@ -146,6 +189,37 @@ def test_take_matches_reference_partial_fisher_yates():
     assert got == pool[:6]
     assert items == [f"u{i}" for i in range(15)]
     assert len(set(got)) == 6 and set(got) <= set(items)
+
+
+class ReadLog(Sequence):
+    """``range(n)`` that records which positions were read."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.reads: list[int] = []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, r):
+        if not 0 <= r < self.n:
+            raise IndexError(r)
+        self.reads.append(r)
+        return f"u{r}"
+
+
+@pytest.mark.parametrize("n, k", [(15, 6), (15, 15), (1, 1), (5000, 40), (7, 0)])
+def test_take_on_lazy_sequence_matches_copying_reference(n, k):
+    lazy = ReadLog(n)
+    got = SplitMix64(7).take(lazy, k)
+
+    replay = SplitMix64(7)
+    pool = [f"u{i}" for i in range(n)]
+    for i in range(k):
+        j = i + replay.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    assert got == pool[:k]
+    assert sorted(lazy.reads) == sorted(int(u[1:]) for u in got)  # only the k picks are read
 
 
 def test_take_bounds():

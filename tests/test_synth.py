@@ -1,11 +1,16 @@
 """Seeded synthetic data: determinism, structure, and attribute ranges."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import ToolkitError
+from svbackend.rng import SplitMix64, derive_seed
 from svbackend.synth import (
     DEFAULT_SCHEMA,
     SynthConfig,
@@ -121,6 +126,90 @@ def test_trials_insufficient_pairs():
         gen_trials(records, speaker_map, n_pos=0, n_neg=10**6, seed=0)
     with pytest.raises(ToolkitError, match="nonnegative"):
         gen_trials(records, speaker_map, n_pos=-1, n_neg=0, seed=0)
+
+
+def listed_gen_trials(records, speaker_map, n_pos, n_neg, seed):
+    """The generator as it was before pairs were unranked lazily: every pair
+    of sorted utterances listed, split by speaker, then sampled."""
+    if n_pos < 0 or n_neg < 0:
+        raise ToolkitError("trial counts must be nonnegative")
+    utts = sorted(rec.utt_id for rec in records)
+    for utt in utts:
+        if utt not in speaker_map:
+            raise ToolkitError(f"utterance {utt!r} missing from speaker map")
+    pos_pairs, neg_pairs = [], []
+    for a, b in itertools.combinations(utts, 2):
+        (pos_pairs if speaker_map[a] == speaker_map[b] else neg_pairs).append((a, b))
+    if n_pos > len(pos_pairs):
+        raise ToolkitError(f"requested {n_pos} same-speaker pairs, only {len(pos_pairs)} available")
+    if n_neg > len(neg_pairs):
+        raise ToolkitError(f"requested {n_neg} cross-speaker pairs, only {len(neg_pairs)} available")
+    rng = SplitMix64(derive_seed(seed, "trials"))
+    trials = [Trial(a, b, True) for a, b in rng.take(pos_pairs, n_pos)]
+    trials += [Trial(a, b, False) for a, b in rng.take(neg_pairs, n_neg)]
+    rng.shuffle(trials)
+    return trials
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def speaker_shapes(draw):
+    """A store of 1-24 utterances whose speakers interleave in sorted order,
+    and trial counts from 0 to one past the number of pairs available."""
+    labels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=24))
+    # ids sort in list order, so speakers are scattered through the sorted list
+    records = [ChunkEmbeddings(f"u{i:02d}", np.ones((1, 1))) for i in range(len(labels))]
+    speaker_map = {rec.utt_id: f"s{label}" for rec, label in zip(records, labels)}
+    if draw(st.booleans()):  # insertion order must not matter
+        records = records[::-1]
+    sizes = [labels.count(label) for label in set(labels)]
+    n_same = sum(c * (c - 1) // 2 for c in sizes)
+    n_cross = len(labels) * (len(labels) - 1) // 2 - n_same
+    n_pos = draw(st.integers(0, n_same + 1))
+    n_neg = draw(st.integers(0, n_cross + 1))
+    return records, speaker_map, n_pos, n_neg, draw(st.integers(0, 2**32))
+
+
+@given(speaker_shapes())
+def test_trials_match_listed_pairs_reference(shape):
+    records, speaker_map, n_pos, n_neg, seed = shape
+    assert outcome(gen_trials, records, speaker_map, n_pos, n_neg, seed) == outcome(
+        listed_gen_trials, records, speaker_map, n_pos, n_neg, seed
+    )
+
+
+def test_trials_at_maximum_counts_and_past_them():
+    labels = [0, 1, 0, 2, 1, 0, 2, 2, 0, 1]  # non-contiguous speakers: 4 + 3 + 3 utterances
+    records = [ChunkEmbeddings(f"u{i:02d}", np.ones((1, 1))) for i in range(len(labels))]
+    speaker_map = {rec.utt_id: f"s{label}" for rec, label in zip(records, labels)}
+    n_same, n_cross = 6 + 3 + 3, 45 - 12
+    full = gen_trials(records, speaker_map, n_same, n_cross, seed=4)
+    assert full == listed_gen_trials(records, speaker_map, n_same, n_cross, 4)
+    assert len({(t.enroll_id, t.test_id) for t in full}) == 45
+    with pytest.raises(ToolkitError, match=f"requested 13 same-speaker pairs, only {n_same} available"):
+        gen_trials(records, speaker_map, n_same + 1, 0, seed=4)
+    with pytest.raises(ToolkitError, match=f"requested 34 cross-speaker pairs, only {n_cross} available"):
+        gen_trials(records, speaker_map, 0, n_cross + 1, seed=4)
+
+
+def test_trials_memory_stays_bounded_on_many_speakers():
+    # 640 speakers x 2 utterances: 818 560 pairs, of which 2 000 are sampled
+    records = [ChunkEmbeddings(utt_id(speaker_id(s), u), np.ones((1, 1))) for s in range(640) for u in range(2)]
+    speaker_map = {rec.utt_id: rec.utt_id.split("_")[0] for rec in records}
+    tracemalloc.start()
+    try:
+        trials = gen_trials(records, speaker_map, n_pos=500, n_neg=1500, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trials) == 2000
+    assert peak < 1 << 20
 
 
 def test_attributes_cover_schema_and_ranges():
