@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import ChunkEmbeddings, Trial
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import cosine_matrix, trial_sides
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, trial_sides
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,20 @@ def build_cohort(
     return Cohort(speaker_ids=tuple(speaker_ids), embeddings=np.stack(rows))
 
 
+def _top_n_rows(sims: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std of the ``top_n`` largest entries of each row."""
+    n_cols = sims.shape[1]
+    top = np.partition(sims, n_cols - top_n, axis=1)[:, n_cols - top_n:] if top_n < n_cols else sims
+    return top.mean(axis=1), top.std(axis=1)
+
+
 def top_n_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
     """Mean and population std of the ``top_n`` largest cohort scores."""
     scores = np.asarray(cohort_scores, dtype=np.float64)
     if scores.ndim != 1 or scores.shape[0] < top_n:
         raise ToolkitError(f"need at least top_n={top_n} cohort scores, got shape {scores.shape}")
-    if top_n < scores.shape[0]:
-        top = np.partition(scores, scores.shape[0] - top_n)[-top_n:]
-    else:
-        top = scores
-    return float(top.mean()), float(top.std())
+    mu, sd = _top_n_rows(scores[None, :], top_n)
+    return float(mu[0]), float(sd[0])
 
 
 def _normalize(raw, mu_e, sd_e, mu_t, sd_t):
@@ -146,7 +150,12 @@ def asnorm_trials(
     cohort: Cohort,
     config: AsNormConfig = AsNormConfig(),
 ) -> np.ndarray:
-    """AS-Norm of each scored pair, with the sides' embeddings looked up in ``records``."""
+    """AS-Norm of each scored pair, with the sides' embeddings looked up in ``records``.
+
+    Side rows are scored against the cohort in blocks whose similarities fit
+    in ``COSINE_BLOCK_BYTES`` (at least one row each), and each block is
+    reduced to its rows' top-N mean and std before the next is scored.
+    """
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
@@ -154,6 +163,11 @@ def asnorm_trials(
     if not pairs:
         return raw_scores
     side_records, enroll, test = trial_sides(records, pairs)
-    sims = cosine_matrix(np.stack([rec.mean_embedding() for rec in side_records]), cohort.embeddings)
-    mu, sd = np.array([top_n_stats(row, config.top_n) for row in sims]).T
+    mu = np.empty(len(side_records), dtype=np.float64)
+    sd = np.empty(len(side_records), dtype=np.float64)
+    step = max(1, COSINE_BLOCK_BYTES // (len(cohort) * 8))
+    for start in range(0, len(side_records), step):
+        rows = slice(start, start + step)
+        means = np.stack([rec.mean_embedding() for rec in side_records[rows]])
+        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort.embeddings), config.top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

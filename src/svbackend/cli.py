@@ -273,12 +273,7 @@ def synth_cmd(config_path, out_dir):
     except (TypeError, ValueError) as exc:
         raise ToolkitError(f"{config_path}: {exc}") from None
     records, speaker_map = synth.gen_dataset(config)
-    os.makedirs(out_dir, exist_ok=True)
-    dataio.write_embeddings(records, os.path.join(out_dir, "embeddings.txt"))
-    dataio.write_speaker_map(speaker_map, os.path.join(out_dir, "speakers.txt"))
-    table = synth.gen_attributes(records, speaker_map, config)
-    dataio.write_attributes(table, os.path.join(out_dir, "attributes.csv"))
-    dataio.write_schema(synth.DEFAULT_SCHEMA, os.path.join(out_dir, "attributes.schema"))
+    trials = None
     if trials_spec is not None:
         if not isinstance(trials_spec, dict) or set(trials_spec) - {"n_pos", "n_neg", "seed"}:
             raise ToolkitError(f"{config_path}: trials must be an object with n_pos, n_neg, seed")
@@ -289,6 +284,13 @@ def synth_cmd(config_path, out_dir):
             int(trials_spec.get("n_neg", 0)),
             int(trials_spec.get("seed", config.seed)),
         )
+    os.makedirs(out_dir, exist_ok=True)
+    dataio.write_embeddings(records, os.path.join(out_dir, "embeddings.txt"))
+    dataio.write_speaker_map(speaker_map, os.path.join(out_dir, "speakers.txt"))
+    table = synth.gen_attributes(records, speaker_map, config)
+    dataio.write_attributes(table, os.path.join(out_dir, "attributes.csv"))
+    dataio.write_schema(synth.DEFAULT_SCHEMA, os.path.join(out_dir, "attributes.schema"))
+    if trials is not None:
         dataio.write_trials(trials, os.path.join(out_dir, "trials.txt"))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import ChunkEmbeddings
 from .errors import ToolkitError
-from .scoring import cosine_matrix, vector_norm
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, vector_norm
 
 
 @dataclass(frozen=True)
@@ -109,28 +109,27 @@ def ddf_select(
             f"profile dim mismatch: source {src_matrix.shape[1]}, target {tgt_matrix.shape[1]}"
         )
 
-    # (n_targets, n_source) similarities in canonical order
-    sims = cosine_matrix(tgt_matrix, src_matrix)
-    src_ids = [p.speaker_id for p in source]
-
-    candidate_idx: set[int] = set()
+    # Target rows are scored in blocks whose similarities fit in COSINE_BLOCK_BYTES. A block's
+    # best only replaces a strictly smaller one, so the first (smallest-id) target wins ties.
+    # Index order is id order, so a stable sort of each negated row ranks ties by source id;
+    # the block is negated in place, after its maxima are taken, to hold no second copy.
     k = min(config.top_k, len(source))
-    for row in sims:
-        ranked = sorted(range(len(source)), key=lambda j: (-row[j], src_ids[j]))
-        candidate_idx.update(ranked[:k])
-
-    best_sim = sims.max(axis=0)
-    nearest = sims.argmax(axis=0)  # first (lexicographically smallest) target on ties
-    kept = []
-    for j in sorted(candidate_idx):
-        if best_sim[j] > config.dedup_threshold:
-            continue
-        kept.append(
-            DdfSelection(
-                speaker_id=src_ids[j],
-                max_similarity=float(best_sim[j]),
-                nearest_target_id=targets[int(nearest[j])].speaker_id,
-            )
+    candidate = np.zeros(len(source), dtype=bool)
+    best_sim = np.full(len(source), -np.inf)
+    nearest = np.zeros(len(source), dtype=np.intp)
+    step = max(1, COSINE_BLOCK_BYTES // (len(source) * 8))
+    for start in range(0, len(targets), step):
+        sims = cosine_matrix(tgt_matrix[start:start + step], src_matrix)
+        block_best = sims.max(axis=0)
+        better = block_best > best_sim
+        best_sim[better] = block_best[better]
+        nearest[better] = start + sims.argmax(axis=0)[better]
+        candidate[np.argsort(np.negative(sims, out=sims), axis=1, kind="stable")[:, :k]] = True
+    return [
+        DdfSelection(
+            speaker_id=source[j].speaker_id,
+            max_similarity=float(best_sim[j]),
+            nearest_target_id=targets[nearest[j]].speaker_id,
         )
-    kept.sort(key=lambda s: s.speaker_id)
-    return kept
+        for j in np.flatnonzero(candidate & (best_sim <= config.dedup_threshold))
+    ]

@@ -12,19 +12,20 @@ for real ones), then the five embedding statistics, each paired as min/max.
 Real features can be missing (NaN); they are imputed with stored medians
 when scaling. A match feature is 0 unless both sides are present and equal,
 so it is never missing.
+
+Min and max are byte-symmetric too: on a tie of zeros the min is -0.0 if
+either side is -0.0 and the max is +0.0 if either side is +0.0.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial
 from .errors import ToolkitError
-from .scoring import trial_sides, vector_norm
+from .scoring import COSINE_BLOCK_BYTES, trial_sides
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -33,56 +34,6 @@ EMBEDDING_STAT_NAMES = (
     "emb_mean_of_dim_stds",
     "emb_std_of_dim_stds",
 )
-
-
-@dataclass(frozen=True)
-class EmbeddingQmf:
-    """Quality statistics of one utterance's chunk embeddings."""
-
-    l1_norm: float
-    l2_norm: float
-    std_across_dims: float
-    mean_of_dim_stds: float
-    std_of_dim_stds: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.l1_norm,
-            self.l2_norm,
-            self.std_across_dims,
-            self.mean_of_dim_stds,
-            self.std_of_dim_stds,
-        )
-
-
-def embedding_qmf(record: ChunkEmbeddings) -> EmbeddingQmf:
-    """L1/L2 norm and component std of the mean embedding, plus the mean and
-    std of the per-dimension stds across chunks (population stds throughout)."""
-    mean = record.mean_embedding()
-    dim_stds = record.chunks.std(axis=0)
-    return EmbeddingQmf(
-        l1_norm=float(np.abs(mean).sum()),
-        l2_norm=vector_norm(mean),
-        std_across_dims=float(mean.std()),
-        mean_of_dim_stds=float(dim_stds.mean()),
-        std_of_dim_stds=float(dim_stds.std()),
-    )
-
-
-@dataclass(frozen=True)
-class QmfVector:
-    """Named per-trial feature values, post-transform, pre-scaling."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.shape[0] != len(self.names):
-            raise ValueError(f"values shape {values.shape} does not match {len(self.names)} names")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate feature names")
-        object.__setattr__(self, "values", values)
 
 
 def feature_names(schema: list[SchemaColumn]) -> list[str]:
@@ -108,39 +59,45 @@ def _transform_value(value: float, col: SchemaColumn) -> float:
     return math.log1p(value)
 
 
-def build_trial_qmf(
-    enroll_attrs: Mapping[str, float | str | None],
-    enroll_qmf: EmbeddingQmf,
-    test_attrs: Mapping[str, float | str | None],
-    test_qmf: EmbeddingQmf,
-    schema: list[SchemaColumn],
-) -> QmfVector:
-    """Per-trial quality feature vector. Symmetric in the two sides.
+def _side_stats(records: list[ChunkEmbeddings]) -> np.ndarray:
+    """The statistics of ``EMBEDDING_STAT_NAMES``, one row per record: L1/L2
+    norm and component std of the mean embedding, then the mean and std of
+    the per-dimension stds across chunks (population stds throughout).
 
-    Categorical columns yield a 0/1 match flag (0 when either side is
-    missing). Real columns yield the transformed per-side values paired as
-    (min, max); one present side fills both halves, and both sides missing
-    yields NaN to be imputed downstream.
+    Records are stacked by chunk shape in blocks within ``COSINE_BLOCK_BYTES``
+    (at least one record each). Every statistic is a reduction over the
+    chunk axis or the contiguous last axis, as it would be on a lone record,
+    so a row does not depend on what else is in its block.
     """
-    values: list[float] = []
-    for col in schema:
-        e_val = enroll_attrs.get(col.name)
-        t_val = test_attrs.get(col.name)
-        if col.kind == "categorical":
-            both = e_val is not None and t_val is not None
-            values.append(1.0 if both and e_val == t_val else 0.0)
-        else:
-            present = [_transform_value(v, col) for v in (e_val, t_val) if v is not None]
-            if present:
-                values.append(min(present))
-                values.append(max(present))
-            else:
-                values.append(math.nan)
-                values.append(math.nan)
-    for e_stat, t_stat in zip(enroll_qmf.as_tuple(), test_qmf.as_tuple()):
-        values.append(min(e_stat, t_stat))
-        values.append(max(e_stat, t_stat))
-    return QmfVector(names=tuple(feature_names(schema)), values=np.asarray(values))
+    stats = np.empty((len(records), len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, rec in enumerate(records):
+        by_shape.setdefault(rec.chunks.shape, []).append(i)
+    for (n_chunks, dim), members in by_shape.items():
+        step = max(1, COSINE_BLOCK_BYTES // (n_chunks * dim * 8))
+        for start in range(0, len(members), step):
+            block = members[start:start + step]
+            chunks = np.array([records[i].chunks for i in block])  # C-ordered (block, n_chunks, dim)
+            mean = chunks.mean(axis=1)
+            dim_stds = chunks.std(axis=1)
+            stats[block, 0] = np.abs(mean).sum(axis=1)
+            stats[block, 1] = np.sqrt(np.sum(mean * mean, axis=1))
+            stats[block, 2] = mean.std(axis=1)
+            stats[block, 3] = dim_stds.mean(axis=1)
+            stats[block, 4] = dim_stds.std(axis=1)
+    return stats
+
+
+def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (min, max) of two aligned side columns, NaN meaning missing:
+    one present side fills both halves and two missing sides stay NaN. On a
+    tie of zeros the min is -0.0 if either side is -0.0 and the max is +0.0
+    if either side is +0.0, so the bytes do not depend on side order."""
+    lo, hi = np.fmin(e, t), np.fmax(e, t)
+    zeros = (e == 0.0) & (t == 0.0)
+    lo[zeros] = np.where(np.signbit(e[zeros]) | np.signbit(t[zeros]), -0.0, 0.0)
+    hi[zeros] = np.where(np.signbit(e[zeros]) & np.signbit(t[zeros]), -0.0, 0.0)
+    return lo, hi
 
 
 def trial_feature_matrix(
@@ -149,24 +106,35 @@ def trial_feature_matrix(
     table: AttributeTable,
     schema: list[SchemaColumn],
 ) -> tuple[list[str], np.ndarray]:
-    """Raw (unscaled) QMF matrix for a trial list, one row per trial."""
-    names = feature_names(schema)
+    """Raw (unscaled) QMF matrix for a trial list, one row per trial.
+
+    Each unique trial side gets one row of transformed reals (NaN when
+    missing), categorical codes (-1 when missing) and embedding statistics;
+    the trial columns are gathers of its two sides' rows.
+    """
     side_records, enroll, test = trial_sides(records, trials)
-    side_qmf = [embedding_qmf(rec) for rec in side_records]
-    matrix = np.empty((len(trials), len(names)), dtype=np.float64)
-    for i, trial in enumerate(trials):
-        for utt_id in (trial.enroll_id, trial.test_id):
-            if utt_id not in table.rows:
-                raise ToolkitError(f"utterance {utt_id!r} missing from attribute table")
-        vector = build_trial_qmf(
-            table.rows[trial.enroll_id],
-            side_qmf[enroll[i]],
-            table.rows[trial.test_id],
-            side_qmf[test[i]],
-            schema,
-        )
-        matrix[i] = vector.values
-    return names, matrix
+    rows = []
+    for rec in side_records:
+        if rec.utt_id not in table.rows:
+            raise ToolkitError(f"utterance {rec.utt_id!r} missing from attribute table")
+        rows.append(table.rows[rec.utt_id])
+    side = np.empty((len(side_records), len(schema) + len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
+    for c, col in enumerate(schema):
+        values = [row.get(col.name) for row in rows]
+        if col.kind == "categorical":
+            codes: dict[float | str, int] = {}
+            side[:, c] = [-1 if v is None else codes.setdefault(v, len(codes)) for v in values]
+        else:
+            side[:, c] = [math.nan if v is None else _transform_value(v, col) for v in values]
+    side[:, len(schema):] = _side_stats(side_records)
+    e, t = side[enroll], side[test]
+    columns = []
+    for c, kind in enumerate([col.kind for col in schema] + ["real"] * len(EMBEDDING_STAT_NAMES)):
+        if kind == "categorical":
+            columns.append(((e[:, c] == t[:, c]) & (e[:, c] >= 0)).astype(np.float64))
+        else:
+            columns.extend(_min_max(e[:, c], t[:, c]))
+    return feature_names(schema), np.column_stack(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from .dataio import ChunkEmbeddings, Trial
 from .errors import ToolkitError
 
 # Bytes one block of cosine_matrix or score_trials may hold: the elementwise products and,
-# in score_trials, the chunks gathered for them. Larger blocks raise peak memory.
+# in score_trials, the chunks gathered for them. asnorm and curation bound their blocks of
+# similarity rows by it, and qmf its blocks of stacked chunks. Larger blocks raise peak memory.
 COSINE_BLOCK_BYTES = 1 << 20
 
 

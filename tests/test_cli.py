@@ -339,3 +339,20 @@ def test_missing_required_option_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "svbackend" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "trials_spec, message",
+    [
+        ({"n_pos": 50, "n_neg": 0, "seed": 1}, "error: requested 50 same-speaker pairs, only 3 available"),
+        ({"n_pos": 1, "bogus": 2}, "trials must be an object with n_pos, n_neg, seed"),
+    ],
+)
+def test_synth_bad_trials_block_writes_no_file(tmp_path, capsys, trials_spec, message):
+    cfg = dict(SYNTH_CONFIG, n_speakers=3, utts_per_speaker=2, trials=trials_spec)
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import trial_side_reference as reference
 from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
 from svbackend.errors import ToolkitError
 from svbackend.qmf import (
     EMBEDDING_STAT_NAMES,
-    build_trial_qmf,
-    embedding_qmf,
     feature_names,
     minmax_apply,
     minmax_fit,
@@ -24,8 +23,19 @@ SCHEMA = [
 ]
 
 
+def features(records, attrs, trials, schema=SCHEMA):
+    """trial_feature_matrix on a small input, as one name -> value dict per trial."""
+    table = AttributeTable(columns=tuple(col.name for col in schema))
+    table.rows.update(attrs)
+    names, matrix = trial_feature_matrix(trials, records, table, schema)
+    return [dict(zip(names, row)) for row in matrix]
+
+
 def stats_of(record):
-    return dict(zip(EMBEDDING_STAT_NAMES, embedding_qmf(record).as_tuple()))
+    """The record's embedding statistics, read from a trial of the record with itself."""
+    (row,) = features([record], {record.utt_id: {}}, [Trial(record.utt_id, record.utt_id)], schema=[])
+    assert all(row[f"{stat}_min"] == row[f"{stat}_max"] for stat in EMBEDDING_STAT_NAMES)
+    return {stat: row[f"{stat}_min"] for stat in EMBEDDING_STAT_NAMES}
 
 
 def test_embedding_stats_single_chunk():
@@ -63,6 +73,16 @@ def test_embedding_stats_match_numpy_oracle(np_rng):
         assert abs(stats["emb_std_of_dim_stds"] - dim_stds.std()) <= 1e-12
 
 
+def test_embedding_stats_ignore_memory_layout(np_rng):
+    """A Fortran-ordered record gives the bytes of its C-ordered copy."""
+    chunks = np_rng.normal(size=(11, 5))
+    c_order = ChunkEmbeddings("u", np.ascontiguousarray(chunks))
+    f_order = ChunkEmbeddings("u", np.asfortranarray(chunks))
+    assert not f_order.chunks.flags.c_contiguous
+    assert stats_of(f_order) == stats_of(c_order)
+    assert list(stats_of(c_order).values()) == list(reference.embedding_qmf(c_order))
+
+
 def test_feature_names_layout():
     names = feature_names(SCHEMA)
     assert names[:5] == ["gender_match", "snr_min", "snr_max", "length_min", "length_max"]
@@ -71,15 +91,14 @@ def test_feature_names_layout():
     assert len(names) == 5 + 2 * len(EMBEDDING_STAT_NAMES)
 
 
-def make_qmfs(np_rng):
-    e = embedding_qmf(ChunkEmbeddings("e", np_rng.normal(size=(3, 6))))
-    t = embedding_qmf(ChunkEmbeddings("t", np_rng.normal(size=(2, 6))))
-    return e, t
+def make_records(np_rng):
+    return [ChunkEmbeddings("e", np_rng.normal(size=(3, 6))), ChunkEmbeddings("t", np_rng.normal(size=(2, 6)))]
 
 
 def vector_for(np_rng, e_attrs, t_attrs):
-    e_qmf, t_qmf = make_qmfs(np_rng)
-    return build_trial_qmf(e_attrs, e_qmf, t_attrs, t_qmf, SCHEMA)
+    """Features of one trial between two random records with the given attributes."""
+    (row,) = features(make_records(np_rng), {"e": e_attrs, "t": t_attrs}, [Trial("e", "t")])
+    return row
 
 
 def test_categorical_match_values(np_rng):
@@ -93,50 +112,74 @@ def test_categorical_match_values(np_rng):
     ]
     for e_attrs, t_attrs, expected in cases:
         vec = vector_for(np_rng, e_attrs, t_attrs)
-        value = vec.values[list(vec.names).index("gender_match")]
-        assert value == expected
+        assert vec["gender_match"] == expected
 
 
 def test_log1p_transform_values(np_rng):
     e_attrs = {"gender": "m", "snr": 3.0, "length": math.e - 1.0}
     t_attrs = {"gender": "m", "snr": 7.0, "length": math.e**2 - 1.0}
     vec = vector_for(np_rng, e_attrs, t_attrs)
-    names = list(vec.names)
-    assert abs(vec.values[names.index("length_min")] - 1.0) <= 1e-12
-    assert abs(vec.values[names.index("length_max")] - 2.0) <= 1e-12
-    assert vec.values[names.index("snr_min")] == 3.0
-    assert vec.values[names.index("snr_max")] == 7.0
+    assert abs(vec["length_min"] - 1.0) <= 1e-12
+    assert abs(vec["length_max"] - 2.0) <= 1e-12
+    assert vec["snr_min"] == 3.0
+    assert vec["snr_max"] == 7.0
 
 
 def test_one_missing_side_fills_both_halves(np_rng):
     e_attrs = {"gender": "m", "snr": 4.5, "length": None}
     t_attrs = {"gender": "m", "snr": None, "length": None}
     vec = vector_for(np_rng, e_attrs, t_attrs)
-    names = list(vec.names)
-    assert vec.values[names.index("snr_min")] == 4.5
-    assert vec.values[names.index("snr_max")] == 4.5
-    assert math.isnan(vec.values[names.index("length_min")])
-    assert math.isnan(vec.values[names.index("length_max")])
+    assert vec["snr_min"] == 4.5
+    assert vec["snr_max"] == 4.5
+    assert math.isnan(vec["length_min"])
+    assert math.isnan(vec["length_max"])
 
 
 def test_side_symmetry_is_exact(np_rng):
-    e_qmf, t_qmf = make_qmfs(np_rng)
-    e_attrs = {"gender": "f", "snr": 12.0, "length": 30.0}
-    t_attrs = {"gender": "m", "snr": 3.0, "length": None}
-    fwd = build_trial_qmf(e_attrs, e_qmf, t_attrs, t_qmf, SCHEMA)
-    bwd = build_trial_qmf(t_attrs, t_qmf, e_attrs, e_qmf, SCHEMA)
-    assert fwd.names == bwd.names
-    assert fwd.values.tobytes() == bwd.values.tobytes()
+    records = make_records(np_rng)
+    attrs = {
+        "e": {"gender": "f", "snr": 12.0, "length": 30.0},
+        "t": {"gender": "m", "snr": 3.0, "length": None},
+    }
+    fwd, bwd = features(records, attrs, [Trial("e", "t"), Trial("t", "e")])
+    assert list(fwd) == list(bwd)
+    assert np.array(list(fwd.values())).tobytes() == np.array(list(bwd.values())).tobytes()
+
+
+def test_zero_ties_pair_by_sign_not_side_order(np_rng):
+    """min is -0.0 if either side is -0.0, max is +0.0 if either is +0.0."""
+    records = make_records(np_rng)
+    cases = [
+        ((0.0, -0.0), (-0.0, 0.0)),
+        ((-0.0, 0.0), (-0.0, 0.0)),
+        ((-0.0, -0.0), (-0.0, -0.0)),
+        ((0.0, 0.0), (0.0, 0.0)),
+        ((-0.0, None), (-0.0, -0.0)),
+        ((None, 0.0), (0.0, 0.0)),
+    ]
+    for (e_snr, t_snr), expected in cases:
+        attrs = {"e": {"gender": "m", "snr": e_snr, "length": 0.0}, "t": {"gender": "m", "snr": t_snr, "length": -0.0}}
+        for row in features(records, attrs, [Trial("e", "t"), Trial("t", "e")]):
+            got = (row["snr_min"], row["snr_max"])
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), (e_snr, t_snr, got)
+            # log1p keeps the sign of a zero
+            assert np.array([row["length_min"], row["length_max"]]).tobytes() == np.array([-0.0, 0.0]).tobytes()
+    # the per-trial reference kept whichever side came first on (0.0, -0.0), and the unchanged
+    # (-0.0, -0.0) case agrees with it
+    stats = reference.embedding_qmf(records[0])
+    for e_snr, t_snr in ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+        row = reference.build_trial_qmf({"snr": e_snr}, stats, {"snr": t_snr}, stats, SCHEMA[1:2])
+        assert row[:2].tobytes() == np.array([e_snr, e_snr]).tobytes()
 
 
 def test_embedding_stats_paired_min_max(np_rng):
-    e_qmf, t_qmf = make_qmfs(np_rng)
+    records = make_records(np_rng)
     attrs = {"gender": "m", "snr": 1.0, "length": 1.0}
-    vec = build_trial_qmf(attrs, e_qmf, attrs, t_qmf, SCHEMA)
-    names = list(vec.names)
-    for stat, e_val, t_val in zip(EMBEDDING_STAT_NAMES, e_qmf.as_tuple(), t_qmf.as_tuple()):
-        assert vec.values[names.index(f"{stat}_min")] == min(e_val, t_val)
-        assert vec.values[names.index(f"{stat}_max")] == max(e_val, t_val)
+    (vec,) = features(records, {"e": attrs, "t": attrs}, [Trial("e", "t")])
+    e_stats, t_stats = stats_of(records[0]), stats_of(records[1])
+    for stat in EMBEDDING_STAT_NAMES:
+        assert vec[f"{stat}_min"] == min(e_stats[stat], t_stats[stat])
+        assert vec[f"{stat}_max"] == max(e_stats[stat], t_stats[stat])
 
 
 def test_log1p_rejects_out_of_domain(np_rng):
@@ -159,16 +202,9 @@ def test_trial_feature_matrix_matches_per_trial_loop(np_rng):
     names, matrix = trial_feature_matrix(trials, records, table, SCHEMA)
     assert names == feature_names(SCHEMA)
     assert matrix.shape == (3, len(names))
-    by_id = {r.utt_id: r for r in records}
-    for row, trial in zip(matrix, trials):
-        expected = build_trial_qmf(
-            table.rows[trial.enroll_id],
-            embedding_qmf(by_id[trial.enroll_id]),
-            table.rows[trial.test_id],
-            embedding_qmf(by_id[trial.test_id]),
-            SCHEMA,
-        )
-        assert row.tobytes() == expected.values.tobytes()
+    expected_names, expected = reference.trial_feature_matrix(trials, records, table, SCHEMA)
+    assert names == expected_names
+    assert matrix.tobytes() == expected.tobytes()
 
 
 def test_trial_feature_matrix_missing_inputs(np_rng):
@@ -182,6 +218,12 @@ def test_trial_feature_matrix_missing_inputs(np_rng):
     table.rows.pop("u0")
     with pytest.raises(ToolkitError, match="attribute table"):
         trial_feature_matrix([Trial("u0", "u0")], records, table, SCHEMA)
+
+
+def test_trial_feature_matrix_empty_trial_list(np_rng):
+    table = AttributeTable(columns=("gender", "snr", "length"))
+    names, matrix = trial_feature_matrix([], make_records(np_rng), table, SCHEMA)
+    assert matrix.shape == (0, len(names))
 
 
 # ---------------------------------------------------------------------------
