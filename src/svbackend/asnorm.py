@@ -21,7 +21,7 @@ import numpy as np
 from .dataio import ChunkEmbeddings, Trial
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, trial_sides
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, trial_sides
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,10 @@ def asnorm_trials(
     side_records, enroll, test = trial_sides(records, pairs)
     mu = np.empty(len(side_records), dtype=np.float64)
     sd = np.empty(len(side_records), dtype=np.float64)
+    cohort_norms = row_norms(cohort.embeddings)
     step = max(1, COSINE_BLOCK_BYTES // (len(cohort) * 8))
     for start in range(0, len(side_records), step):
         rows = slice(start, start + step)
         means = np.stack([rec.mean_embedding() for rec in side_records[rows]])
-        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort.embeddings), config.top_n)
+        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort.embeddings, cohort_norms), config.top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import ChunkEmbeddings
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, vector_norm
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, vector_norm
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,10 @@ def ddf_select(
     candidate = np.zeros(len(source), dtype=bool)
     best_sim = np.full(len(source), -np.inf)
     nearest = np.zeros(len(source), dtype=np.intp)
+    src_norms = row_norms(src_matrix)
     step = max(1, COSINE_BLOCK_BYTES // (len(source) * 8))
     for start in range(0, len(targets), step):
-        sims = cosine_matrix(tgt_matrix[start:start + step], src_matrix)
+        sims = cosine_matrix(tgt_matrix[start:start + step], src_matrix, src_norms)
         block_best = sims.max(axis=0)
         better = block_best > best_sim
         best_sim[better] = block_best[better]

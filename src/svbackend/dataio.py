@@ -10,6 +10,14 @@ parsing token by token on any line that fails the cast or its checks, so the
 error text and line number are the token path's. The store writer formats and
 writes one record at a time, so the store's text is never held whole.
 
+The trial feature reader follows the same pattern over the whole file: it
+splits its lines once, casts every feature cell with one numpy call (a blank
+cell is NaN) and checks field counts and finiteness over whole columns. On any
+fault it parses the file again through ``csv``, which raises the located
+error. The score and feature writers format a column with ``map(repr, ...)``;
+the score writer hands over one line at a time, and :func:`_csv_field` quotes
+a feature-table id or header name as ``csv.writer`` would.
+
 Formats:
 
 * Embedding store: header line ``dim=<D>``, then one record per line,
@@ -110,6 +118,36 @@ def _data_lines(text: str, path: str) -> list[tuple[int, str]]:
             raise DataFormatError("blank line", path=path, line=lineno)
         out.append((lineno, raw))
     return out
+
+
+def _csv_rows(text: str, path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each CSV record in ``text``. A quoted field
+    that runs past the end of its line, or any fault strict ``csv`` raises
+    (such as a field over ``csv.field_size_limit()``, a quote left open at the
+    end of the text or text after a closing quote), is a located error at the
+    line where the record starts."""
+    reader = csv.reader(text.splitlines(), strict=True)
+    lineno = 0
+    while True:
+        try:
+            fields = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DataFormatError(f"malformed CSV: {exc}", path=path, line=lineno + 1) from None
+        lineno += 1
+        if reader.line_num != lineno:
+            raise DataFormatError("quoted field runs past the end of its line", path=path, line=lineno)
+        yield lineno, fields
+
+
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` (QUOTE_MINIMAL, line terminator ``\\n``)
+    writes it: quoted, with its quotes doubled, when it holds a comma, a
+    quote or a newline."""
+    if "," in value or '"' in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +360,8 @@ def write_scores(trials: list[Trial], scores, path: str) -> None:
         raise ValueError(f"expected one score per trial, got {len(trials)} trials and {scores.shape} scores")
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite score")
-    lines = (f"{trial.enroll_id} {trial.test_id} {format_float(score)}\n" for trial, score in zip(trials, scores))
-    atomic_write_text(str(path), lines)
+    values = map(repr, scores.tolist())  # repr of a Python float is format_float
+    atomic_write_text(str(path), (f"{t.enroll_id} {t.test_id} {v}\n" for t, v in zip(trials, values)))
 
 
 def check_score_alignment(trials: list[Trial], pairs: list[Trial], path: str) -> None:
@@ -419,12 +457,10 @@ class AttributeTable:
 def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
     path = str(path)
     by_name = {c.name: c for c in schema}
-    text = read_text(path)
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("missing CSV header", path=path, line=1) from None
+    rows = _csv_rows(read_text(path), path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataFormatError("missing CSV header", path=path, line=1)
     if not header or header[0] != "utt_id":
         raise DataFormatError("first CSV column must be 'utt_id'", path=path, line=1)
     names = header[1:]
@@ -440,7 +476,7 @@ def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
             raise DataFormatError(f"schema column {col.name!r} missing from table", path=path, line=1)
 
     table = AttributeTable(columns=tuple(names))
-    for lineno, fields in enumerate(reader, start=2):
+    for lineno, fields in rows:
         if len(fields) != len(header):
             raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
         utt_id = fields[0]
@@ -487,40 +523,76 @@ def write_trial_features(trials: list[Trial], names: list[str], matrix, path: st
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["enroll", "test"] + list(names))
-    for trial, row in zip(trials, matrix):
-        cells = ["" if math.isnan(v) else format_float(v) for v in row]
-        writer.writerow([trial.enroll_id, trial.test_id] + cells)
-    atomic_write_text(str(path), buf.getvalue())
+    lines = [",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"]
+    ids = [f"{_csv_field(t.enroll_id)},{_csv_field(t.test_id)}" for t in trials]
+    if names:
+        # repr of a Python float is format_float; NaN's repr is the only one holding "nan"
+        values = (",".join(map(repr, row.tolist())).replace("nan", "") for row in matrix)
+        lines += [f"{i},{v}\n" for i, v in zip(ids, values)]
+    else:
+        lines += [f"{i}\n" for i in ids]
+    atomic_write_text(str(path), "".join(lines))
 
 
 def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
     path = str(path)
     text = read_text(path)
-    reader = csv.reader(text.splitlines())
+    table = _fast_trial_features(text)
+    return table if table is not None else _token_trial_features(text, path)
+
+
+def _fast_trial_features(text: str) -> tuple[list[Trial], list[str], np.ndarray] | None:
+    """The feature table parsed with one split per line and one numpy cast,
+    or None for any text that :func:`_token_trial_features` must judge (it
+    raises the located error). Without quotes, and with no line longer than
+    csv's field limit, a line's CSV fields are its comma-separated parts;
+    only an empty line differs (no fields), and it fails the count check."""
+    lines = text.splitlines()
+    if '"' in text or not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    names = header[2:]
+    if header[:2] != ["enroll", "test"] or len(set(names)) != len(names):
+        return None
+    rows = [line.split(",") for line in lines[1:]]
+    if not set(map(len, rows)) <= {len(header)}:
+        return None
+    cells = np.array([cell for row in rows for cell in row[2:]], dtype=object)
+    blank = cells == ""
+    cells[blank] = "nan"
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("missing CSV header", path=path, line=1) from None
+        trials = [Trial(row[0], row[1]) for row in rows]
+        values = cells.astype(np.float64)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(values) | blank):
+        return None
+    return trials, names, values.reshape(len(rows), len(names))
+
+
+def _token_trial_features(text: str, path: str) -> tuple[list[Trial], list[str], np.ndarray]:
+    """The feature table parsed cell by cell through ``csv``, raising the
+    located error for its first fault."""
+    rows = _csv_rows(text, path)
+    _, header = next(rows, (1, None))
+    if header is None:
+        raise DataFormatError("missing CSV header", path=path, line=1)
     if len(header) < 2 or header[0] != "enroll" or header[1] != "test":
         raise DataFormatError("header must start with 'enroll,test'", path=path, line=1)
     names = header[2:]
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
     trials = []
-    rows = []
-    for lineno, fields in enumerate(reader, start=2):
+    values = []
+    for lineno, fields in rows:
         if len(fields) != len(header):
             raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
         try:
             trials.append(Trial(fields[0], fields[1], None))
         except ValueError as exc:
             raise DataFormatError(str(exc), path=path, line=lineno) from None
-        rows.append([math.nan if cell == "" else _parse_float(cell, path, lineno) for cell in fields[2:]])
-    matrix = np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
-    return trials, names, matrix
+        values.append([math.nan if cell == "" else _parse_float(cell, path, lineno) for cell in fields[2:]])
+    return trials, names, np.asarray(values, dtype=np.float64).reshape(len(trials), len(names))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,10 @@ def det_curve(scores, labels) -> DetCurve:
     scores, labels = _check_scores_labels(scores, labels)
     pos = np.sort(scores[labels])
     neg = np.sort(scores[~labels])
-    distinct = np.unique(scores)
+    # np.unique's values without its lazy numpy.ma import: the first of each run of
+    # equal scores in a stable sort, so a tie of -0.0 and +0.0 keeps the first in input order
+    ordered = np.sort(scores, kind="stable")
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     thresholds = np.append(distinct, np.nextafter(distinct[-1], np.inf))
     # accept iff score >= threshold: misses are positives strictly below,
     # false alarms are negatives at or above

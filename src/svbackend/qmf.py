@@ -158,8 +158,17 @@ def minmax_fit(matrix: np.ndarray, names: list[str]) -> MinMaxParams:
             raise ToolkitError(f"feature {name!r} has no observed values")
         lo[j] = observed.min()
         hi[j] = observed.max()
-        median[j] = np.median(observed)
+        median[j] = _median(observed)
     return MinMaxParams(names=tuple(names), lo=lo, hi=hi, median=median)
+
+
+def _median(observed: np.ndarray) -> float:
+    """``np.median`` of a finite vector, bit for bit: the same partition and
+    mean, without the NaN check on the partition that imports numpy.ma."""
+    half = observed.shape[0] // 2
+    if observed.shape[0] % 2:
+        return np.mean(np.partition(observed, [half, -1])[half:half + 1])
+    return np.mean(np.partition(observed, [half - 1, half, -1])[half - 1:half + 1])
 
 
 def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:

@@ -44,13 +44,13 @@ def cosine(u, v) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
+def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, as a sum of squares over the contiguous last axis."""
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     return np.sqrt(np.sum(rows * rows, axis=1))
 
 
-def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | None = None) -> np.ndarray:
     """Cosines between every row of ``rows_a`` and every row of ``rows_b``.
 
     Entry (i, j) is bit-identical to ``cosine(rows_a[i], rows_b[j])`` because
@@ -61,13 +61,16 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     Products are formed for blocks of ``rows_a`` within ``COSINE_BLOCK_BYTES``
     (at least one row each). Blocking splits only the row axis, so each entry
     is still the same last-axis sum and stays bit-identical.
+
+    A caller that scores many blocks of rows against one ``rows_b`` passes
+    ``norms_b = row_norms(rows_b)`` so that they are computed once.
     """
     a = np.ascontiguousarray(rows_a, dtype=np.float64)
     b = np.ascontiguousarray(rows_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ToolkitError(f"cosine_matrix requires matching row dims, got shapes {a.shape} and {b.shape}")
-    norms_a = _row_norms(a)
-    norms_b = _row_norms(b)
+    norms_a = row_norms(a)
+    norms_b = row_norms(b) if norms_b is None else norms_b
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
     sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
@@ -139,7 +142,7 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
     if not side_records:
         return np.empty(0, dtype=np.float64)
     # every side's chunk norms in one vector, side k's from offsets[k]
-    norms = np.concatenate([_row_norms(rec.chunks) for rec in side_records])
+    norms = np.concatenate([row_norms(rec.chunks) for rec in side_records])
     counts = np.array([rec.n_chunks for rec in side_records], dtype=np.intp)
     offsets = np.cumsum(counts) - counts
     dims = np.array([rec.dim for rec in side_records], dtype=np.intp)

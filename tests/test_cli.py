@@ -1,11 +1,16 @@
 """Command-line pipeline: outputs, formats, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svbackend
 from svbackend import dataio
 from svbackend.cli import main
 from svbackend.qmf import feature_names
@@ -199,6 +204,49 @@ def test_fuse_apply_rejects_mismatched_columns(pipeline, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "expects" in err and "raw" in err
+
+
+def test_fuse_apply_qmf_cell_over_csv_limit_exits_2(pipeline, capsys):
+    text = pipeline["qmf"].read_text().splitlines()
+    fields = text[3].split(",")
+    fields[2] = "1" * (131072 + 1)
+    text[3] = ",".join(fields)
+    bad = pipeline["root"] / "long_cell.csv"
+    bad.write_text("\n".join(text) + "\n")
+    rc = main(["fuse-apply", "--model", str(pipeline["model"]),
+               "--scores", str(pipeline["raw_scores"]), "--scores", str(pipeline["norm_scores"]),
+               "--qmf", str(bad), "--out", str(pipeline["root"] / "long_cell_fused.txt")])
+    assert rc == 2
+    assert "long_cell.csv:4: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+
+# Runs one stage in a fresh interpreter; its last line is the exit code, whether
+# numpy.ma was imported before main() ran and whether it is imported after.
+NUMPY_MA_PROBE = """
+import sys
+from svbackend.cli import main
+before = "numpy.ma" in sys.modules
+code = main(sys.argv[1:])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("stage", ["eval", "fuse-fit"])
+def test_eval_and_fuse_fit_do_not_import_numpy_ma(pipeline, stage):
+    # a numpy that imports numpy.ma eagerly has it before main(); only a new import fails
+    argv = {
+        "eval": ["eval", "--scores", str(pipeline["raw_scores"]), "--trials", str(pipeline["trials"])],
+        "fuse-fit": ["fuse-fit", "--scores", str(pipeline["raw_scores"]),
+                     "--scores", str(pipeline["norm_scores"]), "--qmf", str(pipeline["qmf"]),
+                     "--trials", str(pipeline["trials"]), "--out", str(pipeline["root"] / "probe_model.json")],
+    }[stage]
+    src = str(Path(svbackend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    code, before, after = run.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert before == "True" or after == "False"
 
 
 def test_eval_output_line(pipeline, capsys):

@@ -152,6 +152,23 @@ def test_atomic_write_takes_pieces(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_score_and_store_writers_hand_over_one_line_at_a_time(tmp_path, monkeypatch):
+    # the file's text is never held whole: the writer gets one piece per line
+    pieces = {}
+
+    def record(path, text):
+        assert not isinstance(text, str)
+        pieces[os.path.basename(path)] = list(text)
+
+    monkeypatch.setattr(dataio, "atomic_write_text", record)
+    trials = [dataio.Trial(f"e{i}", f"t{i}") for i in range(4)]
+    dataio.write_scores(trials, [0.5, -0.0, 1e-300, 2.0], str(tmp_path / "scores.txt"))
+    records = [dataio.ChunkEmbeddings(f"u{i}", np.full((1, 2), i + 0.5)) for i in range(3)]
+    dataio.write_embeddings(records, str(tmp_path / "emb.txt"))
+    assert pieces["scores.txt"] == ["e0 t0 0.5\n", "e1 t1 -0.0\n", "e2 t2 1e-300\n", "e3 t3 2.0\n"]
+    assert pieces["emb.txt"] == ["dim=2\n", "u0 1 0.5 0.5\n", "u1 1 1.5 1.5\n", "u2 1 2.5 2.5\n"]
+
+
 def test_is_token_agrees_with_isspace_rule_on_every_code_point():
     # the rule it replaced: invalid when empty or when any character is whitespace
     def old_rule(s):
@@ -367,6 +384,46 @@ def test_trial_features_errors(tmp_path):
     path.write_text("enroll,test,f1\nu1,u2,zebra\n")
     with pytest.raises(DataFormatError, match="invalid float"):
         dataio.read_trial_features(str(path))
+
+
+LONG_CELL = "1" * (131072 + 1)  # one past csv's default field_size_limit
+
+CSV_DEFECTS = {
+    # name: (header, data lines, line of the located error, message fragment)
+    "cell over csv's field limit": ("{key},f1", [f"u1{{sep}}{LONG_CELL}"], 2, "field larger than field limit"),
+    "quoted field spanning lines": ("{key},f1", ['"u\n1"{sep}0.5'], 2, "runs past the end of its line"),
+    "spanning field after good rows": ("{key},f1", ["u0{sep}0.25", 'u1{sep}"0.5', '"'], 3, "runs past"),
+    "quote left open on the last line": ("{key},f1", ["u0{sep}0.25", 'u1{sep}"0.5'], 3, "unexpected end of data"),
+    "quote left open before more lines": ("{key},f1", ['u1{sep}"0.5', "u2{sep}0.25"], 2, "unexpected end of data"),
+    "text after a closing quote": ("{key},f1", ['"u"1{sep}0.5'], 2, "',' expected after"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CSV_DEFECTS))
+def test_csv_readers_locate_long_cells_and_multiline_fields(tmp_path, defect):
+    header, rows, line, fragment = CSV_DEFECTS[defect]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header.format(key="enroll,test")] + [r.format(sep=",u2,") for r in rows]) + "\n")
+    with pytest.raises(DataFormatError, match=fragment) as err:
+        dataio.read_trial_features(str(path))
+    assert (err.value.path, err.value.line) == (str(path), line)
+
+    schema = [dataio.SchemaColumn("f1", "real", "identity")]
+    path.write_text("\n".join([header.format(key="utt_id")] + [r.format(sep=",") for r in rows]) + "\n")
+    with pytest.raises(DataFormatError, match=fragment) as err:
+        dataio.read_attributes(str(path), schema)
+    assert (err.value.path, err.value.line) == (str(path), line)
+
+
+def test_trial_features_read_quoted_ids_and_names(tmp_path):
+    path = tmp_path / "feat.csv"
+    path.write_text('enroll,test,"f,1","f""2"\n"a,b",c,0.5,\nd,"e""f",,2.0\n')
+    trials, names, matrix = dataio.read_trial_features(str(path))
+    assert trials == [dataio.Trial("a,b", "c"), dataio.Trial("d", 'e"f')]
+    assert names == ["f,1", 'f"2']
+    assert matrix.tobytes() == np.array([[0.5, np.nan], [np.nan, 2.0]]).tobytes()
+    dataio.write_trial_features(trials, names, matrix, str(tmp_path / "back.csv"))
+    assert (tmp_path / "back.csv").read_text() == path.read_text()
 
 
 def make_model() -> dataio.FusionModel:

@@ -1,6 +1,11 @@
-"""Property tests: the store reader against its token-by-token oracle, writer
-round trips, and the batched trial scorer against the one-trial scorer."""
+"""Property tests: the store reader against its token-by-token oracle and the
+trial feature reader against its csv one, the table writers against their
+csv.writer and format_float oracles, writer round trips, the metric and
+scaling kernels against numpy's, and the batched trial scorer against the
+one-trial scorer."""
 
+import csv
+import io
 import math
 from unittest import mock
 
@@ -9,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from svbackend import dataio, scoring
+from svbackend import dataio, metrics, qmf, scoring
 from svbackend.asnorm import AsNormConfig, Cohort, asnorm_trials
 from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import DataFormatError, DegenerateCohortError
@@ -172,6 +177,170 @@ def test_write_then_read_trials_is_identity(store_path, trials):
     labeled = any(t.label is not None for t in trials)
     dataio.write_trials(trials, store_path)
     assert dataio.read_trials(store_path, expect_labels=labeled) == trials
+
+
+# ---------------------------------------------------------------------------
+# The trial feature table and the score writer against their csv and format_float oracles
+
+
+def csv_read_trial_features(path):
+    """read_trial_features as it was before its whole-file fast path: csv.reader
+    and one _parse_float per cell."""
+    path = str(path)
+    reader = csv.reader(dataio.read_text(path).splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("missing CSV header", path=path, line=1) from None
+    if len(header) < 2 or header[0] != "enroll" or header[1] != "test":
+        raise DataFormatError("header must start with 'enroll,test'", path=path, line=1)
+    names = header[2:]
+    if len(set(names)) != len(names):
+        raise DataFormatError("duplicate feature columns", path=path, line=1)
+    trials = []
+    rows = []
+    for lineno, fields in enumerate(reader, start=2):
+        if len(fields) != len(header):
+            raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
+        try:
+            trials.append(Trial(fields[0], fields[1], None))
+        except ValueError as exc:
+            raise DataFormatError(str(exc), path=path, line=lineno) from None
+        rows.append([math.nan if cell == "" else dataio._parse_float(cell, path, lineno) for cell in fields[2:]])
+    return trials, names, np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
+
+
+def csv_write_trial_features(trials, names, matrix):
+    """The text write_trial_features wrote through csv.writer and format_float."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["enroll", "test"] + list(names))
+    for trial, row in zip(trials, np.asarray(matrix, dtype=np.float64)):
+        writer.writerow([trial.enroll_id, trial.test_id] + ["" if math.isnan(v) else dataio.format_float(v) for v in row])
+    return buf.getvalue()
+
+
+def table_outcome(reader, *args):
+    """("ok", result with every float array as (shape, bytes)), or the error text."""
+    try:
+        result = reader(*args)
+    except DataFormatError as exc:
+        return ("DataFormatError", str(exc))
+    return ("ok", tuple((r.shape, r.tobytes()) if isinstance(r, np.ndarray) else r for r in result))
+
+
+BAD_VALUES = ["nan", "inf", "-inf", "1e999", "x"]
+feature_cells = st.one_of(value_tokens, st.just(""))
+
+
+@st.composite
+def feature_tables(draw):
+    """A trial feature table as rows of CSV fields, header first. In half of the
+    tables ids and names may hold commas and quotes, which csv.writer quotes and
+    which send the table to the csv path."""
+    quoting = draw(st.booleans())
+    id_text = st.text(ID_CHARS + ',"' if quoting else ID_CHARS, min_size=1, max_size=6)
+    names = draw(st.lists(st.text('fgh_ ,"' if quoting else "fgh_ ", min_size=1, max_size=5), max_size=5, unique=True))
+    rows = [["enroll", "test", *names]]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = draw(st.lists(feature_cells, min_size=len(names), max_size=len(names)))
+        rows.append([draw(id_text), draw(id_text), *cells])
+    return rows
+
+
+def render_csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@given(feature_tables(), st.booleans(), st.data())
+def test_trial_feature_reader_matches_the_csv_path(store_path, rows, mutated, data):
+    kind = None
+    if mutated:
+        # each kind but "blank" faults one line and keeps every other line's field count
+        kind = data.draw(st.sampled_from(["drop", "add", "value", "duplicate", "id", "blank"]))
+        if kind == "duplicate":
+            added = rows[0][-1:] if len(rows[0]) > 2 else ["f", "f"]
+        else:
+            added = ["f"] if kind == "value" and len(rows[0]) == 2 else []  # a column for the bad value
+        rows[0] += added
+        for row in rows[1:]:
+            row += ["0.5"] * len(added)
+        if len(rows) == 1:
+            rows.append(["u", "v", *["0.5"] * (len(rows[0]) - 2)])
+        line = rows[data.draw(st.integers(1, len(rows) - 1))]
+        if kind == "drop":
+            del line[data.draw(st.integers(0, len(line) - 1))]
+        elif kind == "add":
+            line.insert(data.draw(st.integers(0, len(line))), data.draw(feature_cells))
+        elif kind == "value":
+            line[data.draw(st.integers(2, len(line) - 1))] = data.draw(st.sampled_from(BAD_VALUES))
+        elif kind == "id":
+            line[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["", "a b", "\t"]))
+    text = render_csv(rows)
+    if kind == "blank":
+        lines = text.splitlines(keepends=True)
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(["\n", " \n"])))
+        text = "".join(lines)
+    store_path.write_text(text, encoding="utf-8")
+    expected = table_outcome(csv_read_trial_features, store_path)
+    assert table_outcome(dataio.read_trial_features, store_path) == expected
+    assert expected[0] == ("DataFormatError" if mutated else "ok")
+
+
+# every float, NaN and +-inf included, plus values whose repr takes exponent form
+any_float = st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, 1e22, -1e-7, 5e-324, 1.5e-5, 123456789012345680.0]))
+finite_float = any_float.filter(math.isfinite)
+
+
+@given(st.lists(st.text(ID_CHARS + ',"\n ', max_size=5), max_size=4), st.data())
+def test_write_trial_features_matches_csv_writer_bytes(store_path, names, data):
+    n = data.draw(st.integers(0, 5))
+    id_text = st.text(ID_CHARS + ',"', min_size=1, max_size=6)
+    trials = [Trial(data.draw(id_text), data.draw(id_text)) for _ in range(n)]
+    matrix = np.array(data.draw(st.lists(st.lists(any_float, min_size=len(names), max_size=len(names)),
+                                         min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(names))
+    dataio.write_trial_features(trials, names, matrix, store_path)
+    assert store_path.read_bytes() == csv_write_trial_features(trials, names, matrix).encode("utf-8")
+
+
+@given(st.lists(st.tuples(ids, ids, finite_float), max_size=20))
+def test_write_scores_matches_format_float_bytes(store_path, rows):
+    trials = [Trial(e, t) for e, t, _ in rows]
+    scores = np.array([s for _, _, s in rows], dtype=np.float64)
+    dataio.write_scores(trials, scores, store_path)
+    reference = "".join(f"{t.enroll_id} {t.test_id} {dataio.format_float(s)}\n" for t, s in zip(trials, scores))
+    assert store_path.read_bytes() == reference.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Metric and scaling kernels against numpy's
+
+tie_prone = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, -1.5, 1e-300, 3.0]), st.floats(-1e6, 1e6))
+
+
+@given(st.lists(tie_prone, min_size=2, max_size=200), st.data())
+def test_det_curve_thresholds_are_np_unique_bit_for_bit(scores, data):
+    labels = [True, False] + data.draw(st.lists(st.booleans(), min_size=len(scores) - 2, max_size=len(scores) - 2))
+    thresholds = metrics.det_curve(scores, labels).thresholds
+    distinct = np.unique(np.array(scores))
+    assert bits(thresholds[-1]) == bits(np.nextafter(distinct[-1], np.inf))
+    # np.unique's hash table sets the sign of a zero where -0.0 and +0.0 tie (7 x -0.0
+    # then 0.0 gives -0.0, 8 x gives 0.0); det_curve keeps the first in input order
+    zero = distinct == 0.0
+    assert bits(thresholds[:-1][~zero]) == bits(distinct[~zero])
+    assert bits(thresholds[:-1][zero]) == bits([s for s in scores if s == 0.0][:1])
+
+
+@given(st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(tie_prone, st.just(math.nan)), min_size=k, max_size=k), min_size=1, max_size=30)))
+def test_minmax_fit_medians_are_np_median_bit_for_bit(rows):
+    matrix = np.array(rows, dtype=np.float64)
+    matrix[0, np.isnan(matrix).all(axis=0)] = -0.0  # every feature needs one observed value
+    params = qmf.minmax_fit(matrix, [f"f{j}" for j in range(matrix.shape[1])])
+    expected = [np.median(column[np.isfinite(column)]) for column in matrix.T]
+    assert bits(params.median) == bits(expected)
 
 
 # ---------------------------------------------------------------------------
