@@ -1,10 +1,14 @@
 """Adaptive symmetric score normalization.
 
-Each trial side is scored against a cohort of per-speaker mean embeddings,
-the top N cohort scores per side give that side's mean and population
-standard deviation (computed once per unique trial-side utterance, from its
-mean embedding), and the normalized score is the average of the two
-z-normalized raw scores:
+The cohort is an embedding store: one record per cohort speaker, whose mean
+embedding is that speaker's cohort row. :func:`build_cohort` makes it as
+single-chunk records, which is what ``svbackend cohort`` writes, and
+:func:`asnorm_trials` takes it or any store read back from disk.
+
+Each trial side is scored against the cohort rows, the top N cohort scores
+per side give that side's mean and population standard deviation (computed
+once per unique trial-side utterance, from its mean embedding), and the
+normalized score is the average of the two z-normalized raw scores:
 
     0.5 * ((raw - mu_e) / sd_e + (raw - mu_t) / sd_t)
 
@@ -14,8 +18,6 @@ symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataio import ChunkEmbeddings, Trial
@@ -24,55 +26,21 @@ from .rng import SplitMix64, derive_seed
 from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, trial_sides
 
 
-@dataclass(frozen=True)
-class AsNormConfig:
-    top_n: int = 100
-    utterances_per_speaker: int = 20
-
-    def __post_init__(self):
-        if self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-        if self.utterances_per_speaker < 1:
-            raise ValueError(f"utterances_per_speaker must be >= 1, got {self.utterances_per_speaker}")
-
-
-@dataclass(frozen=True)
-class Cohort:
-    """One mean embedding per cohort speaker. Immutable after construction."""
-
-    speaker_ids: tuple[str, ...]
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        emb = np.asarray(self.embeddings, dtype=np.float64)
-        if emb.ndim != 2 or emb.shape[0] != len(self.speaker_ids):
-            raise ValueError(f"embeddings must be (n_speakers, dim), got {emb.shape}")
-        if emb.shape[0] < 1:
-            raise ValueError("empty cohort")
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("non-finite cohort embedding")
-        if len(set(self.speaker_ids)) != len(self.speaker_ids):
-            raise ValueError("duplicate cohort speaker ids")
-        object.__setattr__(self, "embeddings", emb)
-
-    def __len__(self) -> int:
-        return self.embeddings.shape[0]
-
-
 def build_cohort(
     records: list[ChunkEmbeddings],
     speaker_map: dict[str, str],
-    config: AsNormConfig = AsNormConfig(),
+    per_speaker: int = 20,
     seed: int = 0,
-) -> Cohort:
-    """Cohort of per-speaker embeddings from an embedding store.
+) -> list[ChunkEmbeddings]:
+    """Cohort store of one single-chunk record per speaker, sorted by speaker id.
 
-    For each speaker, up to ``utterances_per_speaker`` utterances are chosen
-    by a seeded shuffle of the speaker's sorted utterance list (substream
-    derived from the speaker id, so the choice is independent of input
-    order), and the cohort embedding is the mean of the chosen utterances'
-    mean embeddings.
+    For each speaker, up to ``per_speaker`` utterances are chosen by a seeded
+    shuffle of the speaker's sorted utterance list (substream derived from
+    the speaker id, so the choice is independent of input order), and the
+    speaker's row is the mean of the chosen utterances' mean embeddings.
     """
+    if per_speaker < 1:
+        raise ValueError(f"per_speaker must be >= 1, got {per_speaker}")
     if not speaker_map:
         raise ToolkitError("empty speaker map")
     by_speaker: dict[str, list[ChunkEmbeddings]] = {}
@@ -84,15 +52,14 @@ def build_cohort(
         if speaker_id not in by_speaker:
             raise ToolkitError(f"speaker {speaker_id!r} has no utterances in the store")
 
-    speaker_ids = sorted(by_speaker)
-    rows = []
-    for speaker_id in speaker_ids:
+    cohort = []
+    for speaker_id in sorted(by_speaker):
         recs = sorted(by_speaker[speaker_id], key=lambda r: r.utt_id)
         rng = SplitMix64(derive_seed(seed, f"cohort/{speaker_id}"))
-        chosen = rng.take(recs, min(config.utterances_per_speaker, len(recs)))
+        chosen = rng.take(recs, min(per_speaker, len(recs)))
         means = np.stack([rec.mean_embedding() for rec in chosen])
-        rows.append(means.mean(axis=0))
-    return Cohort(speaker_ids=tuple(speaker_ids), embeddings=np.stack(rows))
+        cohort.append(ChunkEmbeddings(speaker_id, means.mean(axis=0)[None, :]))
+    return cohort
 
 
 def _top_n_rows(sims: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,38 +104,37 @@ def normalize_from_cohort_scores(
     return float(_normalize(raw, mu_e, sd_e, mu_t, sd_t))
 
 
-def require_cohort_size(n_speakers: int, config: AsNormConfig) -> None:
-    """A cohort needs at least ``top_n`` speakers to give each side ``top_n`` scores."""
-    if n_speakers < config.top_n:
-        raise ToolkitError(f"cohort has {n_speakers} speakers, need >= top_n={config.top_n}")
-
-
 def asnorm_trials(
     raw_scores: np.ndarray,
     pairs: list[Trial],
     records: list[ChunkEmbeddings],
-    cohort: Cohort,
-    config: AsNormConfig = AsNormConfig(),
+    cohort: list[ChunkEmbeddings],
+    top_n: int = 100,
 ) -> np.ndarray:
-    """AS-Norm of each scored pair, with the sides' embeddings looked up in ``records``.
+    """AS-Norm of each scored pair, with the sides' embeddings looked up in
+    ``records`` and the cohort rows the mean embeddings of ``cohort``'s records.
 
     Side rows are scored against the cohort in blocks whose similarities fit
     in ``COSINE_BLOCK_BYTES`` (at least one row each), and each block is
     reduced to its rows' top-N mean and std before the next is scored.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
-    require_cohort_size(len(cohort), config)
+    if len(cohort) < top_n:
+        raise ToolkitError(f"cohort has {len(cohort)} speakers, need >= top_n={top_n}")
     if not pairs:
         return raw_scores
     side_records, enroll, test = trial_sides(records, pairs)
     mu = np.empty(len(side_records), dtype=np.float64)
     sd = np.empty(len(side_records), dtype=np.float64)
-    cohort_norms = row_norms(cohort.embeddings)
+    cohort_rows = np.stack([rec.mean_embedding() for rec in cohort])
+    cohort_norms = row_norms(cohort_rows)
     step = max(1, COSINE_BLOCK_BYTES // (len(cohort) * 8))
     for start in range(0, len(side_records), step):
         rows = slice(start, start + step)
         means = np.stack([rec.mean_embedding() for rec in side_records[rows]])
-        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort.embeddings, cohort_norms), config.top_n)
+        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort_rows, cohort_norms), top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

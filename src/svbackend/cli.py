@@ -50,40 +50,30 @@ def score(embeddings, trials, out):
 @cli.command()
 @click.option("--embeddings", required=True, help="Embedding store of cohort utterances.")
 @click.option("--speakers", required=True, help="Speaker map (utt_id speaker_id).")
-@click.option("--per-speaker", default=20, show_default=True, help="Utterances subsampled per speaker.")
+@click.option("--per-speaker", default=20, show_default=True, type=click.IntRange(min=1),
+              help="Utterances subsampled per speaker.")
 @click.option("--seed", default=0, show_default=True, help="Subsampling seed.")
 @click.option("--out", required=True, help="Output cohort store (one row per speaker).")
 def cohort(embeddings, speakers, per_speaker, seed, out):
     """Build a per-speaker cohort for AS-Norm."""
     records = dataio.read_embeddings(embeddings)
     speaker_map = dataio.read_speaker_map(speakers)
-    config = asnorm_mod.AsNormConfig(utterances_per_speaker=per_speaker)
-    built = asnorm_mod.build_cohort(records, speaker_map, config, seed)
-    rows = [
-        dataio.ChunkEmbeddings(spk, built.embeddings[i][None, :])
-        for i, spk in enumerate(built.speaker_ids)
-    ]
-    dataio.write_embeddings(rows, out)
+    dataio.write_embeddings(asnorm_mod.build_cohort(records, speaker_map, per_speaker, seed), out)
 
 
 @cli.command(name="asnorm")
 @click.option("--scores", required=True, help="Raw score file.")
 @click.option("--embeddings", required=True, help="Embedding store covering the scored utterances.")
 @click.option("--cohort", "cohort_path", required=True, help="Cohort store from the cohort subcommand.")
-@click.option("--top-n", default=100, show_default=True, help="Cohort scores kept per trial side.")
+@click.option("--top-n", default=100, show_default=True, type=click.IntRange(min=1),
+              help="Cohort scores kept per trial side.")
 @click.option("--out", required=True, help="Output normalized score file.")
 def asnorm_cmd(scores, embeddings, cohort_path, top_n, out):
     """Apply adaptive symmetric score normalization."""
     pairs, raw = dataio.read_scores(scores)
     records = dataio.read_embeddings(embeddings)
     cohort_records = dataio.read_embeddings(cohort_path)
-    config = asnorm_mod.AsNormConfig(top_n=top_n)
-    asnorm_mod.require_cohort_size(len(cohort_records), config)
-    built = asnorm_mod.Cohort(
-        speaker_ids=tuple(rec.utt_id for rec in cohort_records),
-        embeddings=np.stack([rec.mean_embedding() for rec in cohort_records]),
-    )
-    normalized = asnorm_mod.asnorm_trials(raw, pairs, records, built, config)
+    normalized = asnorm_mod.asnorm_trials(raw, pairs, records, cohort_records, top_n)
     dataio.write_scores(pairs, normalized, out)
 
 
@@ -141,9 +131,11 @@ def _assemble_raw_features(
 @click.option("--scores", multiple=True, required=True, help="Score file per system (repeatable).")
 @click.option("--qmf", "qmf_path", default=None, help="Per-trial feature CSV from the qmf subcommand.")
 @click.option("--trials", required=True, help="Labeled trial list.")
-@click.option("--lambda", "lam", default=0.01, show_default=True, help="L1 penalty weight.")
-@click.option("--max-iters", default=100000, show_default=True, help="Iteration cap.")
-@click.option("--tol", default=1e-9, show_default=True, help="KKT residual stop threshold.")
+@click.option("--lambda", "lam", default=0.01, show_default=True, type=click.FloatRange(min=0.0),
+              help="L1 penalty weight.")
+@click.option("--max-iters", default=100000, show_default=True, type=click.IntRange(min=1), help="Iteration cap.")
+@click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0.0),
+              help="KKT residual stop threshold.")
 @click.option("--out", required=True, help="Output model JSON.")
 def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
@@ -174,7 +166,8 @@ def fuse_apply(model_path, scores, qmf_path, out):
 @cli.command(name="eval")
 @click.option("--scores", required=True, help="Score file.")
 @click.option("--trials", required=True, help="Labeled trial list aligned with the scores.")
-@click.option("--p-target", "p_targets", multiple=True, type=float, default=(0.05, 0.01), show_default=True)
+@click.option("--p-target", "p_targets", multiple=True, default=(0.05, 0.01), show_default=True,
+              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
 def eval_cmd(scores, trials, p_targets):
     """Report EER and minDCF on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
@@ -193,22 +186,16 @@ def eval_cmd(scores, trials, p_targets):
 @click.option("--source-spk", required=True, help="Source speaker map.")
 @click.option("--target-emb", required=True, help="Target-corpus embedding store.")
 @click.option("--target-spk", required=True, help="Target speaker map.")
-@click.option("--top-k", default=50, show_default=True, help="Source speakers kept per target.")
-@click.option("--dedup", default=0.8, show_default=True, help="Duplicate-identity similarity threshold.")
+@click.option("--top-k", default=50, show_default=True, type=click.IntRange(min=1),
+              help="Source speakers kept per target.")
+@click.option("--dedup", default=0.8, show_default=True, type=click.FloatRange(0.0, 1.0, min_open=True),
+              help="Duplicate-identity similarity threshold.")
 @click.option("--out", required=True, help="Output selection CSV.")
 def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
     """Select source speakers nearest the target domain."""
-    source = curation.profiles_from_store(
-        dataio.read_embeddings(source_emb), dataio.read_speaker_map(source_spk)
-    )
-    targets = curation.profiles_from_store(
-        dataio.read_embeddings(target_emb), dataio.read_speaker_map(target_spk)
-    )
-    try:
-        config = curation.DdfConfig(top_k=top_k, dedup_threshold=dedup)
-    except ValueError as exc:
-        raise ToolkitError(str(exc)) from None
-    selections = curation.ddf_select(source, targets, config)
+    source = curation.profiles_from_store(dataio.read_embeddings(source_emb), dataio.read_speaker_map(source_spk))
+    targets = curation.profiles_from_store(dataio.read_embeddings(target_emb), dataio.read_speaker_map(target_spk))
+    selections = curation.ddf_select(source, targets, curation.DdfConfig(top_k=top_k, dedup_threshold=dedup))
     dataio.write_selections(
         [(sel.speaker_id, sel.max_similarity, sel.nearest_target_id) for sel in selections], out
     )
@@ -218,11 +205,9 @@ def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
 @click.option("--name", required=True, type=click.Choice(["base", "finetune", "staircase"]))
 @click.option("--spec", "spec_text", default=None, help="gamma,warmup,plateau,epochs_per for staircase.")
 @click.option("--max-lr", default=None, type=float, help="Peak learning rate for staircase.")
-@click.option("--epochs", required=True, type=int, help="Number of epochs to print, starting at 0.")
+@click.option("--epochs", required=True, type=click.IntRange(min=1), help="Number of epochs to print, starting at 0.")
 def schedule(name, spec_text, max_lr, epochs):
     """Print an epoch,lr[,margin] CSV for a named schedule."""
-    if epochs < 1:
-        raise click.UsageError("--epochs must be >= 1")
     lines = []
     if name == "staircase":
         if spec_text is None or max_lr is None:

@@ -4,11 +4,12 @@ All formats are line-oriented text. Floats are rendered with ``repr``, the
 canonical shortest decimal that round-trips to the same IEEE-754 double, so
 write-then-read is bit exact. Writers are atomic (temp file + ``os.replace``).
 Readers raise :class:`~svbackend.errors.DataFormatError` with path and line
-number for anything malformed; they never raise bare parse exceptions. The
-store reader casts each record's values with one numpy call and falls back to
-parsing token by token on any line that fails the cast or its checks, so the
-error text and line number are the token path's. The store writer formats and
-writes one record at a time, so the store's text is never held whole.
+number for anything malformed, bytes that are not UTF-8 included; they never
+raise bare parse exceptions. The store reader checks each record's fields
+and casts its values with one numpy call; only when that cast or the
+finiteness check fails does it parse them token by token, to name the bad
+token. The store writer formats and writes one record at a time, so the
+store's text is never held whole.
 
 The trial feature reader follows the same pattern over the whole file: it
 splits its lines once, casts every feature cell with one numpy call (a blank
@@ -89,11 +90,21 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 
 
 def read_text(path: str) -> str:
+    """The file decoded as UTF-8 with universal newlines. Bytes that are not
+    UTF-8 raise a located error at the line they start on, with lines counted
+    by ``str.splitlines`` as the readers count them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read file: {exc.strerror or exc}", path=str(path)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the fault decode; "_" stands in for the faulty line
+        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
+        raise DataFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", path=str(path), line=line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _parse_float(token: str, path: str, line: int) -> float:
@@ -202,33 +213,17 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     records: list[ChunkEmbeddings] = []
     seen: set[str] = set()
     for lineno, raw in lines[1:]:
-        record = _fast_record(raw, dim, seen)
-        if record is None:
-            record = _token_record(raw, dim, seen, path, lineno)
+        record = _record(raw, dim, seen, path, lineno)
         seen.add(record.utt_id)
         records.append(record)
     return records
 
 
-def _fast_record(raw: str, dim: int, seen: set[str]) -> ChunkEmbeddings | None:
-    """One store record parsed with a single numpy cast, or None for any line
-    that :func:`_token_record` must judge (it raises the located error).
-    Finiteness is left to the record's own check."""
-    try:
-        utt_id, count, rest = raw.split(None, 2)
-        n_chunks = int(count)
-        values = np.array(rest.split(), dtype=np.float64)
-        # rest holds at least one value, so a size match implies n_chunks >= 1
-        if values.size != n_chunks * dim or utt_id in seen:
-            return None
-        return ChunkEmbeddings(utt_id, values.reshape(n_chunks, dim))
-    except ValueError:
-        return None
-
-
-def _token_record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
-    """One store record parsed token by token, raising the located error for
-    the first fault in the line."""
+def _record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
+    """One store record, raising the located error for the first fault in the
+    line. The values are cast with one numpy call; only when that cast or the
+    record's finiteness check fails are they parsed token by token, to name
+    the bad token."""
     tokens = raw.split()
     if len(tokens) < 2:
         raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
@@ -249,8 +244,11 @@ def _token_record(raw: str, dim: int, seen: set[str], path: str, lineno: int) ->
         )
     if utt_id in seen:
         raise DataFormatError(f"duplicate utt_id {utt_id!r}", path=path, line=lineno)
-    flat = np.array([_parse_float(tok, path, lineno) for tok in values], dtype=np.float64)
-    return ChunkEmbeddings(utt_id, flat.reshape(n_chunks, dim))
+    try:
+        return ChunkEmbeddings(utt_id, np.array(values, dtype=np.float64).reshape(n_chunks, dim))
+    except ValueError:
+        flat = np.array([_parse_float(tok, path, lineno) for tok in values], dtype=np.float64)
+        return ChunkEmbeddings(utt_id, flat.reshape(n_chunks, dim))
 
 
 def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:

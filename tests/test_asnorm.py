@@ -1,16 +1,11 @@
 """Adaptive score normalization: hand values, invariances, cohort building."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from svbackend.asnorm import (
-    AsNormConfig,
-    Cohort,
-    asnorm_trials,
-    build_cohort,
-    normalize_from_cohort_scores,
-    top_n_stats,
-)
+from svbackend.asnorm import asnorm_trials, build_cohort, normalize_from_cohort_scores, top_n_stats
 from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import DegenerateCohortError, ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
@@ -108,34 +103,33 @@ def test_non_finite_raw_rejected(np_rng):
 # Cohort construction
 
 
-def test_cohort_validation(np_rng):
-    with pytest.raises(ValueError, match="duplicate"):
-        Cohort(("s1", "s1"), np_rng.normal(size=(2, 4)))
-    with pytest.raises(ValueError):
-        Cohort(("s1",), np_rng.normal(size=(2, 4)))
-    with pytest.raises(ValueError, match="non-finite"):
-        Cohort(("s1",), np.array([[np.nan, 0.0]]))
+def _ids(cohort):
+    return [rec.utt_id for rec in cohort]
+
+
+def _rows(cohort):
+    """The cohort's rows, one per single-chunk record."""
+    assert all(rec.n_chunks == 1 for rec in cohort)
+    return np.concatenate([rec.chunks for rec in cohort])
 
 
 def test_build_cohort_speakers_sorted_and_deterministic(small_synth):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=3, utterances_per_speaker=2)
-    cohort_a = build_cohort(records, speaker_map, config, seed=4)
-    cohort_b = build_cohort(list(reversed(records)), speaker_map, config, seed=4)
-    assert cohort_a.speaker_ids == tuple(sorted(cohort_a.speaker_ids))
-    assert cohort_a.speaker_ids == cohort_b.speaker_ids
-    assert cohort_a.embeddings.tobytes() == cohort_b.embeddings.tobytes()
-    different = build_cohort(records, speaker_map, config, seed=5)
-    assert cohort_a.embeddings.tobytes() != different.embeddings.tobytes()
+    cohort_a = build_cohort(records, speaker_map, per_speaker=2, seed=4)
+    cohort_b = build_cohort(list(reversed(records)), speaker_map, per_speaker=2, seed=4)
+    assert _ids(cohort_a) == sorted(set(speaker_map.values()))
+    assert _ids(cohort_a) == _ids(cohort_b)
+    assert _rows(cohort_a).tobytes() == _rows(cohort_b).tobytes()
+    different = build_cohort(records, speaker_map, per_speaker=2, seed=5)
+    assert _rows(cohort_a).tobytes() != _rows(different).tobytes()
 
 
 def test_build_cohort_matches_substream_replay(small_synth):
     """Replays the per-speaker seeded subsample independently."""
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=3, utterances_per_speaker=3)
     seed = 9
-    cohort = build_cohort(records, speaker_map, config, seed=seed)
-    for row, speaker in zip(cohort.embeddings, cohort.speaker_ids):
+    cohort = build_cohort(records, speaker_map, per_speaker=3, seed=seed)
+    for row, speaker in zip(_rows(cohort), _ids(cohort)):
         utts = sorted(
             (r for r in records if speaker_map[r.utt_id] == speaker),
             key=lambda r: r.utt_id,
@@ -148,9 +142,8 @@ def test_build_cohort_matches_substream_replay(small_synth):
 
 def test_build_cohort_uses_all_when_quota_exceeds(small_synth):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=3, utterances_per_speaker=50)
-    cohort = build_cohort(records, speaker_map, config, seed=0)
-    for row, speaker in zip(cohort.embeddings, cohort.speaker_ids):
+    cohort = build_cohort(records, speaker_map, per_speaker=50, seed=0)
+    for row, speaker in zip(_rows(cohort), _ids(cohort)):
         means = [r.mean_embedding() for r in records if speaker_map[r.utt_id] == speaker]
         # all utterances contribute; summation order follows the subsample draw
         assert np.allclose(row, np.stack(means).mean(axis=0), rtol=0, atol=1e-12)
@@ -171,8 +164,8 @@ def test_build_cohort_errors(small_synth):
 
 
 def _manual_asnorm(raw, e_emb, t_emb, cohort, top_n):
-    e_scores = np.array([cosine(e_emb, row) for row in cohort.embeddings])
-    t_scores = np.array([cosine(t_emb, row) for row in cohort.embeddings])
+    e_scores = np.array([cosine(e_emb, row) for row in _rows(cohort)])
+    t_scores = np.array([cosine(t_emb, row) for row in _rows(cohort)])
     return normalize_from_cohort_scores(raw, e_scores, t_scores, top_n)
 
 
@@ -183,54 +176,53 @@ def _single_chunk_records(embeddings):
 
 def test_asnorm_score_matches_manual_pipeline(small_synth, np_rng):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=4, utterances_per_speaker=2)
-    cohort = build_cohort(records, speaker_map, config, seed=1)
+    cohort = build_cohort(records, speaker_map, per_speaker=2, seed=1)
     e_emb = np_rng.normal(size=8)
     t_emb = np_rng.normal(size=8)
     raw = 0.37
-    got = asnorm_trials(np.array([raw]), [Trial("u0", "u1")], _single_chunk_records([e_emb, t_emb]), cohort, config)
-    e_scores = np.array([cosine(e_emb, row) for row in cohort.embeddings])
-    t_scores = np.array([cosine(t_emb, row) for row in cohort.embeddings])
+    got = asnorm_trials(np.array([raw]), [Trial("u0", "u1")], _single_chunk_records([e_emb, t_emb]), cohort, top_n=4)
+    e_scores = np.array([cosine(e_emb, row) for row in _rows(cohort)])
+    t_scores = np.array([cosine(t_emb, row) for row in _rows(cohort)])
     expected = normalize_from_cohort_scores(raw, e_scores, t_scores, 4)
     assert got[0] == expected
 
 
 def test_asnorm_score_requires_enough_cohort(small_synth, np_rng):
     records, speaker_map = small_synth
-    cohort = build_cohort(records, speaker_map, AsNormConfig(top_n=2, utterances_per_speaker=2))
+    cohort = build_cohort(records, speaker_map, per_speaker=2)
     sides = _single_chunk_records(np_rng.normal(size=(2, 8)))
-    with pytest.raises(ToolkitError, match="top_n"):
-        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, cohort, AsNormConfig(top_n=100))
+    with pytest.raises(ToolkitError, match=f"cohort has {len(cohort)} speakers, need >= top_n=100"):
+        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, cohort, top_n=100)
+    with pytest.raises(ToolkitError, match="cohort has 0 speakers, need >= top_n=4"):
+        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, [], top_n=4)
 
 
 def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=4, utterances_per_speaker=3)
-    cohort = build_cohort(records, speaker_map, config, seed=2)
+    cohort = build_cohort(records, speaker_map, per_speaker=3, seed=2)
     raw = np_rng.normal(size=5) * 0.2
     e = np_rng.normal(size=(5, 8))
     t = np_rng.normal(size=(5, 8))
     sides = _single_chunk_records(np.concatenate([e, t]))
     pairs = [Trial(f"u{i}", f"u{i + 5}") for i in range(5)]
-    out = asnorm_trials(raw, pairs, sides, cohort, config)
+    out = asnorm_trials(raw, pairs, sides, cohort, top_n=4)
     for i in range(5):
         assert out[i] == _manual_asnorm(float(raw[i]), e[i], t[i], cohort, 4)
     with pytest.raises(ToolkitError, match="equal length"):
-        asnorm_trials(raw[:3], pairs, sides, cohort, config)
+        asnorm_trials(raw[:3], pairs, sides, cohort, top_n=4)
 
 
 def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_rng):
     """Utterances shared across trials, multi-chunk sides and self-trials all
     match the per-trial oracle bit for bit."""
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=4, utterances_per_speaker=2)
-    cohort = build_cohort(records, speaker_map, config, seed=3)
+    cohort = build_cohort(records, speaker_map, per_speaker=2, seed=3)
     sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(3, 8))) for i in range(4)]
     pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 4, size=(12, 2))]
     pairs.append(Trial("s2", "s2"))
     raw = np_rng.normal(size=len(pairs)) * 0.3
     by_id = {rec.utt_id: rec for rec in sides}
-    out = asnorm_trials(raw, pairs, sides + records[:2], cohort, config)
+    out = asnorm_trials(raw, pairs, sides + records[:2], cohort, top_n=4)
     for i, pair in enumerate(pairs):
         expected = _manual_asnorm(
             float(raw[i]), by_id[pair.enroll_id].mean_embedding(), by_id[pair.test_id].mean_embedding(), cohort, 4
@@ -240,28 +232,40 @@ def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_r
 
 def test_asnorm_trials_swap_symmetry_is_bitwise(small_synth, np_rng):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=4, utterances_per_speaker=2)
-    cohort = build_cohort(records, speaker_map, config, seed=4)
+    cohort = build_cohort(records, speaker_map, per_speaker=2, seed=4)
     sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(2, 8))) for i in range(5)]
     pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 5, size=(15, 2))]
     raw = np_rng.normal(size=len(pairs)) * 0.3
-    forward = asnorm_trials(raw, pairs, sides, cohort, config)
-    swapped = asnorm_trials(raw, [Trial(p.test_id, p.enroll_id) for p in pairs], sides, cohort, config)
+    forward = asnorm_trials(raw, pairs, sides, cohort, top_n=4)
+    swapped = asnorm_trials(raw, [Trial(p.test_id, p.enroll_id) for p in pairs], sides, cohort, top_n=4)
     assert forward.tobytes() == swapped.tobytes()
 
 
 def test_asnorm_trials_missing_utterance(small_synth, np_rng):
     records, speaker_map = small_synth
-    config = AsNormConfig(top_n=2, utterances_per_speaker=2)
-    cohort = build_cohort(records, speaker_map, config)
+    cohort = build_cohort(records, speaker_map, per_speaker=2)
     with pytest.raises(ToolkitError, match="'ghost' missing from embedding store"):
-        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, "ghost")], records, cohort, config)
+        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, "ghost")], records, cohort, top_n=2)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        AsNormConfig(top_n=0)
-    with pytest.raises(ValueError):
-        AsNormConfig(utterances_per_speaker=0)
-    assert AsNormConfig().top_n == 100
-    assert AsNormConfig().utterances_per_speaker == 20
+def test_asnorm_trials_multi_chunk_cohort_equals_store_of_its_means(small_synth, np_rng):
+    """A cohort store read from disk may hold several chunks per record; its
+    rows are the records' mean embeddings."""
+    records, _ = small_synth
+    cohort = [ChunkEmbeddings(f"c{k}", np_rng.normal(size=(int(np_rng.integers(1, 4)), 8))) for k in range(6)]
+    means = [ChunkEmbeddings(rec.utt_id, rec.mean_embedding()[None, :]) for rec in cohort]
+    pairs = [Trial(records[i].utt_id, records[j].utt_id) for i, j in np_rng.integers(0, len(records), size=(10, 2))]
+    raw = np_rng.normal(size=len(pairs)) * 0.3
+    got = asnorm_trials(raw, pairs, records, cohort, top_n=4)
+    assert got.tobytes() == asnorm_trials(raw, pairs, records, means, top_n=4).tobytes()
+
+
+def test_config_validation(small_synth):
+    records, speaker_map = small_synth
+    cohort = build_cohort(records, speaker_map)
+    with pytest.raises(ValueError, match="top_n must be >= 1, got 0"):
+        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, records[1].utt_id)], records, cohort, top_n=0)
+    with pytest.raises(ValueError, match="per_speaker must be >= 1, got 0"):
+        build_cohort(records, speaker_map, per_speaker=0)
+    assert inspect.signature(asnorm_trials).parameters["top_n"].default == 100
+    assert inspect.signature(build_cohort).parameters["per_speaker"].default == 20

@@ -372,6 +372,44 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "bad_emb.txt:2:" in err
 
 
+# Every required path names a file that does not exist, so an exit code of 1
+# shows the flag was refused before any input was read (that would exit 2).
+BAD_FLAG_VALUES = [
+    ["cohort", "--embeddings", "e", "--speakers", "s", "--out", "o", "--per-speaker", "0"],
+    ["asnorm", "--scores", "r", "--embeddings", "e", "--cohort", "c", "--out", "o", "--top-n", "0"],
+    ["ddf", "--source-emb", "a", "--source-spk", "b", "--target-emb", "c", "--target-spk", "d", "--out", "o",
+     "--top-k", "0"],
+    ["ddf", "--source-emb", "a", "--source-spk", "b", "--target-emb", "c", "--target-spk", "d", "--out", "o",
+     "--dedup", "0"],
+    ["ddf", "--source-emb", "a", "--source-spk", "b", "--target-emb", "c", "--target-spk", "d", "--out", "o",
+     "--dedup", "1.5"],
+    ["eval", "--scores", "r", "--trials", "t", "--p-target", "2"],
+    ["eval", "--scores", "r", "--trials", "t", "--p-target", "0.05", "--p-target", "0"],
+    ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--max-iters", "0"],
+    ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--lambda", "-1"],
+    ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--tol", "-1"],
+    ["schedule", "--name", "base", "--epochs", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=lambda argv: f"{argv[0]} {' '.join(argv[-2:])}")
+def test_out_of_range_flag_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_store_that_is_not_utf8_exits_2_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad_emb.txt"
+    bad.write_bytes(b"dim=1\nu1 1 0.5\xff\n")
+    trials = tmp_path / "t.txt"
+    trials.write_text("u1 u1\n")
+    rc = main(["score", "--embeddings", str(bad), "--trials", str(trials), "--out", str(tmp_path / "o.txt")])
+    assert rc == 2
+    assert "bad_emb.txt:2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["eval", "--nope", "x"]) == 1
 

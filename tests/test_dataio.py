@@ -59,6 +59,40 @@ def test_read_text_missing_file_is_data_error(tmp_path):
         dataio.read_text(str(tmp_path / "gone.txt"))
 
 
+# Each reader with a first line it accepts; a byte 0xff follows on line 2.
+SNR_SCHEMA = [dataio.SchemaColumn("snr", "real", "identity")]
+UTF8_READERS = {
+    "read_text": ("x", dataio.read_text),
+    "read_embeddings": ("dim=1", dataio.read_embeddings),
+    "read_trials": ("1 a b", lambda p: dataio.read_trials(p, expect_labels=True)),
+    "sniff_trial_labels": ("1 a b", dataio.sniff_trial_labels),
+    "read_scores": ("a b 0.5", dataio.read_scores),
+    "read_speaker_map": ("a s", dataio.read_speaker_map),
+    "read_schema": ("snr real identity", dataio.read_schema),
+    "read_attributes": ("utt_id,snr", lambda p: dataio.read_attributes(p, SNR_SCHEMA)),
+    "read_trial_features": ("enroll,test,f", dataio.read_trial_features),
+    "load_fusion_model": ("{", dataio.load_fusion_model),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", sorted(UTF8_READERS))
+def test_readers_locate_bytes_that_are_not_utf8(tmp_path, reader, newline):
+    first, read = UTF8_READERS[reader]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(f"{first}{newline}".encode() + b"ab\xffc" + newline.encode())
+    with pytest.raises(DataFormatError, match=r"bad\.txt:2: invalid UTF-8 byte 0xff") as err:
+        read(str(path))
+    assert err.value.line == 2
+
+
+def test_read_text_reads_newlines_as_text_mode_does(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes("a\r\nb\rc\n\u00e9\r\n\r".encode())
+    with open(path, encoding="utf-8") as handle:
+        assert dataio.read_text(str(path)) == handle.read() == "a\nb\nc\n\u00e9\n\n"
+
+
 # ---------------------------------------------------------------------------
 # Embedding stores
 

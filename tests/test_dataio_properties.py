@@ -15,7 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from svbackend import dataio, metrics, qmf, scoring
-from svbackend.asnorm import AsNormConfig, Cohort, asnorm_trials
+from svbackend.asnorm import asnorm_trials
 from svbackend.dataio import ChunkEmbeddings, Trial
 from svbackend.errors import DataFormatError, DegenerateCohortError
 
@@ -401,14 +401,12 @@ def test_score_and_asnorm_trials_are_swap_symmetric(store, data):
 
     dim = records[0].dim
     n_cohort = data.draw(st.integers(2, 6))
-    cohort = Cohort(
-        tuple(f"spk{k}" for k in range(n_cohort)),
-        nonzero_rows(data.draw(st.lists(st.lists(moderate, min_size=dim, max_size=dim),
-                                        min_size=n_cohort, max_size=n_cohort))),
-    )
-    config = AsNormConfig(top_n=data.draw(st.integers(2, n_cohort)))
+    rows = nonzero_rows(data.draw(st.lists(st.lists(moderate, min_size=dim, max_size=dim),
+                                           min_size=n_cohort, max_size=n_cohort)))
+    cohort = [ChunkEmbeddings(f"spk{k}", row[None, :]) for k, row in enumerate(rows)]
+    top_n = data.draw(st.integers(2, n_cohort))
     try:
-        forward = asnorm_trials(raw, trials, records, cohort, config)
+        forward = asnorm_trials(raw, trials, records, cohort, top_n)
     except DegenerateCohortError:
         assume(False)
-    assert bits(asnorm_trials(raw, swapped, records, cohort, config)) == bits(forward)
+    assert bits(asnorm_trials(raw, swapped, records, cohort, top_n)) == bits(forward)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import trial_side_reference as reference
 from svbackend import asnorm, curation, qmf
-from svbackend.asnorm import AsNormConfig, Cohort, asnorm_trials, build_cohort, top_n_stats
+from svbackend.asnorm import asnorm_trials, build_cohort, top_n_stats
 from svbackend.curation import DdfConfig, SpeakerProfile, ddf_select, profiles_from_store
 from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
 from svbackend.errors import DegenerateCohortError, ToolkitError
@@ -122,19 +122,19 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
     side = st.sampled_from(utts)
     trials = data.draw(st.lists(st.builds(Trial, side, side), min_size=1, max_size=15))
     n_cohort = data.draw(st.integers(1, 12))
-    cohort = Cohort(tuple(f"spk{k}" for k in range(n_cohort)),
-                    nonzero_rows(data.draw(st.lists(rows, min_size=n_cohort, max_size=n_cohort))))
+    cohort_rows = nonzero_rows(data.draw(st.lists(rows, min_size=n_cohort, max_size=n_cohort)))
+    cohort = [ChunkEmbeddings(f"spk{k}", row[None, :]) for k, row in enumerate(cohort_rows)]
     top_n = data.draw(st.integers(1, n_cohort))
     raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(trials), max_size=len(trials))))
     budget = data.draw(st.integers(1, 8 * n_cohort * 4))  # from under one row to four rows per block
     try:
         with mock.patch.object(asnorm, "COSINE_BLOCK_BYTES", budget):
-            got = asnorm_trials(raw, trials, records, cohort, AsNormConfig(top_n=top_n))
+            got = asnorm_trials(raw, trials, records, cohort, top_n)
     except DegenerateCohortError:
         assume(False)
     by_id = {rec.utt_id: rec for rec in records}
     side_ids = list(dict.fromkeys(u for t in trials for u in (t.enroll_id, t.test_id)))
-    mu, sd = reference.side_stats(np.stack([by_id[u].mean_embedding() for u in side_ids]), cohort.embeddings, top_n)
+    mu, sd = reference.side_stats(np.stack([by_id[u].mean_embedding() for u in side_ids]), cohort_rows, top_n)
     e = np.array([side_ids.index(t.enroll_id) for t in trials])
     t = np.array([side_ids.index(t.test_id) for t in trials])
     expected = 0.5 * ((raw - mu[e]) / sd[e] + (raw - mu[t]) / sd[t])
@@ -217,14 +217,15 @@ def test_build_cohort_does_not_depend_on_input_order(data):
         for k in range(data.draw(st.integers(1, 4))):
             speaker_map[f"{s}/{k}"] = s
             records.append(ChunkEmbeddings(f"{s}/{k}", np.array(data.draw(st.lists(rows, min_size=1, max_size=3)))))
-    config = AsNormConfig(top_n=1, utterances_per_speaker=data.draw(st.integers(1, 4)))
+    per_speaker = data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2**32))
-    baseline = build_cohort(records, speaker_map, config, seed)
+    baseline = build_cohort(records, speaker_map, per_speaker, seed)
     shuffled = build_cohort(
-        data.draw(st.permutations(records)), dict(data.draw(st.permutations(list(speaker_map.items())))), config, seed
+        data.draw(st.permutations(records)), dict(data.draw(st.permutations(list(speaker_map.items())))),
+        per_speaker, seed,
     )
-    assert shuffled.speaker_ids == baseline.speaker_ids
-    assert shuffled.embeddings.tobytes() == baseline.embeddings.tobytes()
+    assert [rec.utt_id for rec in shuffled] == [rec.utt_id for rec in baseline]
+    assert [rec.chunks.tobytes() for rec in shuffled] == [rec.chunks.tobytes() for rec in baseline]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +252,8 @@ def test_asnorm_and_ddf_peaks_stay_within_block_budget():
     records = [ChunkEmbeddings(f"u{i}", rng.normal(size=(1, dim))) for i in range(n_sides)]
     trials = [Trial(f"u{2 * i}", f"u{2 * i + 1}") for i in range(n_sides // 2)]
     raw = rng.uniform(-1.0, 1.0, size=len(trials))
-    cohort = Cohort(tuple(f"spk{k}" for k in range(n_cohort)), rng.normal(size=(n_cohort, dim)))
-    normalized, peak = traced_peak(asnorm_trials, raw, trials, records, cohort, AsNormConfig(top_n=100))
+    cohort = [ChunkEmbeddings(f"spk{k}", rng.normal(size=(1, dim))) for k in range(n_cohort)]
+    normalized, peak = traced_peak(asnorm_trials, raw, trials, records, cohort, 100)
     assert peak < 5 * COSINE_BLOCK_BYTES + normalized.nbytes
     assert peak < full_matrix / 3
 
