@@ -12,11 +12,10 @@ stderr; all output files are written atomically.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import sys
 import warnings
-from pathlib import Path
 
 import click
 import numpy as np
@@ -29,6 +28,16 @@ from .errors import ConvergenceWarning, ToolkitError
 @click.group(name="svbackend")
 def cli():
     """Speaker-verification back-end toolkit."""
+
+
+class _FiniteFloatRange(click.FloatRange):
+    """``click.FloatRange`` that also refuses NaN and infinity."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return value
 
 
 def _read_trials_auto(path: str) -> list[dataio.Trial]:
@@ -93,54 +102,20 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
     dataio.write_trial_features(trial_list, names, matrix, out)
 
 
-def _assemble_raw_features(
-    score_paths: tuple[str, ...],
-    qmf_path: str | None,
-    reference: list[dataio.Trial] | None,
-) -> tuple[list[dataio.Trial], list[str], np.ndarray]:
-    """Read score files, then the optional feature CSV, as named raw feature
-    columns aligned against a reference pair list (the first file's when None)."""
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    for path in score_paths:
-        pairs, values = dataio.read_scores(path)
-        if reference is None:
-            reference = pairs
-        else:
-            dataio.check_score_alignment(reference, pairs, path)
-        name = Path(path).stem
-        if name in names:
-            raise ToolkitError(f"duplicate score feature name {name!r} (from {path})")
-        names.append(name)
-        columns.append(values)
-    assert reference is not None
-    if qmf_path is not None:
-        pairs, qmf_names, matrix = dataio.read_trial_features(qmf_path)
-        dataio.check_score_alignment(reference, pairs, qmf_path)
-        for name in qmf_names:
-            if name in names:
-                raise ToolkitError(f"duplicate feature name {name!r} (from {qmf_path})")
-        names = names + list(qmf_names)
-        raw = np.column_stack(columns + [matrix])
-    else:
-        raw = np.column_stack(columns)
-    return reference, names, raw
-
-
 @cli.command(name="fuse-fit")
 @click.option("--scores", multiple=True, required=True, help="Score file per system (repeatable).")
 @click.option("--qmf", "qmf_path", default=None, help="Per-trial feature CSV from the qmf subcommand.")
 @click.option("--trials", required=True, help="Labeled trial list.")
-@click.option("--lambda", "lam", default=0.01, show_default=True, type=click.FloatRange(min=0.0),
+@click.option("--lambda", "lam", default=0.01, show_default=True, type=_FiniteFloatRange(min=0.0),
               help="L1 penalty weight.")
 @click.option("--max-iters", default=100000, show_default=True, type=click.IntRange(min=1), help="Iteration cap.")
-@click.option("--tol", default=1e-9, show_default=True, type=click.FloatRange(min=0.0),
+@click.option("--tol", default=1e-9, show_default=True, type=_FiniteFloatRange(min=0.0),
               help="KKT residual stop threshold.")
 @click.option("--out", required=True, help="Output model JSON.")
 def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
-    _, names, raw = _assemble_raw_features(scores, qmf_path, trial_list)
+    _, names, raw = dataio.read_fusion_features(scores, qmf_path, trial_list)
     labels = np.array([t.label for t in trial_list], dtype=bool)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
@@ -158,7 +133,7 @@ def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
 def fuse_apply(model_path, scores, qmf_path, out):
     """Apply a fitted fusion model; emits per-trial probabilities."""
     model = dataio.load_fusion_model(model_path)
-    pairs, names, raw = _assemble_raw_features(scores, qmf_path, None)
+    pairs, names, raw = dataio.read_fusion_features(scores, qmf_path)
     probabilities = fusion.apply_model(raw, names, model)
     dataio.write_scores(pairs, probabilities, out)
 
@@ -167,7 +142,7 @@ def fuse_apply(model_path, scores, qmf_path, out):
 @click.option("--scores", required=True, help="Score file.")
 @click.option("--trials", required=True, help="Labeled trial list aligned with the scores.")
 @click.option("--p-target", "p_targets", multiple=True, default=(0.05, 0.01), show_default=True,
-              type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True))
+              type=_FiniteFloatRange(0.0, 1.0, min_open=True, max_open=True))
 def eval_cmd(scores, trials, p_targets):
     """Report EER and minDCF on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
@@ -188,7 +163,7 @@ def eval_cmd(scores, trials, p_targets):
 @click.option("--target-spk", required=True, help="Target speaker map.")
 @click.option("--top-k", default=50, show_default=True, type=click.IntRange(min=1),
               help="Source speakers kept per target.")
-@click.option("--dedup", default=0.8, show_default=True, type=click.FloatRange(0.0, 1.0, min_open=True),
+@click.option("--dedup", default=0.8, show_default=True, type=_FiniteFloatRange(0.0, 1.0, min_open=True),
               help="Duplicate-identity similarity threshold.")
 @click.option("--out", required=True, help="Output selection CSV.")
 def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
@@ -204,7 +179,7 @@ def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
 @cli.command(name="schedule")
 @click.option("--name", required=True, type=click.Choice(["base", "finetune", "staircase"]))
 @click.option("--spec", "spec_text", default=None, help="gamma,warmup,plateau,epochs_per for staircase.")
-@click.option("--max-lr", default=None, type=float, help="Peak learning rate for staircase.")
+@click.option("--max-lr", default=None, type=_FiniteFloatRange(), help="Peak learning rate for staircase.")
 @click.option("--epochs", required=True, type=click.IntRange(min=1), help="Number of epochs to print, starting at 0.")
 def schedule(name, spec_text, max_lr, epochs):
     """Print an epoch,lr[,margin] CSV for a named schedule."""
@@ -245,34 +220,10 @@ def schedule(name, spec_text, max_lr, epochs):
 @click.option("--out", "out_dir", required=True, help="Output directory.")
 def synth_cmd(config_path, out_dir):
     """Generate a synthetic dataset (store, speaker map, attributes, trials)."""
-    text = dataio.read_text(config_path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ToolkitError(f"{config_path}: invalid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ToolkitError(f"{config_path}: config must be a JSON object")
-    trials_spec = payload.pop("trials", None)
-    try:
-        config = synth.SynthConfig(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ToolkitError(f"{config_path}: {exc}") from None
-    records, speaker_map = synth.gen_dataset(config)
-    trials = None
-    if trials_spec is not None:
-        if not isinstance(trials_spec, dict) or set(trials_spec) - {"n_pos", "n_neg", "seed"}:
-            raise ToolkitError(f"{config_path}: trials must be an object with n_pos, n_neg, seed")
-        trials = synth.gen_trials(
-            records,
-            speaker_map,
-            int(trials_spec.get("n_pos", 0)),
-            int(trials_spec.get("n_neg", 0)),
-            int(trials_spec.get("seed", config.seed)),
-        )
+    records, speaker_map, table, trials = synth.synthesize(dataio.read_text(config_path), config_path)
     os.makedirs(out_dir, exist_ok=True)
     dataio.write_embeddings(records, os.path.join(out_dir, "embeddings.txt"))
     dataio.write_speaker_map(speaker_map, os.path.join(out_dir, "speakers.txt"))
-    table = synth.gen_attributes(records, speaker_map, config)
     dataio.write_attributes(table, os.path.join(out_dir, "attributes.csv"))
     dataio.write_schema(synth.DEFAULT_SCHEMA, os.path.join(out_dir, "attributes.schema"))
     if trials is not None:
@@ -293,10 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except ToolkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ToolkitError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -11,13 +11,14 @@ finiteness check fails does it parse them token by token, to name the bad
 token. The store writer formats and writes one record at a time, so the
 store's text is never held whole.
 
-The trial feature reader follows the same pattern over the whole file: it
-splits its lines once, casts every feature cell with one numpy call (a blank
-cell is NaN) and checks field counts and finiteness over whole columns. On any
-fault it parses the file again through ``csv``, which raises the located
-error. The score and feature writers format a column with ``map(repr, ...)``;
-the score writer hands over one line at a time, and :func:`_csv_field` quotes
-a feature-table id or header name as ``csv.writer`` would.
+The trial feature reader makes one pass over the file's ``csv`` records,
+checking each in line order; it casts the feature cells with one numpy call
+(a blank cell is NaN) and parses them one by one only when that fails, to
+name the first bad cell. :func:`read_fusion_features` reads fusion's inputs
+as named columns aligned on one pair list. The score and feature writers
+format a column with ``map(repr, ...)``; the score writer hands over one line
+at a time, and :func:`_csv_field` quotes a feature-table id or header name as
+``csv.writer`` would.
 
 Formats:
 
@@ -51,6 +52,7 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -534,44 +536,7 @@ def write_trial_features(trials: list[Trial], names: list[str], matrix, path: st
 
 def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
     path = str(path)
-    text = read_text(path)
-    table = _fast_trial_features(text)
-    return table if table is not None else _token_trial_features(text, path)
-
-
-def _fast_trial_features(text: str) -> tuple[list[Trial], list[str], np.ndarray] | None:
-    """The feature table parsed with one split per line and one numpy cast,
-    or None for any text that :func:`_token_trial_features` must judge (it
-    raises the located error). Without quotes, and with no line longer than
-    csv's field limit, a line's CSV fields are its comma-separated parts;
-    only an empty line differs (no fields), and it fails the count check."""
-    lines = text.splitlines()
-    if '"' in text or not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = lines[0].split(",")
-    names = header[2:]
-    if header[:2] != ["enroll", "test"] or len(set(names)) != len(names):
-        return None
-    rows = [line.split(",") for line in lines[1:]]
-    if not set(map(len, rows)) <= {len(header)}:
-        return None
-    cells = np.array([cell for row in rows for cell in row[2:]], dtype=object)
-    blank = cells == ""
-    cells[blank] = "nan"
-    try:
-        trials = [Trial(row[0], row[1]) for row in rows]
-        values = cells.astype(np.float64)
-    except ValueError:
-        return None
-    if not np.all(np.isfinite(values) | blank):
-        return None
-    return trials, names, values.reshape(len(rows), len(names))
-
-
-def _token_trial_features(text: str, path: str) -> tuple[list[Trial], list[str], np.ndarray]:
-    """The feature table parsed cell by cell through ``csv``, raising the
-    located error for its first fault."""
-    rows = _csv_rows(text, path)
+    rows = _csv_rows(read_text(path), path)
     _, header = next(rows, (1, None))
     if header is None:
         raise DataFormatError("missing CSV header", path=path, line=1)
@@ -581,16 +546,66 @@ def _token_trial_features(text: str, path: str) -> tuple[list[Trial], list[str],
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
     trials = []
-    values = []
-    for lineno, fields in rows:
-        if len(fields) != len(header):
-            raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
-        try:
-            trials.append(Trial(fields[0], fields[1], None))
-        except ValueError as exc:
-            raise DataFormatError(str(exc), path=path, line=lineno) from None
-        values.append([math.nan if cell == "" else _parse_float(cell, path, lineno) for cell in fields[2:]])
-    return trials, names, np.asarray(values, dtype=np.float64).reshape(len(trials), len(names))
+    cells: list[str] = []  # every row's feature cells, row-major
+    fault = None
+    try:
+        for lineno, fields in rows:
+            if len(fields) != len(header):
+                raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
+            try:
+                trials.append(Trial(fields[0], fields[1], None))
+            except ValueError as exc:
+                raise DataFormatError(str(exc), path=path, line=lineno) from None
+            cells += fields[2:]
+    except DataFormatError as exc:
+        fault = exc  # raised below unless a cell on an earlier line is bad
+    flat = np.array(cells, dtype=object)
+    blank = flat == ""
+    flat[blank] = "nan"
+    try:
+        values = flat.astype(np.float64)
+        bad = not np.all(np.isfinite(values) | blank)
+    except ValueError:
+        bad = True
+    if bad:  # _csv_rows gives one record per line, so row r is on line r + 2
+        for i, cell in enumerate(cells):
+            if cell != "":
+                _parse_float(cell, path, i // len(names) + 2)
+    if fault is not None:
+        raise fault
+    return trials, names, values.reshape(len(trials), len(names))
+
+
+def read_fusion_features(
+    score_paths: Iterable[str],
+    qmf_path: str | None = None,
+    reference: list[Trial] | None = None,
+) -> tuple[list[Trial], list[str], np.ndarray]:
+    """(pairs, names, raw matrix) of fusion's columns: one per score file, named
+    by its stem, then the feature table's, each file aligned against
+    ``reference`` (the first score file's pairs when None). Names are unique."""
+    names: list[str] = []
+    columns: list[np.ndarray] = []
+    for path in score_paths:
+        pairs, values = read_scores(path)
+        if reference is None:
+            reference = pairs
+        else:
+            check_score_alignment(reference, pairs, path)
+        name = Path(path).stem
+        if name in names:
+            raise DataFormatError(f"duplicate score feature name {name!r} (from {path})")
+        names.append(name)
+        columns.append(values)
+    if qmf_path is not None:
+        pairs, qmf_names, matrix = read_trial_features(qmf_path)
+        check_score_alignment(reference, pairs, qmf_path)
+        for name in qmf_names:
+            if name in names:
+                raise DataFormatError(f"duplicate feature name {name!r} (from {qmf_path})")
+        names += qmf_names
+        columns.append(matrix)
+    return reference, names, np.column_stack(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,6 @@ class FusionProblem:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class FittedFusion:

@@ -7,12 +7,15 @@ from the documented generator in :mod:`svbackend.rng`, so every artifact is a
 pure function of the config. Attribute base values are hash-derived from the
 utterance and speaker ids alone; ``attribute_noise`` adds seeded Gaussian
 noise on top, so noise 0 gives attributes that depend only on the ids.
+:func:`synthesize` builds all of it from a JSON config.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,6 +51,13 @@ class SynthConfig:
     attribute_noise: float = 0.0
 
     def __post_init__(self):
+        for name in ("n_speakers", "utts_per_speaker", "chunks_per_utt", "dim", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("within_spread", "between_spread", "attribute_noise"):
+            value = getattr(self, name)
+            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+                raise TypeError(f"{name} must be a finite number, got {value!r}")
         for name in ("n_speakers", "utts_per_speaker", "chunks_per_utt"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -225,3 +235,32 @@ def gen_attributes(
         }
         table.rows[utt] = row
     return table
+
+
+def synthesize(
+    text: str, path: str
+) -> tuple[list[ChunkEmbeddings], dict[str, str], AttributeTable, list[Trial] | None]:
+    """What a JSON config of :class:`SynthConfig` fields and an optional ``trials``
+    block (integer ``n_pos``, ``n_neg`` and ``seed``) describes, with the trials
+    drawn; a malformed config raises :class:`ToolkitError` naming ``path``."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ToolkitError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ToolkitError(f"{path}: config must be a JSON object")
+    trials_spec = payload.pop("trials", None)
+    try:
+        config = SynthConfig(**payload)
+    except (TypeError, ValueError) as exc:
+        raise ToolkitError(f"{path}: {exc}") from None
+    if trials_spec is not None:
+        if not isinstance(trials_spec, dict) or set(trials_spec) - {"n_pos", "n_neg", "seed"}:
+            raise ToolkitError(f"{path}: trials must be an object with n_pos, n_neg, seed")
+        trials_spec = {"n_pos": 0, "n_neg": 0, "seed": config.seed, **trials_spec}
+        for name, value in trials_spec.items():
+            if type(value) is not int:
+                raise ToolkitError(f"{path}: trials.{name} must be an integer, got {value!r}")
+    records, speaker_map = gen_dataset(config)
+    trials = None if trials_spec is None else gen_trials(records, speaker_map, **trials_spec)
+    return records, speaker_map, gen_attributes(records, speaker_map, config), trials

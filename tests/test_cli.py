@@ -206,6 +206,15 @@ def test_fuse_apply_rejects_mismatched_columns(pipeline, capsys):
     assert "expects" in err and "raw" in err
 
 
+def test_fuse_apply_repeated_score_stem_exits_2(pipeline, capsys):
+    rc = main(["fuse-apply", "--model", str(pipeline["model"]),
+               "--scores", str(pipeline["raw_scores"]), "--scores", str(pipeline["raw_scores"]),
+               "--out", str(pipeline["root"] / "twice.txt")])
+    assert rc == 2
+    assert "error: duplicate score feature name 'raw'" in capsys.readouterr().err
+    assert not (pipeline["root"] / "twice.txt").exists()
+
+
 def test_fuse_apply_qmf_cell_over_csv_limit_exits_2(pipeline, capsys):
     text = pipeline["qmf"].read_text().splitlines()
     fields = text[3].split(",")
@@ -388,7 +397,13 @@ BAD_FLAG_VALUES = [
     ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--max-iters", "0"],
     ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--lambda", "-1"],
     ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--tol", "-1"],
+    ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--lambda", "nan"],
+    ["fuse-fit", "--scores", "r", "--trials", "t", "--out", "o", "--tol", "inf"],
+    ["eval", "--scores", "r", "--trials", "t", "--p-target", "nan"],
+    ["ddf", "--source-emb", "a", "--source-spk", "b", "--target-emb", "c", "--target-spk", "d", "--out", "o",
+     "--dedup", "nan"],
     ["schedule", "--name", "base", "--epochs", "0"],
+    ["schedule", "--name", "staircase", "--spec", "0.5,2,6,2", "--epochs", "3", "--max-lr", "inf"],
 ]
 
 
@@ -432,6 +447,10 @@ def test_help_exits_0(capsys):
     [
         ({"n_pos": 50, "n_neg": 0, "seed": 1}, "error: requested 50 same-speaker pairs, only 3 available"),
         ({"n_pos": 1, "bogus": 2}, "trials must be an object with n_pos, n_neg, seed"),
+        ({"n_pos": 2.9, "n_neg": 0}, "synth.json: trials.n_pos must be an integer, got 2.9"),
+        ({"n_pos": 1, "n_neg": "1"}, "synth.json: trials.n_neg must be an integer, got '1'"),
+        ({"n_pos": 1, "seed": True}, "synth.json: trials.seed must be an integer, got True"),
+        ({"n_pos": "x"}, "synth.json: trials.n_pos must be an integer, got 'x'"),
     ],
 )
 def test_synth_bad_trials_block_writes_no_file(tmp_path, capsys, trials_spec, message):

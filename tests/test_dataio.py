@@ -418,6 +418,12 @@ def test_trial_features_errors(tmp_path):
     path.write_text("enroll,test,f1\nu1,u2,zebra\n")
     with pytest.raises(DataFormatError, match="invalid float"):
         dataio.read_trial_features(str(path))
+    # a bad cell is reported before any fault on a later line
+    for later in ("u3,u4\n", 'u3,"u4,0.5\n', "u3,u4,inf\n"):
+        path.write_text("enroll,test,f1\nu0,u1,0.5\nu1,u2,zebra\n" + later)
+        with pytest.raises(DataFormatError, match="invalid float 'zebra'") as err:
+            dataio.read_trial_features(str(path))
+        assert err.value.line == 3
 
 
 LONG_CELL = "1" * (131072 + 1)  # one past csv's default field_size_limit
@@ -458,6 +464,48 @@ def test_trial_features_read_quoted_ids_and_names(tmp_path):
     assert matrix.tobytes() == np.array([[0.5, np.nan], [np.nan, 2.0]]).tobytes()
     dataio.write_trial_features(trials, names, matrix, str(tmp_path / "back.csv"))
     assert (tmp_path / "back.csv").read_text() == path.read_text()
+
+
+def fusion_input_files(tmp_path):
+    """Two aligned score files, raw.txt and norm.txt, and a feature table with column f1."""
+    trials = [dataio.Trial("a", "b"), dataio.Trial("c", "d")]
+    paths = {name: str(tmp_path / name) for name in ("raw.txt", "norm.txt", "qmf.csv")}
+    dataio.write_scores(trials, [0.5, -0.25], paths["raw.txt"])
+    dataio.write_scores(trials, [1.5, 2.0], paths["norm.txt"])
+    dataio.write_trial_features(trials, ["f1"], np.array([[3.0], [np.nan]]), paths["qmf.csv"])
+    return trials, paths
+
+
+def test_read_fusion_features_names_columns_by_stem_and_stacks_them(tmp_path):
+    trials, paths = fusion_input_files(tmp_path)
+    pairs, names, raw = dataio.read_fusion_features([paths["raw.txt"], paths["norm.txt"]], paths["qmf.csv"])
+    assert pairs == trials
+    assert names == ["raw", "norm", "f1"]
+    assert raw.tobytes() == np.array([[0.5, 1.5, 3.0], [-0.25, 2.0, np.nan]]).tobytes()
+    labeled = [dataio.Trial("a", "b", True), dataio.Trial("c", "d", False)]
+    pairs, names, raw = dataio.read_fusion_features([paths["raw.txt"]], reference=labeled)
+    assert pairs is labeled and names == ["raw"] and raw.shape == (2, 1)
+
+
+def test_read_fusion_features_rejects_repeated_names_and_misaligned_files(tmp_path):
+    trials, paths = fusion_input_files(tmp_path)
+    (tmp_path / "other").mkdir()
+    twin = str(tmp_path / "other" / "raw.txt")
+    dataio.write_scores(trials, [0.0, 1.0], twin)
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_fusion_features([paths["raw.txt"], twin])
+    assert str(err.value) == f"duplicate score feature name 'raw' (from {twin})"
+
+    f1 = str(tmp_path / "f1.txt")
+    dataio.write_scores(trials, [0.0, 1.0], f1)
+    with pytest.raises(DataFormatError, match="duplicate feature name 'f1'"):
+        dataio.read_fusion_features([f1], paths["qmf.csv"])
+
+    swapped = str(tmp_path / "swapped.txt")
+    dataio.write_scores(trials[::-1], [0.0, 1.0], swapped)
+    with pytest.raises(DataFormatError, match="pair mismatch") as err:
+        dataio.read_fusion_features([paths["raw.txt"], swapped])
+    assert (err.value.path, err.value.line) == (swapped, 1)
 
 
 def make_model() -> dataio.FusionModel:

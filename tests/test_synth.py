@@ -270,6 +270,8 @@ def test_config_validation():
         SynthConfig(1, 1, 1, 8, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         SynthConfig(1, 1, 1, 8, 0.1, 1.0, 0, attribute_noise=-0.5)
+    with pytest.raises(TypeError, match="n_speakers must be an integer, got 3.5"):
+        SynthConfig(3.5, 1, 1, 8, 0.1, 1.0, 0)
 
 
 def test_default_schema_shape():
