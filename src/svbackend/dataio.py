@@ -5,20 +5,25 @@ canonical shortest decimal that round-trips to the same IEEE-754 double, so
 write-then-read is bit exact. Writers are atomic (temp file + ``os.replace``).
 Readers raise :class:`~svbackend.errors.DataFormatError` with path and line
 number for anything malformed, bytes that are not UTF-8 included; they never
-raise bare parse exceptions. The store reader checks each record's fields
-and casts its values with one numpy call; only when that cast or the
-finiteness check fails does it parse them token by token, to name the bad
-token. The store writer formats and writes one record at a time, so the
-store's text is never held whole.
+raise bare parse exceptions. Every line reader takes its lines from one
+source, :func:`_lines`, which reads and decodes the file a 64 KiB block at a
+time, so no reader holds a file's text whole and the first fault in line
+order is the one raised. :func:`read_text` holds the whole text and is for
+the JSON documents only (the fusion model and the synth config). The store
+reader checks each record's fields and casts its values with one numpy call;
+only when that cast or the finiteness check fails does it parse them token
+by token, to name the bad token. The store writer formats and writes one
+record at a time, so the store's text is never held whole.
 
 The trial feature reader makes one pass over the file's ``csv`` records,
-checking each in line order; it casts the feature cells with one numpy call
-(a blank cell is NaN) and parses them one by one only when that fails, to
-name the first bad cell. :func:`read_fusion_features` reads fusion's inputs
-as named columns aligned on one pair list. The score and feature writers
-format a column with ``map(repr, ...)``; the score writer hands over one line
-at a time, and :func:`_csv_field` quotes a feature-table id or header name as
-``csv.writer`` would.
+checking each in line order and keeping each distinct cell text once; it
+casts those texts with one numpy call (a blank cell is NaN) and gathers, and
+parses the cells one by one only when that fails, to name the first bad
+cell. :func:`read_fusion_features` reads fusion's inputs as named columns
+aligned on one pair list. The score writer formats a column with
+``map(repr, ...)``, the feature writer each distinct bit pattern once, and
+both hand over one line at a time; :func:`_csv_field` quotes a feature-table
+id or header name as ``csv.writer`` would.
 
 Formats:
 
@@ -46,10 +51,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import tempfile
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,22 +98,76 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
+def _cannot_read(path: str, exc: OSError) -> DataFormatError:
+    return DataFormatError(f"cannot read file: {exc.strerror or exc}", path=str(path))
+
+
+def _invalid_utf8(data: bytes, exc: UnicodeDecodeError, path: str, first_line: int) -> DataFormatError:
+    """The located error for the fault ``exc`` found in ``data``, whose first
+    line is ``first_line``."""
+    # the bytes before the fault decode; "_" stands in for the faulty line
+    line = first_line - 1 + len((data[:exc.start].decode("utf-8") + "_").splitlines())
+    return DataFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", path=str(path), line=line)
+
+
 def read_text(path: str) -> str:
-    """The file decoded as UTF-8 with universal newlines. Bytes that are not
-    UTF-8 raise a located error at the line they start on, with lines counted
-    by ``str.splitlines`` as the readers count them."""
+    """The file decoded as UTF-8 with universal newlines, for the JSON
+    documents; the line readers use :func:`_lines`. Bytes that are not UTF-8
+    raise a located error at the line they start on, with lines counted by
+    ``str.splitlines`` as the readers count them."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise DataFormatError(f"cannot read file: {exc.strerror or exc}", path=str(path)) from exc
+        raise _cannot_read(path, exc) from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bytes before the fault decode; "_" stands in for the faulty line
-        line = len((data[:exc.start].decode("utf-8") + "_").splitlines())
-        raise DataFormatError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", path=str(path), line=line) from None
+        raise _invalid_utf8(data, exc, path, 1) from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+_BLOCK_BYTES = 1 << 16
+
+
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the file, as
+    ``enumerate(read_text(path).splitlines(), 1)`` gives them, read a block at
+    a time. Bytes that are not UTF-8 raise the located error of
+    :func:`read_text` once the lines before theirs have been yielded."""
+    lineno = 0
+    for piece in _pieces(path):
+        fault = None
+        try:
+            lines = piece.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            lines = (piece[:exc.start].decode("utf-8") + "_").splitlines()[:-1]
+            fault = _invalid_utf8(piece, exc, path, lineno + 1)
+        for line in lines:
+            lineno += 1
+            yield lineno, line
+        if fault is not None:
+            raise fault
+
+
+def _pieces(path: str) -> Iterator[bytes]:
+    """The file's bytes in pieces of about ``_BLOCK_BYTES``. Every piece but
+    the last ends after a ``b"\\n"``, which no multi-byte character holds and
+    which ends any ``\\r\\n`` pair, so no line and no character is split; a
+    line longer than a block is gathered whole."""
+    try:
+        with open(path, "rb") as handle:
+            carry: list[bytes] = []  # the bytes after the last b"\\n" read
+            while block := handle.read(_BLOCK_BYTES):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    carry.append(block)
+                    continue
+                yield b"".join((*carry, block[:cut])) if carry else block[:cut]
+                carry = [block[cut:]]
+            yield b"".join(carry)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
 
 
 def _parse_float(token: str, path: str, line: int) -> float:
@@ -124,22 +185,22 @@ def _is_token(s: str) -> bool:
     return s.split() == [s]
 
 
-def _data_lines(text: str, path: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the file; a blank line is a located
+    error."""
+    for lineno, raw in _lines(path):
         if raw.strip() == "":
             raise DataFormatError("blank line", path=path, line=lineno)
-        out.append((lineno, raw))
-    return out
+        yield lineno, raw
 
 
-def _csv_rows(text: str, path: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each CSV record in ``text``. A quoted field
+def _csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each CSV record in the file. A quoted field
     that runs past the end of its line, or any fault strict ``csv`` raises
     (such as a field over ``csv.field_size_limit()``, a quote left open at the
     end of the text or text after a closing quote), is a located error at the
     line where the record starts."""
-    reader = csv.reader(text.splitlines(), strict=True)
+    reader = csv.reader((line for _, line in _lines(path)), strict=True)
     lineno = 0
     while True:
         try:
@@ -198,10 +259,10 @@ class ChunkEmbeddings:
 
 def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     path = str(path)
-    lines = _data_lines(read_text(path), path)
-    if not lines:
+    lines = _data_lines(path)
+    header_no, header = next(lines, (1, None))
+    if header is None:
         raise DataFormatError("missing 'dim=<D>' header", path=path, line=1)
-    header_no, header = lines[0]
     header = header.strip()
     if not header.startswith("dim="):
         raise DataFormatError(f"malformed header {header!r}, expected 'dim=<D>'", path=path, line=header_no)
@@ -214,7 +275,7 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
 
     records: list[ChunkEmbeddings] = []
     seen: set[str] = set()
-    for lineno, raw in lines[1:]:
+    for lineno, raw in lines:
         record = _record(raw, dim, seen, path, lineno)
         seen.add(record.utt_id)
         records.append(record)
@@ -299,7 +360,7 @@ class Trial:
 def read_trials(path: str, expect_labels: bool) -> list[Trial]:
     path = str(path)
     trials = []
-    for lineno, raw in _data_lines(read_text(path), path):
+    for lineno, raw in _data_lines(path):
         tokens = raw.split()
         if expect_labels:
             if len(tokens) == 2:
@@ -317,17 +378,20 @@ def read_trials(path: str, expect_labels: bool) -> list[Trial]:
 
 
 def sniff_trial_labels(path: str) -> bool:
-    """True when the first data line of a trial list carries a label column."""
-    lines = _data_lines(read_text(str(path)), str(path))
-    if not lines:
+    """True when the first data line of a trial list carries a label column.
+    The lines after it are checked as :func:`read_trials` checks its lines
+    before their fields: none is blank and all are UTF-8."""
+    path = str(path)
+    lines = _data_lines(path)
+    lineno, raw = next(lines, (1, None))
+    if raw is None:
         return False
-    lineno, raw = lines[0]
     n = len(raw.split())
-    if n == 3:
-        return True
-    if n == 2:
-        return False
-    raise DataFormatError(f"expected 2 or 3 fields, found {n}", path=str(path), line=lineno)
+    if n not in (2, 3):
+        raise DataFormatError(f"expected 2 or 3 fields, found {n}", path=path, line=lineno)
+    for _ in lines:
+        pass
+    return n == 3
 
 
 def write_trials(trials: list[Trial], path: str) -> None:
@@ -345,7 +409,7 @@ def read_scores(path: str) -> tuple[list[Trial], np.ndarray]:
     path = str(path)
     trials = []
     scores = []
-    for lineno, raw in _data_lines(read_text(path), path):
+    for lineno, raw in _data_lines(path):
         tokens = raw.split()
         if len(tokens) != 3:
             raise DataFormatError(f"expected 'enroll test score', found {len(tokens)} fields", path=path, line=lineno)
@@ -385,7 +449,7 @@ def check_score_alignment(trials: list[Trial], pairs: list[Trial], path: str) ->
 def read_speaker_map(path: str) -> dict[str, str]:
     path = str(path)
     mapping: dict[str, str] = {}
-    for lineno, raw in _data_lines(read_text(path), path):
+    for lineno, raw in _data_lines(path):
         tokens = raw.split()
         if len(tokens) != 2:
             raise DataFormatError(f"expected 'utt_id speaker_id', found {len(tokens)} fields", path=path, line=lineno)
@@ -427,7 +491,7 @@ def read_schema(path: str) -> list[SchemaColumn]:
     path = str(path)
     columns = []
     names: set[str] = set()
-    for lineno, raw in _data_lines(read_text(path), path):
+    for lineno, raw in _data_lines(path):
         tokens = raw.split()
         if len(tokens) != 3:
             raise DataFormatError(f"expected 'name kind transform', found {len(tokens)} fields", path=path, line=lineno)
@@ -457,7 +521,7 @@ class AttributeTable:
 def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
     path = str(path)
     by_name = {c.name: c for c in schema}
-    rows = _csv_rows(read_text(path), path)
+    rows = _csv_rows(path)
     _, header = next(rows, (1, None))
     if header is None:
         raise DataFormatError("missing CSV header", path=path, line=1)
@@ -523,20 +587,23 @@ def write_trial_features(trials: list[Trial], names: list[str], matrix, path: st
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
-    lines = [",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"]
-    ids = [f"{_csv_field(t.enroll_id)},{_csv_field(t.test_id)}" for t in trials]
+    header = ",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"
+    ids = (f"{_csv_field(t.enroll_id)},{_csv_field(t.test_id)}" for t in trials)
     if names:
-        # repr of a Python float is format_float; NaN's repr is the only one holding "nan"
-        values = (",".join(map(repr, row.tolist())).replace("nan", "") for row in matrix)
-        lines += [f"{i},{v}\n" for i, v in zip(ids, values)]
+        # each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
+        # repr of a Python float is format_float, and every NaN is written blank
+        patterns, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
+        texts = ["" if v != v else repr(v) for v in patterns.view(np.float64).tolist()]
+        rows = (",".join([texts[k] for k in row.tolist()]) for row in inverse.reshape(matrix.shape))
+        lines = (f"{i},{row}\n" for i, row in zip(ids, rows))
     else:
-        lines += [f"{i}\n" for i in ids]
-    atomic_write_text(str(path), "".join(lines))
+        lines = (f"{i}\n" for i in ids)
+    atomic_write_text(str(path), itertools.chain((header,), lines))
 
 
 def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
     path = str(path)
-    rows = _csv_rows(read_text(path), path)
+    rows = _csv_rows(path)
     _, header = next(rows, (1, None))
     if header is None:
         raise DataFormatError("missing CSV header", path=path, line=1)
@@ -546,7 +613,8 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
     trials = []
-    cells: list[str] = []  # every row's feature cells, row-major
+    index = {"": 0}  # each distinct cell text -> its code; the blank cell is NaN
+    codes = array("q")  # every row's feature cells as codes, row-major
     fault = None
     try:
         for lineno, fields in rows:
@@ -556,24 +624,23 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
                 trials.append(Trial(fields[0], fields[1], None))
             except ValueError as exc:
                 raise DataFormatError(str(exc), path=path, line=lineno) from None
-            cells += fields[2:]
+            codes.extend([index.setdefault(cell, len(index)) for cell in fields[2:]])
     except DataFormatError as exc:
         fault = exc  # raised below unless a cell on an earlier line is bad
-    flat = np.array(cells, dtype=object)
-    blank = flat == ""
-    flat[blank] = "nan"
+    texts = list(index)
+    distinct = np.array(["nan", *texts[1:]], dtype=object)
     try:
-        values = flat.astype(np.float64)
-        bad = not np.all(np.isfinite(values) | blank)
+        table = distinct.astype(np.float64)
+        bad = not np.all(np.isfinite(table[1:]))
     except ValueError:
         bad = True
     if bad:  # _csv_rows gives one record per line, so row r is on line r + 2
-        for i, cell in enumerate(cells):
-            if cell != "":
-                _parse_float(cell, path, i // len(names) + 2)
+        for i, code in enumerate(codes):
+            if code:
+                _parse_float(texts[code], path, i // len(names) + 2)
     if fault is not None:
         raise fault
-    return trials, names, values.reshape(len(trials), len(names))
+    return trials, names, table[np.frombuffer(codes, dtype=np.int64)].reshape(len(trials), len(names))
 
 
 def read_fusion_features(

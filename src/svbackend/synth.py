@@ -58,6 +58,10 @@ class SynthConfig:
             value = getattr(self, name)
             if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
                 raise TypeError(f"{name} must be a finite number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must be a finite number, got an integer too large for a float") from None
         for name in ("n_speakers", "utts_per_speaker", "chunks_per_utt"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -461,3 +461,14 @@ def test_synth_bad_trials_block_writes_no_file(tmp_path, capsys, trials_spec, me
     assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["between_spread", "within_spread", "attribute_noise"])
+def test_synth_integer_too_large_for_a_float_writes_no_file(tmp_path, capsys, name):
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(json.dumps(dict(SYNTH_CONFIG, **{name: int("9" * 334)})))
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"synth.json: {name} must be a finite number, got an integer too large for a float" in err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,30 @@ def test_malformed_embeddings_have_located_errors(tmp_path, text, line, fragment
     assert fragment in str(err.value)
     assert err.value.path == str(path)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("later_fault", [b"ab\xffc\n", b"\n"], ids=["invalid-byte", "blank-line"])
+def test_store_reader_raises_the_first_fault_in_line_order(tmp_path, later_fault):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"dim=1\nu1 x 0.5\nu2 1 0.5\n" + later_fault + b"u3 1 0.5\n")
+    with pytest.raises(DataFormatError, match=r"bad\.txt:2: invalid chunk count 'x'"):
+        dataio.read_embeddings(str(path))
+
+
+def test_store_reader_peak_memory_stays_near_its_values(tmp_path, np_rng):
+    # about 3 MB of text; a reader that held the text whole peaked near 5x the values
+    records = [dataio.ChunkEmbeddings(f"utt{i:04d}", np_rng.normal(size=(4, 64))) for i in range(600)]
+    path = str(tmp_path / "emb.txt")
+    dataio.write_embeddings(records, path)
+    assert os.path.getsize(path) > 2_500_000
+    tracemalloc.start()
+    try:
+        back = dataio.read_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(records)
+    assert peak < 2 * sum(rec.chunks.nbytes for rec in back)
 
 
 def test_write_embeddings_rejects_bad_stores(tmp_path):

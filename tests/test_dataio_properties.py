@@ -1,5 +1,6 @@
-"""Property tests: the store reader against its token-by-token oracle and the
-trial feature reader against its csv one, the table writers against their
+"""Property tests: the store reader against its token-by-token oracle, the
+block-streamed line source against the whole-file read, the trial feature
+reader against its csv one, the table writers against their
 csv.writer and format_float oracles, writer round trips, the metric and
 scaling kernels against numpy's, and the batched trial scorer against the
 one-trial scorer."""
@@ -35,7 +36,10 @@ def token_read_embeddings(path):
     """The store reader as it was before its numpy fast path: every value parsed
     token by token. Kept here as the oracle for records and error text."""
     path = str(path)
-    lines = dataio._data_lines(dataio.read_text(path), path)
+    lines = list(enumerate(dataio.read_text(path).splitlines(), start=1))
+    for lineno, raw in lines:
+        if raw.strip() == "":
+            raise DataFormatError("blank line", path=path, line=lineno)
     if not lines:
         raise DataFormatError("missing 'dim=<D>' header", path=path, line=1)
     header_no, header = lines[0]
@@ -143,6 +147,47 @@ def test_mutated_store_raises_the_token_path_error(store_path, store, data):
     expected = outcome(token_read_embeddings, store_path)
     assert expected[0] == "DataFormatError"
     assert outcome(dataio.read_embeddings, store_path) == expected
+
+
+# ---------------------------------------------------------------------------
+# The block-streamed line source against the whole-file read
+
+# Pieces of line text: every line break str.splitlines splits at, and
+# characters of 1 to 4 UTF-8 bytes.
+line_text = st.lists(st.sampled_from([
+    "a", "bc", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\u00e9", "\u20ac", "\U0001f600",
+]), max_size=30).map("".join)
+
+
+@given(line_text)
+def test_line_source_yields_the_whole_file_lines_at_every_block_size(store_path, text):
+    store_path.write_bytes(text.encode("utf-8"))
+    expected = list(enumerate(dataio.read_text(store_path).splitlines(), start=1))
+    for block in range(1, 8):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            assert list(dataio._lines(str(store_path))) == expected
+
+
+@given(line_text, st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"]), st.data())
+def test_line_source_locates_bytes_that_are_not_utf8_as_read_text_does(store_path, text, bad, data):
+    at = data.draw(st.integers(0, len(text)))
+    store_path.write_bytes(text[:at].encode("utf-8") + bad + text[at:].encode("utf-8"))
+    with pytest.raises(DataFormatError) as whole:
+        dataio.read_text(store_path)
+    before = (text[:at] + "_").splitlines()[:-1]  # the lines wholly before the fault's
+    assert whole.value.line == len(before) + 1
+    for block in range(1, 8):
+        streamed = []
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block), pytest.raises(DataFormatError) as err:
+            for item in dataio._lines(str(store_path)):
+                streamed.append(item)
+        assert str(err.value) == str(whole.value)
+        assert streamed == list(enumerate(before, start=1))
+
+
+# ---------------------------------------------------------------------------
+# Writer round trips
 
 
 def chunk_matrices(dim, max_chunks=4):
@@ -303,6 +348,17 @@ def test_write_trial_features_matches_csv_writer_bytes(store_path, names, data):
                                          min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(names))
     dataio.write_trial_features(trials, names, matrix, store_path)
     assert store_path.read_bytes() == csv_write_trial_features(trials, names, matrix).encode("utf-8")
+
+
+def test_write_trial_features_matches_csv_writer_bytes_on_repeated_bit_patterns(store_path):
+    # 0.0 and -0.0 compare equal but print apart; NaNs of any sign or payload print blank
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    matrix = np.array([[0.0, -0.0, nans[0], 0.1], [-0.0, 0.0, 0.1, nans[1]], [0.1, 0.1, nans[2], -0.0]])
+    trials = [Trial("a", "b"), Trial("a", "c"), Trial('q"', "x,y")]
+    names = ["f", "g", "h", "i"]
+    dataio.write_trial_features(trials, names, matrix, store_path)
+    assert store_path.read_bytes() == csv_write_trial_features(trials, names, matrix).encode("utf-8")
+    assert store_path.read_text().splitlines()[1] == "a,b,0.0,-0.0,,0.1"
 
 
 @given(st.lists(st.tuples(ids, ids, finite_float), max_size=20))
