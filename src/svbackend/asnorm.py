@@ -18,9 +18,11 @@ symmetric.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from .dataio import ChunkEmbeddings, Trial
+from .dataio import ChunkEmbeddings, Trial, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
 from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, trial_sides
@@ -106,7 +108,7 @@ def normalize_from_cohort_scores(
 
 def asnorm_trials(
     raw_scores: np.ndarray,
-    pairs: list[Trial],
+    pairs: TrialList | Iterable[Trial],
     records: list[ChunkEmbeddings],
     cohort: list[ChunkEmbeddings],
     top_n: int = 100,
@@ -120,6 +122,7 @@ def asnorm_trials(
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    pairs = TrialList.of(pairs)
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")

@@ -18,7 +18,6 @@ import sys
 import warnings
 
 import click
-import numpy as np
 
 from . import asnorm as asnorm_mod
 from . import curation, dataio, fusion, metrics, qmf, scoring, synth, trainspec
@@ -40,7 +39,7 @@ class _FiniteFloatRange(click.FloatRange):
         return value
 
 
-def _read_trials_auto(path: str) -> list[dataio.Trial]:
+def _read_trials_auto(path: str) -> dataio.TrialList:
     return dataio.read_trials(path, expect_labels=dataio.sniff_trial_labels(path))
 
 
@@ -116,10 +115,9 @@ def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
     _, names, raw = dataio.read_fusion_features(scores, qmf_path, trial_list)
-    labels = np.array([t.label for t in trial_list], dtype=bool)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
+        model = fusion.train(raw, trial_list.labels, names, lam=lam, max_iters=max_iters, tol=tol)
     for warning in caught:
         click.echo(f"warning: {warning.message}", err=True)
     dataio.save_fusion_model(model, out)
@@ -148,8 +146,7 @@ def eval_cmd(scores, trials, p_targets):
     trial_list = dataio.read_trials(trials, expect_labels=True)
     pairs, values = dataio.read_scores(scores)
     dataio.check_score_alignment(trial_list, pairs, scores)
-    labels = np.array([t.label for t in trial_list], dtype=bool)
-    report = metrics.evaluate(values, labels, tuple(p_targets))
+    report = metrics.evaluate(values, trial_list.labels, tuple(p_targets))
     parts = [f"EER={report['eer'] * 100.0:.2f}%"]
     for p_target in p_targets:
         parts.append(f"minDCF(p={p_target:g})={report['min_dcf'][p_target]['cost']:.4f}")

@@ -103,13 +103,14 @@ def ddf_select(
         if len(set(ids)) != len(ids):
             raise ToolkitError(f"duplicate {role} speaker ids")
     src_matrix = np.stack([p.median_embedding for p in source])
-    tgt_matrix = np.stack([p.median_embedding for p in targets])
-    if src_matrix.shape[1] != tgt_matrix.shape[1]:
-        raise ToolkitError(
-            f"profile dim mismatch: source {src_matrix.shape[1]}, target {tgt_matrix.shape[1]}"
-        )
+    for p in targets:
+        if p.median_embedding.shape[0] != src_matrix.shape[1]:
+            raise ToolkitError(
+                f"profile dim mismatch: source {src_matrix.shape[1]}, target {p.median_embedding.shape[0]}"
+            )
 
-    # Target rows are scored in blocks whose similarities fit in COSINE_BLOCK_BYTES. A block's
+    # Target rows are stacked and scored a block at a time, so the targets are never copied
+    # whole, with blocks whose similarities fit in COSINE_BLOCK_BYTES. A block's
     # best only replaces a strictly smaller one, so the first (smallest-id) target wins ties.
     # Index order is id order, so a stable sort of each negated row ranks ties by source id;
     # the block is negated in place, after its maxima are taken, to hold no second copy.
@@ -120,7 +121,8 @@ def ddf_select(
     src_norms = row_norms(src_matrix)
     step = max(1, COSINE_BLOCK_BYTES // (len(source) * 8))
     for start in range(0, len(targets), step):
-        sims = cosine_matrix(tgt_matrix[start:start + step], src_matrix, src_norms)
+        block = np.stack([p.median_embedding for p in targets[start:start + step]])
+        sims = cosine_matrix(block, src_matrix, src_norms)
         block_best = sims.max(axis=0)
         better = block_best > best_sim
         best_sim[better] = block_best[better]

@@ -15,15 +15,24 @@ only when that cast or the finiteness check fails does it parse them token
 by token, to name the bad token. The store writer formats and writes one
 record at a time, so the store's text is never held whole.
 
+A trial list is a :class:`TrialList`: an enroll id column, a test id column
+and, when labeled, a bool label array. It checks all its ids at once and
+scans them pair by pair only to name the first bad one. The trial, score
+and feature readers return one, and every function that takes a trial list
+also takes a sequence of :class:`Trial` records, converted once by
+:meth:`TrialList.of`. The score reader casts its score column with one
+numpy call and parses score by score only when that fails.
+
 The trial feature reader makes one pass over the file's ``csv`` records,
-checking each in line order and keeping each distinct cell text once; it
-casts those texts with one numpy call (a blank cell is NaN) and gathers, and
-parses the cells one by one only when that fails, to name the first bad
-cell. :func:`read_fusion_features` reads fusion's inputs as named columns
-aligned on one pair list. The score writer formats a column with
-``map(repr, ...)``, the feature writer each distinct bit pattern once, and
-both hand over one line at a time; :func:`_csv_field` quotes a feature-table
-id or header name as ``csv.writer`` would.
+checking each row's field count in line order and keeping each distinct
+cell text once; it casts those texts with one numpy call (a blank cell is
+NaN) and gathers, and parses the cells one by one only when that fails, to
+name the first bad cell. Both it and the score reader raise a bad id or
+value before a fault on a later line. :func:`read_fusion_features` reads
+fusion's inputs as named columns aligned on one pair list. The score writer
+formats a column with ``map(repr, ...)``, the feature writer each distinct
+bit pattern once, and both hand over one line at a time; :func:`_csv_field`
+quotes a feature-table id or header name as ``csv.writer`` would.
 
 Formats:
 
@@ -57,6 +66,7 @@ import math
 import os
 import tempfile
 from array import array
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -347,19 +357,94 @@ def embeddings_by_id(records: list[ChunkEmbeddings]) -> dict[str, ChunkEmbedding
 
 @dataclass(frozen=True)
 class Trial:
+    """One trial as a record, a form a caller may build a trial list from;
+    :meth:`TrialList.of` turns a sequence of them into columns and checks
+    their ids."""
+
     enroll_id: str
     test_id: str
     label: bool | None = None
 
+
+def _first_bad_id(enroll: list[str], test: list[str]) -> tuple[int, str] | None:
+    """(index, message) of the first pair with an id that is not a token, the
+    enroll id checked before the test id, or None when every id is one. A
+    column holds only tokens when none of its ids is empty and their
+    concatenation holds no whitespace, so the pairs are scanned only when a
+    column fails that."""
+    if all(_is_token("".join(ids)) and all(ids) for ids in (enroll, test) if ids):
+        return None
+    return next(
+        (i, f"{name} must be non-empty without whitespace, got {value!r}")
+        for i, pair in enumerate(zip(enroll, test))
+        for name, value in zip(("enroll_id", "test_id"), pair)
+        if not _is_token(value)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TrialList:
+    """A trial list as columns: the enroll ids, the test ids and, when the
+    list is labeled, one bool label per pair (``None`` when it is not). The
+    ids are checked once for the whole list; the first that is empty or holds
+    whitespace is named in a ``ValueError``."""
+
+    enroll: list[str]
+    test: list[str]
+    labels: np.ndarray | None = None
+
     def __post_init__(self):
-        for name, value in (("enroll_id", self.enroll_id), ("test_id", self.test_id)):
-            if not _is_token(value):
-                raise ValueError(f"{name} must be non-empty without whitespace, got {value!r}")
+        enroll, test = list(self.enroll), list(self.test)
+        if len(enroll) != len(test):
+            raise ValueError(f"{len(enroll)} enroll ids but {len(test)} test ids")
+        bad = _first_bad_id(enroll, test)
+        if bad is not None:
+            raise ValueError(bad[1])
+        object.__setattr__(self, "enroll", enroll)
+        object.__setattr__(self, "test", test)
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.dtype != bool or labels.shape != (len(enroll),):
+                raise ValueError(f"labels must be {len(enroll)} bools, got {labels.dtype} of shape {labels.shape}")
+            object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def of(cls, trials: TrialList | Iterable[Trial]) -> TrialList:
+        """``trials`` itself when it is a TrialList, else the columns of a
+        sequence of :class:`Trial`, whose labels are all set or all None (an
+        empty sequence is unlabeled)."""
+        if isinstance(trials, TrialList):
+            return trials
+        trials = list(trials)
+        labels = [t.label for t in trials]
+        unlabeled = not trials or None in labels
+        if unlabeled and any(label is not None for label in labels):
+            raise ValueError("either every trial has a label or none has")
+        return cls(
+            [t.enroll_id for t in trials],
+            [t.test_id for t in trials],
+            None if unlabeled else np.array(labels, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.enroll)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialList):
+            return NotImplemented
+        if (self.labels is None) != (other.labels is None):
+            return False
+        return (self.enroll == other.enroll and self.test == other.test
+                and (self.labels is None or np.array_equal(self.labels, other.labels)))
+
+    __hash__ = None
 
 
-def read_trials(path: str, expect_labels: bool) -> list[Trial]:
+def read_trials(path: str, expect_labels: bool) -> TrialList:
     path = str(path)
-    trials = []
+    enroll: list[str] = []
+    test: list[str] = []
+    labels: list[bool] = []
     for lineno, raw in _data_lines(path):
         tokens = raw.split()
         if expect_labels:
@@ -367,14 +452,17 @@ def read_trials(path: str, expect_labels: bool) -> list[Trial]:
                 raise DataFormatError("missing label (expected 'label enroll test')", path=path, line=lineno)
             if len(tokens) != 3:
                 raise DataFormatError(f"expected 3 fields, found {len(tokens)}", path=path, line=lineno)
-            if tokens[0] not in ("0", "1"):
-                raise DataFormatError(f"invalid label {tokens[0]!r}, expected 0 or 1", path=path, line=lineno)
-            trials.append(Trial(tokens[1], tokens[2], tokens[0] == "1"))
+            label, e, t = tokens
+            if label not in ("0", "1"):
+                raise DataFormatError(f"invalid label {label!r}, expected 0 or 1", path=path, line=lineno)
+            labels.append(label == "1")
         else:
             if len(tokens) != 2:
                 raise DataFormatError(f"expected 2 fields, found {len(tokens)}", path=path, line=lineno)
-            trials.append(Trial(tokens[0], tokens[1], None))
-    return trials
+            e, t = tokens
+        enroll.append(e)
+        test.append(t)
+    return TrialList(enroll, test, np.array(labels, dtype=bool) if expect_labels else None)
 
 
 def sniff_trial_labels(path: str) -> bool:
@@ -394,51 +482,73 @@ def sniff_trial_labels(path: str) -> bool:
     return n == 3
 
 
-def write_trials(trials: list[Trial], path: str) -> None:
-    lines = (
-        f"{trial.enroll_id} {trial.test_id}\n"
-        if trial.label is None
-        else f"{int(trial.label)} {trial.enroll_id} {trial.test_id}\n"
-        for trial in trials
-    )
+def write_trials(trials: TrialList | Iterable[Trial], path: str) -> None:
+    trials = TrialList.of(trials)
+    if trials.labels is None:
+        lines = (f"{e} {t}\n" for e, t in zip(trials.enroll, trials.test))
+    else:
+        lines = (f"{int(y)} {e} {t}\n" for y, e, t in zip(trials.labels.tolist(), trials.enroll, trials.test))
     atomic_write_text(str(path), lines)
 
 
-def read_scores(path: str) -> tuple[list[Trial], np.ndarray]:
-    """Score file as (pair list without labels, score vector), in file order."""
+def read_scores(path: str) -> tuple[TrialList, np.ndarray]:
+    """Score file as (pair list without labels, score vector), in file order.
+    The scores are cast with one numpy call; only when that cast or the
+    finiteness check fails are they parsed one by one, to name the first bad
+    score, which is raised before a fault on any later line."""
     path = str(path)
-    trials = []
-    scores = []
-    for lineno, raw in _data_lines(path):
-        tokens = raw.split()
-        if len(tokens) != 3:
-            raise DataFormatError(f"expected 'enroll test score', found {len(tokens)} fields", path=path, line=lineno)
-        trials.append(Trial(tokens[0], tokens[1], None))
-        scores.append(_parse_float(tokens[2], path, lineno))
-    return trials, np.asarray(scores, dtype=np.float64)
+    enroll: list[str] = []
+    test: list[str] = []
+    values: list[str] = []
+    fault = None
+    try:
+        for lineno, raw in _data_lines(path):
+            tokens = raw.split()
+            if len(tokens) != 3:
+                raise DataFormatError(
+                    f"expected 'enroll test score', found {len(tokens)} fields", path=path, line=lineno
+                )
+            e, t, value = tokens
+            enroll.append(e)
+            test.append(t)
+            values.append(value)
+    except DataFormatError as exc:
+        fault = exc  # raised below unless a score on an earlier line is bad
+    try:
+        scores = np.array(values, dtype=np.float64)
+        bad = not np.all(np.isfinite(scores))
+    except ValueError:
+        bad = True
+    if bad:  # no line is blank, so score i is on line i + 1
+        for lineno, value in enumerate(values, start=1):
+            _parse_float(value, path, lineno)
+    if fault is not None:
+        raise fault
+    return TrialList(enroll, test), scores
 
 
-def write_scores(trials: list[Trial], scores, path: str) -> None:
+def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None:
+    trials = TrialList.of(trials)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(trials) != scores.shape[0]:
         raise ValueError(f"expected one score per trial, got {len(trials)} trials and {scores.shape} scores")
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-finite score")
     values = map(repr, scores.tolist())  # repr of a Python float is format_float
-    atomic_write_text(str(path), (f"{t.enroll_id} {t.test_id} {v}\n" for t, v in zip(trials, values)))
+    atomic_write_text(str(path), (f"{e} {t} {v}\n" for e, t, v in zip(trials.enroll, trials.test, values)))
 
 
-def check_score_alignment(trials: list[Trial], pairs: list[Trial], path: str) -> None:
+def check_score_alignment(trials: TrialList | Iterable[Trial], pairs: TrialList | Iterable[Trial], path: str) -> None:
     """Require that a score file's pairs line up with a trial list positionally."""
+    trials, pairs = TrialList.of(trials), TrialList.of(pairs)
     if len(pairs) != len(trials):
         raise DataFormatError(f"expected {len(trials)} scored pairs, found {len(pairs)}", path=str(path))
-    for i, (trial, pair) in enumerate(zip(trials, pairs), start=1):
-        if (trial.enroll_id, trial.test_id) != (pair.enroll_id, pair.test_id):
+    if trials.enroll == pairs.enroll and trials.test == pairs.test:
+        return
+    for i, (e, t, pe, pt) in enumerate(zip(trials.enroll, trials.test, pairs.enroll, pairs.test), start=1):
+        if (e, t) != (pe, pt):
             raise DataFormatError(
-                f"pair mismatch vs trial list: expected '{trial.enroll_id} {trial.test_id}', "
-                f"found '{pair.enroll_id} {pair.test_id}'",
-                path=str(path),
-                line=i,
+                f"pair mismatch vs trial list: expected '{e} {t}', found '{pe} {pt}'", path=str(path), line=i
             )
 
 
@@ -582,13 +692,14 @@ def write_attributes(table: AttributeTable, path: str) -> None:
 # Trial feature table (per-trial quality features)
 
 
-def write_trial_features(trials: list[Trial], names: list[str], matrix, path: str) -> None:
+def write_trial_features(trials: TrialList | Iterable[Trial], names: list[str], matrix, path: str) -> None:
     """CSV of per-trial features; NaN cells are written blank (missing)."""
+    trials = TrialList.of(trials)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
     header = ",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"
-    ids = (f"{_csv_field(t.enroll_id)},{_csv_field(t.test_id)}" for t in trials)
+    ids = map("{},{}".format, map(_csv_field, trials.enroll), map(_csv_field, trials.test))
     if names:
         # each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
         # repr of a Python float is format_float, and every NaN is written blank
@@ -601,7 +712,7 @@ def write_trial_features(trials: list[Trial], names: list[str], matrix, path: st
     atomic_write_text(str(path), itertools.chain((header,), lines))
 
 
-def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
+def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
     path = str(path)
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
@@ -612,21 +723,24 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
     names = header[2:]
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
-    trials = []
-    index = {"": 0}  # each distinct cell text -> its code; the blank cell is NaN
+    enroll: list[str] = []
+    test: list[str] = []
+    index = defaultdict(itertools.count(1).__next__, {"": 0})  # each distinct cell text -> its code; blank is NaN
     codes = array("q")  # every row's feature cells as codes, row-major
     fault = None
     try:
         for lineno, fields in rows:
             if len(fields) != len(header):
                 raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
-            try:
-                trials.append(Trial(fields[0], fields[1], None))
-            except ValueError as exc:
-                raise DataFormatError(str(exc), path=path, line=lineno) from None
-            codes.extend([index.setdefault(cell, len(index)) for cell in fields[2:]])
+            enroll.append(fields[0])
+            test.append(fields[1])
+            codes.extend(map(index.__getitem__, fields[2:]))
     except DataFormatError as exc:
-        fault = exc  # raised below unless a cell on an earlier line is bad
+        fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
+    earlier = []  # _csv_rows gives one record per line, so row r is on line r + 2
+    bad_id = _first_bad_id(enroll, test)
+    if bad_id is not None:
+        earlier.append(DataFormatError(bad_id[1], path=path, line=bad_id[0] + 2))
     texts = list(index)
     distinct = np.array(["nan", *texts[1:]], dtype=object)
     try:
@@ -634,23 +748,31 @@ def read_trial_features(path: str) -> tuple[list[Trial], list[str], np.ndarray]:
         bad = not np.all(np.isfinite(table[1:]))
     except ValueError:
         bad = True
-    if bad:  # _csv_rows gives one record per line, so row r is on line r + 2
-        for i, code in enumerate(codes):
-            if code:
-                _parse_float(texts[code], path, i // len(names) + 2)
+    if bad:
+        try:
+            for i, code in enumerate(codes):
+                if code:
+                    _parse_float(texts[code], path, i // len(names) + 2)
+        except DataFormatError as exc:
+            earlier.append(exc)
+    if earlier:  # on one line a bad id comes before a bad cell
+        raise min(earlier, key=lambda exc: exc.line)
     if fault is not None:
         raise fault
+    trials = TrialList(enroll, test)
     return trials, names, table[np.frombuffer(codes, dtype=np.int64)].reshape(len(trials), len(names))
 
 
 def read_fusion_features(
     score_paths: Iterable[str],
     qmf_path: str | None = None,
-    reference: list[Trial] | None = None,
-) -> tuple[list[Trial], list[str], np.ndarray]:
+    reference: TrialList | Iterable[Trial] | None = None,
+) -> tuple[TrialList, list[str], np.ndarray]:
     """(pairs, names, raw matrix) of fusion's columns: one per score file, named
     by its stem, then the feature table's, each file aligned against
     ``reference`` (the first score file's pairs when None). Names are unique."""
+    if reference is not None:
+        reference = TrialList.of(reference)
     names: list[str] = []
     columns: list[np.ndarray] = []
     for path in score_paths:

@@ -65,7 +65,6 @@ class FusionProblem:
     features: np.ndarray
     labels: np.ndarray
     lam: float = 0.01
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -85,8 +84,6 @@ class FusionProblem:
             raise ToolkitError("need at least one target and one non-target trial")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ToolkitError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.feature_names is not None and len(self.feature_names) != features.shape[1]:
-            raise ToolkitError("feature_names must match feature count")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 

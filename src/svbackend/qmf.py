@@ -20,10 +20,11 @@ either side is -0.0 and the max is +0.0 if either side is +0.0.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
-from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial
+from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial, TrialList
 from .errors import ToolkitError
 from .scoring import COSINE_BLOCK_BYTES, trial_sides
 
@@ -101,7 +102,7 @@ def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trial_feature_matrix(
-    trials: list[Trial],
+    trials: TrialList | Iterable[Trial],
     records: list[ChunkEmbeddings],
     table: AttributeTable,
     schema: list[SchemaColumn],

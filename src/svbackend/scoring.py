@@ -10,13 +10,15 @@ with one batched kernel, and :func:`pairwise_score` is that kernel on one trial.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dataio
-from .dataio import ChunkEmbeddings, Trial
+from .dataio import ChunkEmbeddings, Trial, TrialList
 from .errors import ToolkitError
 
 # Bytes one block of cosine_matrix or score_trials may hold: the elementwise products and,
@@ -103,24 +105,24 @@ def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseSc
 
 
 def trial_sides(
-    records: list[ChunkEmbeddings], trials: list[Trial]
+    records: list[ChunkEmbeddings], trials: TrialList | Iterable[Trial]
 ) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
     """The records the trials reference, each once in order of first
-    appearance, and each trial's enroll and test row in that list."""
+    appearance (enroll before test within a trial), and each trial's enroll
+    and test row in that list."""
+    trials = TrialList.of(trials)
     store = dataio.embeddings_by_id(records)  # through the module, so perfbench's tracer sees the call
-    rows: dict[str, int] = {}
-    sides = np.empty((2, len(trials)), dtype=np.intp)
-    for i, trial in enumerate(trials):
-        for side, utt_id in enumerate((trial.enroll_id, trial.test_id)):
-            if utt_id not in rows:
-                if utt_id not in store:
-                    raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
-                rows[utt_id] = len(rows)
-            sides[side, i] = rows[utt_id]
-    return [store[utt_id] for utt_id in rows], sides[0], sides[1]
+    order = dict.fromkeys(itertools.chain.from_iterable(zip(trials.enroll, trials.test)))
+    for utt_id in order:
+        if utt_id not in store:
+            raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
+    rows = {utt_id: row for row, utt_id in enumerate(order)}
+    enroll, test = (np.fromiter(map(rows.__getitem__, ids), dtype=np.intp, count=len(ids))
+                    for ids in (trials.enroll, trials.test))
+    return [store[utt_id] for utt_id in rows], enroll, test
 
 
-def score_trials(records: list[ChunkEmbeddings], trials: list[Trial]) -> np.ndarray:
+def score_trials(records: list[ChunkEmbeddings], trials: TrialList | Iterable[Trial]) -> np.ndarray:
     """Pairwise scores for a trial list, in trial order."""
     return _score_sides(*trial_sides(records, trials))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
+from .dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, TrialList
 from .errors import ToolkitError
 from .rng import SplitMix64, derive_seed, fnv1a64
 
@@ -176,7 +176,7 @@ def gen_trials(
     n_pos: int,
     n_neg: int,
     seed: int,
-) -> list[Trial]:
+) -> TrialList:
     """Seeded sample of same-speaker and cross-speaker pairs, no repetition."""
     if n_pos < 0 or n_neg < 0:
         raise ToolkitError("trial counts must be nonnegative")
@@ -191,10 +191,10 @@ def gen_trials(
     if n_neg > len(neg_pairs):
         raise ToolkitError(f"requested {n_neg} cross-speaker pairs, only {len(neg_pairs)} available")
     rng = SplitMix64(derive_seed(seed, "trials"))
-    trials = [Trial(a, b, True) for a, b in rng.take(pos_pairs, n_pos)]
-    trials += [Trial(a, b, False) for a, b in rng.take(neg_pairs, n_neg)]
-    rng.shuffle(trials)
-    return trials
+    pairs = rng.take(pos_pairs, n_pos) + rng.take(neg_pairs, n_neg)  # the n_pos same-speaker pairs first
+    order = list(range(len(pairs)))
+    rng.shuffle(order)
+    return TrialList([pairs[i][0] for i in order], [pairs[i][1] for i in order], np.array(order) < n_pos)
 
 
 def _hash_uniform(key: str) -> float:
@@ -243,7 +243,7 @@ def gen_attributes(
 
 def synthesize(
     text: str, path: str
-) -> tuple[list[ChunkEmbeddings], dict[str, str], AttributeTable, list[Trial] | None]:
+) -> tuple[list[ChunkEmbeddings], dict[str, str], AttributeTable, TrialList | None]:
     """What a JSON config of :class:`SynthConfig` fields and an optional ``trials``
     block (integer ``n_pos``, ``n_neg`` and ``seed``) describes, with the trials
     drawn; a malformed config raises :class:`ToolkitError` naming ``path``."""

@@ -58,8 +58,7 @@ def make_grid_problem() -> FusionProblem:
         x1[i] = min(1.0, max(0.0, center + 0.15 * rng.gauss()))
         x2[i] = rng.uniform()
     features = np.column_stack([x1, x2])
-    return FusionProblem(features, labels, lam=LAMBDA,
-                         feature_names=("informative", "noise"))
+    return FusionProblem(features, labels, lam=LAMBDA)
 
 
 def problem_digest(problem: FusionProblem) -> str:

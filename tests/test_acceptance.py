@@ -207,8 +207,7 @@ def test_criterion_05_fusion_monotone_and_beats_grid_search():
     assert np.all(np.diff(fitted.objective_trace) <= 0.0)
     assert fitted.objective <= FROZEN_GRID_MIN + 1e-3
 
-    heavy = fusion.fit(fusion.FusionProblem(problem.features, problem.labels, lam=0.1,
-                                            feature_names=problem.feature_names))
+    heavy = fusion.fit(fusion.FusionProblem(problem.features, problem.labels, lam=0.1))
     assert abs(heavy.weights[1]) < 1e-6
 
     rng = np.random.default_rng(88)
@@ -247,7 +246,7 @@ def test_criterion_06_fused_system_keeps_up_with_best_single():
         else:
             assert mapping == speaker_map
     trials = synth.gen_trials(variants[0][1], speaker_map, 600, 1800, 7)
-    labels = np.array([t.label for t in trials], dtype=bool)
+    labels = trials.labels
     score_columns = [scoring.score_trials(records, trials) for _, records in variants]
 
     config0, records0 = variants[0]
@@ -263,7 +262,6 @@ def test_criterion_06_fused_system_keeps_up_with_best_single():
         features=qmf.minmax_apply(raw[dev], params),
         labels=labels[dev],
         lam=0.01,
-        feature_names=tuple(feature_names),
     )
     fitted = fusion.fit(problem)
     fused = qmf.minmax_apply(raw[holdout], params) @ fitted.weights + fitted.intercept

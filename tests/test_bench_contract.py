@@ -1,4 +1,5 @@
-"""The benchmark's tracer wraps module attributes by name; each must exist.
+"""The benchmark's tracer wraps module attributes by name; each must exist,
+and the benchmark's own calls into the program must keep working.
 
 ``perfbench/spans.py`` replaces ``svbackend.<module>.<attr>`` for every key
 of ``WRAPPED`` (timing pass) and ``PEAKED`` (allocation pass). A rename in
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from svbackend import cli
+from svbackend import cli, dataio, scoring
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -76,3 +77,21 @@ def test_fusion_calls_route_through_traced_attributes(tmp_path):
     assert (fitted.objective_trace[1:] <= fitted.objective_trace[:-1]).all()
     assert problem.features.ndim == 2 and problem.labels.shape == problem.features.shape[:1]
     assert isinstance(problem.lam, float)
+
+
+def test_scorer_takes_the_benchmark_call_form(tmp_path):
+    """perfbench/run.py's swap-symmetry check scores ``[Trial(e, t), ...]``;
+    that call form must give the bits of the reader's columnar trial list."""
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({
+        "n_speakers": 5, "utts_per_speaker": 3, "chunks_per_utt": 3, "dim": 6,
+        "within_spread": 0.3, "between_spread": 1.0, "seed": 8,
+        "trials": {"n_pos": 10, "n_neg": 20, "seed": 8},
+    }))
+    assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    records = dataio.read_embeddings(str(tmp_path / "data" / "embeddings.txt"))
+    trials = dataio.read_trials(str(tmp_path / "data" / "trials.txt"), expect_labels=True)
+    for enroll, test in ((trials.enroll, trials.test), (trials.test, trials.enroll)):
+        listed = [dataio.Trial(e, t) for e, t in zip(enroll, test)]
+        columnar = dataio.TrialList(enroll, test)
+        assert scoring.score_trials(records, listed).tobytes() == scoring.score_trials(records, columnar).tobytes()

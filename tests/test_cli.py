@@ -99,7 +99,7 @@ def test_synth_rerun_is_byte_identical(pipeline):
 def test_score_aligns_with_trials(pipeline):
     trials = dataio.read_trials(str(pipeline["trials"]), expect_labels=True)
     pairs, values = dataio.read_scores(str(pipeline["raw_scores"]))
-    assert [(p.enroll_id, p.test_id) for p in pairs] == [(t.enroll_id, t.test_id) for t in trials]
+    assert (pairs.enroll, pairs.test) == (trials.enroll, trials.test)
     assert np.all((values >= -1.0) & (values <= 1.0))
 
 
@@ -153,9 +153,7 @@ def test_qmf_csv_layout(pipeline):
     assert names == feature_names(schema)
     assert matrix.shape == (60, len(names))
     listed = dataio.read_trials(str(pipeline["trials"]), expect_labels=True)
-    assert [(t.enroll_id, t.test_id) for t in trials] == [
-        (t.enroll_id, t.test_id) for t in listed
-    ]
+    assert (trials.enroll, trials.test) == (listed.enroll, listed.test)
 
 
 def test_fuse_fit_names_columns_from_basenames(pipeline):
@@ -190,7 +188,7 @@ def test_fuse_apply_emits_probabilities(pipeline):
     assert len(pairs) == 60
     assert np.all((probs >= 0.0) & (probs <= 1.0))
     trials = dataio.read_trials(str(pipeline["trials"]), expect_labels=True)
-    labels = np.array([t.label for t in trials])
+    labels = trials.labels
     # the fused system should order trials at least as well as chance
     assert probs[labels].mean() > probs[~labels].mean()
 
@@ -278,7 +276,7 @@ def test_eval_custom_p_target(pipeline, capsys):
 def test_eval_requires_labels(pipeline, capsys):
     unlabeled = pipeline["root"] / "unlabeled.txt"
     trials = dataio.read_trials(str(pipeline["trials"]), expect_labels=True)
-    dataio.write_trials([dataio.Trial(t.enroll_id, t.test_id) for t in trials], str(unlabeled))
+    dataio.write_trials(dataio.TrialList(trials.enroll, trials.test), str(unlabeled))
     rc = main(["eval", "--scores", str(pipeline["raw_scores"]), "--trials", str(unlabeled)])
     assert rc == 2
 

@@ -265,8 +265,8 @@ def test_trials_round_trip_labeled_and_unlabeled(tmp_path):
     p1, p2 = str(tmp_path / "l.txt"), str(tmp_path / "u.txt")
     dataio.write_trials(labeled, p1)
     dataio.write_trials(unlabeled, p2)
-    assert dataio.read_trials(p1, expect_labels=True) == labeled
-    assert dataio.read_trials(p2, expect_labels=False) == unlabeled
+    assert dataio.read_trials(p1, expect_labels=True) == dataio.TrialList.of(labeled)
+    assert dataio.read_trials(p2, expect_labels=False) == dataio.TrialList.of(unlabeled)
     assert dataio.sniff_trial_labels(p1) is True
     assert dataio.sniff_trial_labels(p2) is False
 
@@ -293,7 +293,7 @@ def test_scores_round_trip_and_alignment(tmp_path):
     path = str(tmp_path / "s.txt")
     dataio.write_scores(trials, values, path)
     pairs, back = dataio.read_scores(path)
-    assert pairs == trials
+    assert pairs == dataio.TrialList.of(trials)
     assert back.tobytes() == values.tobytes()
     dataio.check_score_alignment(trials, pairs, path)
     with pytest.raises(DataFormatError, match="pair mismatch"):
@@ -425,7 +425,7 @@ def test_trial_features_round_trip_with_nan(tmp_path):
     path = str(tmp_path / "feat.csv")
     dataio.write_trial_features(trials, ["f1", "f2"], matrix, path)
     back_trials, names, back = dataio.read_trial_features(path)
-    assert back_trials == trials
+    assert back_trials == dataio.TrialList.of(trials)
     assert names == ["f1", "f2"]
     assert np.isnan(back[0, 1])
     assert bits(back[1, 0]) == bits(1 / 3)
@@ -484,7 +484,7 @@ def test_trial_features_read_quoted_ids_and_names(tmp_path):
     path = tmp_path / "feat.csv"
     path.write_text('enroll,test,"f,1","f""2"\n"a,b",c,0.5,\nd,"e""f",,2.0\n')
     trials, names, matrix = dataio.read_trial_features(str(path))
-    assert trials == [dataio.Trial("a,b", "c"), dataio.Trial("d", 'e"f')]
+    assert trials == dataio.TrialList(["a,b", "d"], ["c", 'e"f'])
     assert names == ["f,1", 'f"2']
     assert matrix.tobytes() == np.array([[0.5, np.nan], [np.nan, 2.0]]).tobytes()
     dataio.write_trial_features(trials, names, matrix, str(tmp_path / "back.csv"))
@@ -504,10 +504,10 @@ def fusion_input_files(tmp_path):
 def test_read_fusion_features_names_columns_by_stem_and_stacks_them(tmp_path):
     trials, paths = fusion_input_files(tmp_path)
     pairs, names, raw = dataio.read_fusion_features([paths["raw.txt"], paths["norm.txt"]], paths["qmf.csv"])
-    assert pairs == trials
+    assert pairs == dataio.TrialList.of(trials)
     assert names == ["raw", "norm", "f1"]
     assert raw.tobytes() == np.array([[0.5, 1.5, 3.0], [-0.25, 2.0, np.nan]]).tobytes()
-    labeled = [dataio.Trial("a", "b", True), dataio.Trial("c", "d", False)]
+    labeled = dataio.TrialList(["a", "c"], ["b", "d"], np.array([True, False]))
     pairs, names, raw = dataio.read_fusion_features([paths["raw.txt"]], reference=labeled)
     assert pairs is labeled and names == ["raw"] and raw.shape == (2, 1)
 

@@ -1,6 +1,8 @@
 """Property tests: the store reader against its token-by-token oracle, the
 block-streamed line source against the whole-file read, the trial feature
-reader against its csv one, the table writers against their
+reader against its csv one and the score reader against its per-line one
+(both with two faults, the first in line order raised), the trial list's
+whole-list id check against the per-id one, the table writers against their
 csv.writer and format_float oracles, writer round trips, the metric and
 scaling kernels against numpy's, and the batched trial scorer against the
 one-trial scorer."""
@@ -212,7 +214,7 @@ def test_write_then_read_scores_is_identity(store_path, rows):
     scores = np.array([s for _, _, s in rows], dtype=np.float64)
     dataio.write_scores(trials, scores, store_path)
     back_trials, back_scores = dataio.read_scores(store_path)
-    assert back_trials == trials
+    assert back_trials == dataio.TrialList.of(trials)
     assert back_scores.tobytes() == scores.tobytes()
 
 
@@ -221,7 +223,7 @@ def test_write_then_read_scores_is_identity(store_path, rows):
 def test_write_then_read_trials_is_identity(store_path, trials):
     labeled = any(t.label is not None for t in trials)
     dataio.write_trials(trials, store_path)
-    assert dataio.read_trials(store_path, expect_labels=labeled) == trials
+    assert dataio.read_trials(store_path, expect_labels=labeled) == dataio.TrialList.of(trials)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +249,13 @@ def csv_read_trial_features(path):
     for lineno, fields in enumerate(reader, start=2):
         if len(fields) != len(header):
             raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
-        try:
-            trials.append(Trial(fields[0], fields[1], None))
-        except ValueError as exc:
-            raise DataFormatError(str(exc), path=path, line=lineno) from None
+        for name, value in (("enroll_id", fields[0]), ("test_id", fields[1])):
+            if not dataio._is_token(value):
+                raise DataFormatError(f"{name} must be non-empty without whitespace, got {value!r}",
+                                      path=path, line=lineno)
+        trials.append(Trial(fields[0], fields[1], None))
         rows.append([math.nan if cell == "" else dataio._parse_float(cell, path, lineno) for cell in fields[2:]])
-    return trials, names, np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
+    return dataio.TrialList.of(trials), names, np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
 
 
 def csv_write_trial_features(trials, names, matrix):
@@ -332,6 +335,81 @@ def test_trial_feature_reader_matches_the_csv_path(store_path, rows, mutated, da
     expected = table_outcome(csv_read_trial_features, store_path)
     assert table_outcome(dataio.read_trial_features, store_path) == expected
     assert expected[0] == ("DataFormatError" if mutated else "ok")
+
+
+def token_read_scores(path):
+    """read_scores as it was before its one-cast path: each line's fields and
+    then its score checked in turn, one _parse_float per score."""
+    path = str(path)
+    enroll, test, scores = [], [], []
+    for lineno, raw in enumerate(dataio.read_text(path).splitlines(), start=1):
+        if raw.strip() == "":
+            raise DataFormatError("blank line", path=path, line=lineno)
+        tokens = raw.split()
+        if len(tokens) != 3:
+            raise DataFormatError(f"expected 'enroll test score', found {len(tokens)} fields", path=path, line=lineno)
+        enroll.append(tokens[0])
+        test.append(tokens[1])
+        scores.append(dataio._parse_float(tokens[2], path, lineno))
+    return dataio.TrialList(enroll, test), np.array(scores, dtype=np.float64)
+
+
+@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=8), st.data())
+def test_score_reader_raises_the_first_fault_in_line_order(store_path, rows, data):
+    # a bad score before a later structural fault is raised first, and after one it is not
+    lines = [f"{e} {t} {v}" for e, t, v in rows]
+    faulty = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=min(2, len(lines)), max_size=2, unique=True))
+    for i in faulty:
+        e, t, v = rows[i]
+        lines[i] = data.draw(st.sampled_from([
+            f"{e} {t} {data.draw(st.sampled_from(BAD_VALUES))}", f"{e} {t}", f"{e} {t} {v} {v}", " ",
+        ]))
+    store_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = table_outcome(token_read_scores, store_path)
+    assert table_outcome(dataio.read_scores, store_path) == expected
+    assert expected[1].startswith(f"{store_path}:{min(faulty) + 1}: ")
+
+
+@given(feature_tables(), st.data())
+def test_trial_feature_reader_raises_the_first_fault_in_line_order(store_path, rows, data):
+    # a bad cell before a later short row or bad id is raised first, and after one it is not
+    if len(rows[0]) == 2:
+        rows = [[*row, "0.5"] for row in rows]
+        rows[0][-1] = "f"
+    while len(rows) < 3:
+        rows.append(["u", "v", *["0.5"] * (len(rows[0]) - 2)])
+    faulty = data.draw(st.lists(st.integers(1, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    for i in faulty:
+        kind = data.draw(st.sampled_from(["value", "short", "id"]))
+        if kind == "value":
+            rows[i][data.draw(st.integers(2, len(rows[i]) - 1))] = data.draw(st.sampled_from(BAD_VALUES))
+        elif kind == "short":
+            del rows[i][data.draw(st.integers(0, len(rows[i]) - 1))]
+        else:
+            rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["", "a b", "\t", '"q r"']))
+    store_path.write_text(render_csv(rows), encoding="utf-8")
+    expected = table_outcome(csv_read_trial_features, store_path)
+    assert table_outcome(dataio.read_trial_features, store_path) == expected
+    assert expected[1].startswith(f"{store_path}:{min(faulty) + 1}: ")
+
+
+# every character str.split splits on, and ids made of them, of letters, or empty
+WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
+id_or_not = st.one_of(st.text("ab", min_size=1, max_size=3), st.text(WHITESPACE + "ab", max_size=3))
+
+
+@given(st.lists(st.tuples(id_or_not, id_or_not), max_size=6))
+def test_trial_list_id_check_is_the_per_id_token_check(pairs):
+    expected = next((
+        f"{name} must be non-empty without whitespace, got {value!r}"
+        for pair in pairs for name, value in zip(("enroll_id", "test_id"), pair) if not dataio._is_token(value)
+    ), None)
+    try:
+        trials = dataio.TrialList([e for e, _ in pairs], [t for _, t in pairs])
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None and len(trials) == len(pairs)
 
 
 # every float, NaN and +-inf included, plus values whose repr takes exponent form

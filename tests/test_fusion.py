@@ -74,8 +74,6 @@ def test_problem_validation(np_rng):
         FusionProblem(np.array([[np.nan, 0.0]] * 4), np.array([1, 0, 1, 0]))
     with pytest.raises(ToolkitError, match="lambda"):
         FusionProblem(good, labels, lam=-0.1)
-    with pytest.raises(ToolkitError, match="feature_names"):
-        FusionProblem(good, labels, feature_names=("just_one",))
 
 
 def separated_problem(lam=1e-4):

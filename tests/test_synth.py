@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svbackend.dataio import ChunkEmbeddings, Trial
+from svbackend.dataio import ChunkEmbeddings, Trial, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
 from svbackend.synth import (
@@ -108,12 +108,12 @@ def test_trials_counts_labels_and_determinism():
     records, speaker_map = gen_dataset(CFG)
     trials = gen_trials(records, speaker_map, n_pos=10, n_neg=20, seed=5)
     assert len(trials) == 30
-    assert sum(t.label for t in trials) == 10
-    for t in trials:
-        assert (speaker_map[t.enroll_id] == speaker_map[t.test_id]) == t.label
+    assert int(trials.labels.sum()) == 10
+    for e, t, label in zip(trials.enroll, trials.test, trials.labels):
+        assert (speaker_map[e] == speaker_map[t]) == label
     assert gen_trials(records, speaker_map, 10, 20, seed=5) == trials
     assert gen_trials(records, speaker_map, 10, 20, seed=6) != trials
-    pairs = {(t.enroll_id, t.test_id) for t in trials}
+    pairs = set(zip(trials.enroll, trials.test))
     assert len(pairs) == 30
 
 
@@ -148,7 +148,8 @@ def listed_gen_trials(records, speaker_map, n_pos, n_neg, seed):
     trials = [Trial(a, b, True) for a, b in rng.take(pos_pairs, n_pos)]
     trials += [Trial(a, b, False) for a, b in rng.take(neg_pairs, n_neg)]
     rng.shuffle(trials)
-    return trials
+    return TrialList([t.enroll_id for t in trials], [t.test_id for t in trials],
+                     np.array([t.label for t in trials], dtype=bool))
 
 
 def outcome(fn, *args):
@@ -191,7 +192,7 @@ def test_trials_at_maximum_counts_and_past_them():
     n_same, n_cross = 6 + 3 + 3, 45 - 12
     full = gen_trials(records, speaker_map, n_same, n_cross, seed=4)
     assert full == listed_gen_trials(records, speaker_map, n_same, n_cross, 4)
-    assert len({(t.enroll_id, t.test_id) for t in full}) == 45
+    assert len(set(zip(full.enroll, full.test))) == 45
     with pytest.raises(ToolkitError, match=f"requested 13 same-speaker pairs, only {n_same} available"):
         gen_trials(records, speaker_map, n_same + 1, 0, seed=4)
     with pytest.raises(ToolkitError, match=f"requested 34 cross-speaker pairs, only {n_cross} available"):
