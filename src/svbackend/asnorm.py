@@ -65,19 +65,32 @@ def build_cohort(
 
 
 def _top_n_rows(sims: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of the ``top_n`` largest entries of each row."""
+    """Mean and population std of the ``top_n`` largest entries of each row.
+    ``sims`` is partitioned in place, so the caller must own it."""
     n_cols = sims.shape[1]
-    top = np.partition(sims, n_cols - top_n, axis=1)[:, n_cols - top_n:] if top_n < n_cols else sims
+    if top_n < n_cols:
+        sims.partition(n_cols - top_n, axis=1)
+    top = sims[:, n_cols - top_n:]
     return top.mean(axis=1), top.std(axis=1)
 
 
 def top_n_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
-    """Mean and population std of the ``top_n`` largest cohort scores."""
-    scores = np.asarray(cohort_scores, dtype=np.float64)
+    """Mean and population std of the ``top_n`` largest cohort scores; the
+    caller's array is left as it was."""
+    scores = np.array(cohort_scores, dtype=np.float64)  # a copy, partitioned in place below
     if scores.ndim != 1 or scores.shape[0] < top_n:
         raise ToolkitError(f"need at least top_n={top_n} cohort scores, got shape {scores.shape}")
     mu, sd = _top_n_rows(scores[None, :], top_n)
     return float(mu[0]), float(sd[0])
+
+
+def _mean_rows(records: list[ChunkEmbeddings]) -> np.ndarray:
+    """The records' mean embeddings as the rows of one matrix, each written
+    into its row as it is computed, so no list of them is held."""
+    rows = np.empty((len(records), records[0].dim), dtype=np.float64)
+    for row, rec in zip(rows, records):
+        row[:] = rec.mean_embedding()
+    return rows
 
 
 def _normalize(raw, mu_e, sd_e, mu_t, sd_t):
@@ -118,7 +131,8 @@ def asnorm_trials(
 
     Side rows are scored against the cohort in blocks whose similarities fit
     in ``COSINE_BLOCK_BYTES`` (at least one row each), and each block is
-    reduced to its rows' top-N mean and std before the next is scored.
+    partitioned in place and reduced to its rows' top-N mean and std before
+    the next is scored.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
@@ -133,11 +147,11 @@ def asnorm_trials(
     side_records, enroll, test = trial_sides(records, pairs)
     mu = np.empty(len(side_records), dtype=np.float64)
     sd = np.empty(len(side_records), dtype=np.float64)
-    cohort_rows = np.stack([rec.mean_embedding() for rec in cohort])
+    cohort_rows = _mean_rows(cohort)
     cohort_norms = row_norms(cohort_rows)
     step = max(1, COSINE_BLOCK_BYTES // (len(cohort) * 8))
     for start in range(0, len(side_records), step):
         rows = slice(start, start + step)
-        means = np.stack([rec.mean_embedding() for rec in side_records[rows]])
+        means = _mean_rows(side_records[rows])
         mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort_rows, cohort_norms), top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

@@ -39,17 +39,13 @@ class _FiniteFloatRange(click.FloatRange):
         return value
 
 
-def _read_trials_auto(path: str) -> dataio.TrialList:
-    return dataio.read_trials(path, expect_labels=dataio.sniff_trial_labels(path))
-
-
 @cli.command()
 @click.option("--embeddings", required=True, help="Embedding store.")
 @click.option("--trials", required=True, help="Trial list, labeled or not.")
 @click.option("--out", required=True, help="Output score file.")
 def score(embeddings, trials, out):
     """Score trials with the chunked pairwise cosine."""
-    trial_list = _read_trials_auto(trials)
+    trial_list = dataio.read_trials(trials)
     records = dataio.read_embeddings(embeddings)
     values = scoring.score_trials(records, trial_list)
     dataio.write_scores(trial_list, values, out)
@@ -95,7 +91,7 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
     """Extract per-trial quality features."""
     columns = dataio.read_schema(schema)
     table = dataio.read_attributes(attributes, columns)
-    trial_list = _read_trials_auto(trials)
+    trial_list = dataio.read_trials(trials)
     records = dataio.read_embeddings(embeddings)
     names, matrix = qmf.trial_feature_matrix(trial_list, records, table, columns)
     dataio.write_trial_features(trial_list, names, matrix, out)

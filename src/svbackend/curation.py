@@ -11,6 +11,7 @@ the output does not depend on input ordering.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,15 @@ def median_profile(speaker_id: str, utterance_means: list[np.ndarray]) -> Speake
 
 
 def profiles_from_store(records: list[ChunkEmbeddings], speaker_map: dict[str, str]) -> list[SpeakerProfile]:
-    """One profile per speaker from an embedding store, sorted by speaker id."""
-    by_speaker: dict[str, list[np.ndarray]] = {}
+    """One profile per speaker from an embedding store, sorted by speaker id.
+    A speaker's utterance means are computed as its profile is made, so the
+    means of one speaker at a time are held."""
+    by_speaker: dict[str, list[ChunkEmbeddings]] = {}
     for rec in records:
         if rec.utt_id not in speaker_map:
             raise ToolkitError(f"utterance {rec.utt_id!r} missing from speaker map")
-        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec.mean_embedding())
-    return [median_profile(spk, means) for spk, means in sorted(by_speaker.items())]
+        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec)
+    return [median_profile(spk, [rec.mean_embedding() for rec in recs]) for spk, recs in sorted(by_speaker.items())]
 
 
 @dataclass(frozen=True)
@@ -99,8 +102,7 @@ def ddf_select(
     source = sorted(source, key=lambda p: p.speaker_id)
     targets = sorted(targets, key=lambda p: p.speaker_id)
     for profiles, role in ((source, "source"), (targets, "target")):
-        ids = [p.speaker_id for p in profiles]
-        if len(set(ids)) != len(ids):
+        if any(p.speaker_id == q.speaker_id for p, q in itertools.pairwise(profiles)):  # equal ids sort together
             raise ToolkitError(f"duplicate {role} speaker ids")
     src_matrix = np.stack([p.median_embedding for p in source])
     for p in targets:
@@ -113,7 +115,8 @@ def ddf_select(
     # whole, with blocks whose similarities fit in COSINE_BLOCK_BYTES. A block's
     # best only replaces a strictly smaller one, so the first (smallest-id) target wins ties.
     # Index order is id order, so a stable sort of each negated row ranks ties by source id;
-    # the block is negated in place, after its maxima are taken, to hold no second copy.
+    # the block is negated in place, after its maxima are taken, to hold no second copy, and
+    # released before the next block is scored.
     k = min(config.top_k, len(source))
     candidate = np.zeros(len(source), dtype=bool)
     best_sim = np.full(len(source), -np.inf)
@@ -128,6 +131,7 @@ def ddf_select(
         best_sim[better] = block_best[better]
         nearest[better] = start + sims.argmax(axis=0)[better]
         candidate[np.argsort(np.negative(sims, out=sims), axis=1, kind="stable")[:, :k]] = True
+        del sims
     return [
         DdfSelection(
             speaker_id=source[j].speaker_id,

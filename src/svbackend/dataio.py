@@ -17,8 +17,9 @@ record at a time, so the store's text is never held whole.
 
 A trial list is a :class:`TrialList`: an enroll id column, a test id column
 and, when labeled, a bool label array. It checks all its ids at once and
-scans them pair by pair only to name the first bad one. The trial, score
-and feature readers return one, and every function that takes a trial list
+scans them pair by pair only to name the first bad one. The trial reader
+reads a list once and, unless told, takes whether it is labeled from its
+first line. The trial, score and feature readers return one, and every function that takes a trial list
 also takes a sequence of :class:`Trial` records, converted once by
 :meth:`TrialList.of`. The score reader casts its score column with one
 numpy call and parses score by score only when that fails.
@@ -30,8 +31,10 @@ NaN) and gathers, and parses the cells one by one only when that fails, to
 name the first bad cell. Both it and the score reader raise a bad id or
 value before a fault on a later line. :func:`read_fusion_features` reads
 fusion's inputs as named columns aligned on one pair list. The score writer
-formats a column with ``map(repr, ...)``, the feature writer each distinct
-bit pattern once, and both hand over one line at a time; :func:`_csv_field`
+formats a column with ``map(repr, ...)``. The feature writer formats a block
+of rows at a time, each distinct bit pattern in the block once, with blocks
+sized by ``scoring.COSINE_BLOCK_BYTES``, so it holds a few blocks beyond the
+matrix it is given. Both hand over one line at a time; :func:`_csv_field`
 quotes a feature-table id or header name as ``csv.writer`` would.
 
 Formats:
@@ -440,13 +443,20 @@ class TrialList:
     __hash__ = None
 
 
-def read_trials(path: str, expect_labels: bool) -> TrialList:
+def read_trials(path: str, expect_labels: bool | None = None) -> TrialList:
+    """The trial list in file order. With ``expect_labels`` None the first
+    data line decides: three fields mean a labeled list and two an unlabeled
+    one, and every later line must match it; an empty file is unlabeled."""
     path = str(path)
     enroll: list[str] = []
     test: list[str] = []
     labels: list[bool] = []
     for lineno, raw in _data_lines(path):
         tokens = raw.split()
+        if expect_labels is None:
+            if len(tokens) not in (2, 3):
+                raise DataFormatError(f"expected 2 or 3 fields, found {len(tokens)}", path=path, line=lineno)
+            expect_labels = len(tokens) == 3
         if expect_labels:
             if len(tokens) == 2:
                 raise DataFormatError("missing label (expected 'label enroll test')", path=path, line=lineno)
@@ -466,20 +476,8 @@ def read_trials(path: str, expect_labels: bool) -> TrialList:
 
 
 def sniff_trial_labels(path: str) -> bool:
-    """True when the first data line of a trial list carries a label column.
-    The lines after it are checked as :func:`read_trials` checks its lines
-    before their fields: none is blank and all are UTF-8."""
-    path = str(path)
-    lines = _data_lines(path)
-    lineno, raw = next(lines, (1, None))
-    if raw is None:
-        return False
-    n = len(raw.split())
-    if n not in (2, 3):
-        raise DataFormatError(f"expected 2 or 3 fields, found {n}", path=path, line=lineno)
-    for _ in lines:
-        pass
-    return n == 3
+    """True when the trial list is labeled, as :func:`read_trials` infers it."""
+    return read_trials(path).labels is not None
 
 
 def write_trials(trials: TrialList | Iterable[Trial], path: str) -> None:
@@ -701,15 +699,28 @@ def write_trial_features(trials: TrialList | Iterable[Trial], names: list[str], 
     header = ",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"
     ids = map("{},{}".format, map(_csv_field, trials.enroll), map(_csv_field, trials.test))
     if names:
-        # each distinct bit pattern is formatted once, so 0.0 and -0.0 stay apart;
-        # repr of a Python float is format_float, and every NaN is written blank
-        patterns, inverse = np.unique(matrix.view(np.int64), return_inverse=True)
-        texts = ["" if v != v else repr(v) for v in patterns.view(np.float64).tolist()]
-        rows = (",".join([texts[k] for k in row.tolist()]) for row in inverse.reshape(matrix.shape))
-        lines = (f"{i},{row}\n" for i, row in zip(ids, rows))
+        lines = (f"{i},{row}\n" for i, row in zip(ids, _feature_rows(matrix)))
     else:
         lines = (f"{i}\n" for i in ids)
     atomic_write_text(str(path), itertools.chain((header,), lines))
+
+
+def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
+    """Each row of ``matrix`` as its comma-joined cells, formatted a block of
+    rows at a time: within a block each distinct bit pattern is formatted
+    once, so 0.0 and -0.0 stay apart. repr of a Python float is format_float,
+    and every NaN is written blank. A cell's text takes up to about eight
+    times its 8 bytes, so a block of cells whose texts fit in
+    ``COSINE_BLOCK_BYTES`` holds an eighth of that in values."""
+    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
+
+    step = max(1, COSINE_BLOCK_BYTES // (8 * matrix.shape[1] * 8))
+    for start in range(0, matrix.shape[0], step):
+        block = matrix[start:start + step]
+        patterns, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        texts = ["" if v != v else repr(v) for v in patterns.view(np.float64).tolist()]
+        for row in inverse.reshape(block.shape).tolist():
+            yield ",".join([texts[k] for k in row])
 
 
 def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:

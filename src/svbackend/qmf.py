@@ -65,7 +65,8 @@ def _side_stats(records: list[ChunkEmbeddings]) -> np.ndarray:
     norm and component std of the mean embedding, then the mean and std of
     the per-dimension stds across chunks (population stds throughout).
 
-    Records are stacked by chunk shape in blocks within ``COSINE_BLOCK_BYTES``
+    Records are stacked by chunk shape in blocks whose chunks and the
+    deviations ``std`` forms from them fit in ``COSINE_BLOCK_BYTES`` together
     (at least one record each). Every statistic is a reduction over the
     chunk axis or the contiguous last axis, as it would be on a lone record,
     so a row does not depend on what else is in its block.
@@ -75,7 +76,7 @@ def _side_stats(records: list[ChunkEmbeddings]) -> np.ndarray:
     for i, rec in enumerate(records):
         by_shape.setdefault(rec.chunks.shape, []).append(i)
     for (n_chunks, dim), members in by_shape.items():
-        step = max(1, COSINE_BLOCK_BYTES // (n_chunks * dim * 8))
+        step = max(1, COSINE_BLOCK_BYTES // (2 * n_chunks * dim * 8))
         for start in range(0, len(members), step):
             block = members[start:start + step]
             chunks = np.array([records[i].chunks for i in block])  # C-ordered (block, n_chunks, dim)
@@ -111,7 +112,8 @@ def trial_feature_matrix(
 
     Each unique trial side gets one row of transformed reals (NaN when
     missing), categorical codes (-1 when missing) and embedding statistics;
-    the trial columns are gathers of its two sides' rows.
+    the trial columns are gathers of its two sides' rows, made for blocks of
+    trials whose two gathered side rows fit in ``COSINE_BLOCK_BYTES``.
     """
     side_records, enroll, test = trial_sides(records, trials)
     rows = []
@@ -128,14 +130,27 @@ def trial_feature_matrix(
         else:
             side[:, c] = [math.nan if v is None else _transform_value(v, col) for v in values]
     side[:, len(schema):] = _side_stats(side_records)
-    e, t = side[enroll], side[test]
-    columns = []
-    for c, kind in enumerate([col.kind for col in schema] + ["real"] * len(EMBEDDING_STAT_NAMES)):
+    names = feature_names(schema)
+    matrix = np.empty((len(enroll), len(names)), dtype=np.float64)
+    kinds = [col.kind for col in schema] + ["real"] * len(EMBEDDING_STAT_NAMES)
+    step = max(1, COSINE_BLOCK_BYTES // (2 * side.shape[1] * 8))
+    for start in range(0, len(enroll), step):
+        rows = slice(start, start + step)
+        _pair_sides(matrix[rows], side[enroll[rows]], side[test[rows]], kinds)
+    return names, matrix
+
+
+def _pair_sides(out: np.ndarray, e: np.ndarray, t: np.ndarray, kinds: list[str]) -> None:
+    """Write the trial columns of aligned enroll and test side rows into ``out``:
+    a match flag per categorical side column and a (min, max) pair per real one."""
+    j = 0
+    for c, kind in enumerate(kinds):
         if kind == "categorical":
-            columns.append(((e[:, c] == t[:, c]) & (e[:, c] >= 0)).astype(np.float64))
+            out[:, j] = (e[:, c] == t[:, c]) & (e[:, c] >= 0)
+            j += 1
         else:
-            columns.extend(_min_max(e[:, c], t[:, c]))
-    return feature_names(schema), np.column_stack(columns)
+            out[:, j], out[:, j + 1] = _min_max(e[:, c], t[:, c])
+            j += 2
 
 
 # ---------------------------------------------------------------------------

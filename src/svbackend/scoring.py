@@ -21,10 +21,12 @@ from . import dataio
 from .dataio import ChunkEmbeddings, Trial, TrialList
 from .errors import ToolkitError
 
-# Bytes one block of cosine_matrix or score_trials may hold: the elementwise products and,
-# in score_trials, the chunks gathered for them. asnorm and curation bound their blocks of
-# similarity rows by it, and qmf its blocks of stacked chunks. Larger blocks raise peak memory.
-COSINE_BLOCK_BYTES = 1 << 20
+# Bytes one block of temporaries may hold, the one budget of every blocked kernel: the
+# elementwise products of cosine_matrix and score_trials (and, in score_trials, the chunks
+# gathered for them), asnorm's and curation's blocks of similarity rows, qmf's stacked
+# chunks and gathered side rows, and the feature writer's blocks of rows. A stage peaks at
+# its inputs and outputs plus a few such blocks; larger blocks raise that peak.
+COSINE_BLOCK_BYTES = 1 << 18
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -60,9 +62,11 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | 
     path, and the result is symmetric under swapping the two inputs (entry
     (i, j) becomes entry (j, i) with the same value).
 
-    Products are formed for blocks of ``rows_a`` within ``COSINE_BLOCK_BYTES``
-    (at least one row each). Blocking splits only the row axis, so each entry
-    is still the same last-axis sum and stays bit-identical.
+    Products are formed for blocks of ``rows_a`` against blocks of ``rows_b``
+    within ``COSINE_BLOCK_BYTES`` (at least one row of each), so one row
+    against many ``rows_b`` is split too. Blocking splits only the row axes,
+    never the last one, so each entry is still the same last-axis sum and
+    stays bit-identical.
 
     A caller that scores many blocks of rows against one ``rows_b`` passes
     ``norms_b = row_norms(rows_b)`` so that they are computed once.
@@ -76,11 +80,15 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | 
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
     sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, COSINE_BLOCK_BYTES // max(1, b.size * 8))
-    for start in range(0, a.shape[0], step):
-        rows = slice(start, start + step)
-        dots = (a[rows, None, :] * b[None, :, :]).sum(axis=2)
-        sims[rows] = dots / (norms_a[rows, None] * norms_b[None, :])
+    pair_bytes = 8 * max(1, a.shape[1])  # the products of one row against one row
+    col_step = max(1, min(b.shape[0], COSINE_BLOCK_BYTES // pair_bytes))
+    row_step = max(1, COSINE_BLOCK_BYTES // (col_step * pair_bytes))
+    for r in range(0, a.shape[0], row_step):
+        rows = slice(r, r + row_step)
+        for c in range(0, b.shape[0], col_step):
+            cols = slice(c, c + col_step)
+            dots = (a[rows, None, :] * b[None, cols, :]).sum(axis=2)
+            sims[rows, cols] = dots / (norms_a[rows, None] * norms_b[None, cols])
     np.clip(sims, -1.0, 1.0, out=sims)
     return sims
 
@@ -135,7 +143,8 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
     (enroll chunks, test chunks, dim) shape, and each group is scored in
     blocks of trials whose gathered chunks and products fit in
     ``COSINE_BLOCK_BYTES``; a trial over that budget alone has its products
-    split over its enroll chunks, as :func:`cosine_matrix` splits its rows.
+    split over its enroll chunks and, if need be, its test chunks, as
+    :func:`cosine_matrix` splits its rows.
     Every cosine is the same last-axis sum, division and clip as in
     :func:`cosine_matrix`, and every score the same ``math.fsum`` over them
     divided by the pair count, so a trial's score is the same double whatever
@@ -158,13 +167,18 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
         raise ToolkitError("cosine undefined for zero-norm vector")
 
     scores = np.empty(len(enroll), dtype=np.float64)
-    trial_shapes = np.stack([counts[enroll], counts[test], dims[enroll]], axis=1)
-    shapes, group = np.unique(trial_shapes, axis=0, return_inverse=True)
-    group = group.ravel()
-    for g, (n_e, n_t, dim) in enumerate(shapes.tolist()):
-        members = np.flatnonzero(group == g)
+    # each side's (chunks, dim) shape as a code, and each trial's as the pair of its sides'
+    # codes: one integer per trial, whose groups are the (n_e, n_t, dim) shapes
+    shapes, side_code = np.unique(np.stack([counts, dims], axis=1), axis=0, return_inverse=True)
+    side_code = side_code.ravel()
+    trial_code = side_code[enroll] * len(shapes)
+    trial_code += side_code[test]
+    for code in np.flatnonzero(np.bincount(trial_code, minlength=len(shapes) ** 2)).tolist():
+        members = np.flatnonzero(trial_code == code)
+        (n_e, dim), (n_t, _) = shapes[code // len(shapes)].tolist(), shapes[code % len(shapes)].tolist()
         per_block = max(1, COSINE_BLOCK_BYTES // ((n_e * n_t + n_e + n_t) * dim * 8))
         row_step = min(n_e, max(1, COSINE_BLOCK_BYTES // (n_t * dim * 8)))
+        col_step = min(n_t, max(1, COSINE_BLOCK_BYTES // (row_step * dim * 8)))
         for start in range(0, members.size, per_block):
             block = members[start:start + per_block]
             # np.array builds C-ordered blocks (np.stack would keep a Fortran-ordered record's
@@ -176,8 +190,10 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
             sims = np.empty((block.size, n_e, n_t), dtype=np.float64)
             for r in range(0, n_e, row_step):
                 rs = slice(r, r + row_step)
-                dots = (e_chunks[:, rs, None, :] * t_chunks[:, None, :, :]).sum(axis=3)
-                sims[:, rs] = dots / (e_norms[:, rs, None] * t_norms[:, None, :])
+                for c in range(0, n_t, col_step):
+                    cs = slice(c, c + col_step)
+                    dots = (e_chunks[:, rs, None, :] * t_chunks[:, None, cs, :]).sum(axis=3)
+                    sims[:, rs, cs] = dots / (e_norms[:, rs, None] * t_norms[:, None, cs])
             np.clip(sims, -1.0, 1.0, out=sims)
             n_pairs = n_e * n_t
             scores[block] = [math.fsum(row) / n_pairs for row in sims.reshape(block.size, n_pairs).tolist()]

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,3 +35,20 @@ def small_synth():
 def np_rng():
     """Test-side noise source, independent of the library generator."""
     return np.random.default_rng(987)
+
+
+@pytest.fixture()
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs)`` calls ``fn(*args, **kwargs)`` and
+    returns its result with the tracemalloc peak of the call, in bytes."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return run

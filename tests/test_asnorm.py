@@ -40,6 +40,14 @@ def test_top_n_stats_requires_enough_scores():
         top_n_stats(np.array([0.1, 0.2]), top_n=3)
 
 
+def test_normalization_leaves_cohort_scores_unchanged(np_rng):
+    enroll, test = np_rng.normal(size=50), np_rng.normal(size=60)
+    before = enroll.tobytes(), test.tobytes()
+    normalize_from_cohort_scores(0.3, enroll, test, top_n=10)
+    top_n_stats(enroll, top_n=10)
+    assert (enroll.tobytes(), test.tobytes()) == before
+
+
 def test_population_std_not_sample_std():
     _, sd = top_n_stats(np.array([0.0, 1.0]), top_n=2)
     assert sd == 0.5

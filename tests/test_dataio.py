@@ -4,12 +4,12 @@ import json
 import math
 import os
 import stat
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from svbackend import dataio
+from svbackend import dataio, scoring
 from svbackend.errors import DataFormatError
 
 EDGE_FLOATS = [
@@ -66,6 +66,7 @@ UTF8_READERS = {
     "read_text": ("x", dataio.read_text),
     "read_embeddings": ("dim=1", dataio.read_embeddings),
     "read_trials": ("1 a b", lambda p: dataio.read_trials(p, expect_labels=True)),
+    "read_trials_inferred": ("1 a b", dataio.read_trials),
     "sniff_trial_labels": ("1 a b", dataio.sniff_trial_labels),
     "read_scores": ("a b 0.5", dataio.read_scores),
     "read_speaker_map": ("a s", dataio.read_speaker_map),
@@ -159,18 +160,13 @@ def test_store_reader_raises_the_first_fault_in_line_order(tmp_path, later_fault
         dataio.read_embeddings(str(path))
 
 
-def test_store_reader_peak_memory_stays_near_its_values(tmp_path, np_rng):
+def test_store_reader_peak_memory_stays_near_its_values(tmp_path, np_rng, traced_peak):
     # about 3 MB of text; a reader that held the text whole peaked near 5x the values
     records = [dataio.ChunkEmbeddings(f"utt{i:04d}", np_rng.normal(size=(4, 64))) for i in range(600)]
     path = str(tmp_path / "emb.txt")
     dataio.write_embeddings(records, path)
     assert os.path.getsize(path) > 2_500_000
-    tracemalloc.start()
-    try:
-        back = dataio.read_embeddings(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(dataio.read_embeddings, path)
     assert len(back) == len(records)
     assert peak < 2 * sum(rec.chunks.nbytes for rec in back)
 
@@ -267,8 +263,38 @@ def test_trials_round_trip_labeled_and_unlabeled(tmp_path):
     dataio.write_trials(unlabeled, p2)
     assert dataio.read_trials(p1, expect_labels=True) == dataio.TrialList.of(labeled)
     assert dataio.read_trials(p2, expect_labels=False) == dataio.TrialList.of(unlabeled)
+    assert dataio.read_trials(p1) == dataio.TrialList.of(labeled)
+    assert dataio.read_trials(p2) == dataio.TrialList.of(unlabeled)
     assert dataio.sniff_trial_labels(p1) is True
     assert dataio.sniff_trial_labels(p2) is False
+
+
+@pytest.mark.parametrize(
+    "text,fragment,line",
+    [
+        ("a b c d\n", "expected 2 or 3 fields, found 4", 1),
+        ("a\n", "expected 2 or 3 fields, found 1", 1),
+        ("1 a b\nc d\n", "missing label", 2),
+        ("1 a b\n2 c d\n", "invalid label", 2),
+        ("a b\n1 c d\n", "expected 2 fields, found 3", 2),
+        # the list is read once, so a field fault comes before a blank line after it
+        ("a b\n1 c d\n\n", "expected 2 fields, found 3", 2),
+        ("a b\n\n1 c d\n", "blank line", 2),
+    ],
+)
+def test_read_trials_infers_labels_from_the_first_line(tmp_path, text, fragment, line):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=fragment) as err:
+        dataio.read_trials(str(path))
+    assert err.value.line == line
+
+
+def test_read_trials_of_an_empty_file_is_unlabeled(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("")
+    assert dataio.read_trials(str(path)) == dataio.TrialList([], [])
+    assert dataio.sniff_trial_labels(str(path)) is False
 
 
 def test_read_trials_errors(tmp_path):
@@ -489,6 +515,36 @@ def test_trial_features_read_quoted_ids_and_names(tmp_path):
     assert matrix.tobytes() == np.array([[0.5, np.nan], [np.nan, 2.0]]).tobytes()
     dataio.write_trial_features(trials, names, matrix, str(tmp_path / "back.csv"))
     assert (tmp_path / "back.csv").read_text() == path.read_text()
+
+
+def test_feature_writer_bytes_do_not_depend_on_the_block_size(tmp_path, np_rng):
+    # repeated cells, signed zeros, NaNs and ids that need quoting, over blocks of
+    # one row, of a few rows with a partial last block, and of the whole table
+    matrix = np_rng.choice([0.0, -0.0, np.nan, 1 / 3, -2.5, 1e-300, 7.0], size=(23, 4))
+    trials = dataio.TrialList([f"a,{i}" for i in range(23)], [f'b"{i}' for i in range(23)])
+    names = ["f1", "f,2", 'f"3', "f4"]
+    texts = set()
+    for budget in (1, 3 * 8 * 8 * 4, scoring.COSINE_BLOCK_BYTES):
+        path = tmp_path / f"feat-{budget}.csv"
+        with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+            dataio.write_trial_features(trials, names, matrix, str(path))
+        texts.add(path.read_bytes())
+    assert len(texts) == 1
+    back_trials, back_names, back = dataio.read_trial_features(str(path))
+    assert (back_trials, back_names) == (trials, names)
+    assert back.tobytes() == matrix.tobytes()
+
+
+def test_feature_writer_peak_stays_within_a_few_blocks(tmp_path, np_rng, traced_peak):
+    """20 000 trials of 17 features whose cells repeat, as a side's value does in
+    each of its trials: finding the whole table's distinct values at once
+    peaked near 14 MB (53 budgets); a block of rows at a time stays within a few."""
+    n_trials = 20_000
+    trials = dataio.TrialList([f"e{i:05d}" for i in range(n_trials)], [f"t{i:05d}" for i in range(n_trials)])
+    matrix = np_rng.choice(np_rng.normal(size=5000), size=(n_trials, 17))
+    names = [f"f{j}" for j in range(17)]
+    _, peak = traced_peak(dataio.write_trial_features, trials, names, matrix, str(tmp_path / "feat.csv"))
+    assert peak < 4 * scoring.COSINE_BLOCK_BYTES
 
 
 def fusion_input_files(tmp_path):

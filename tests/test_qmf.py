@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import trial_side_reference as reference
-from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
+from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.qmf import (
     EMBEDDING_STAT_NAMES,
@@ -15,6 +15,7 @@ from svbackend.qmf import (
     minmax_fit,
     trial_feature_matrix,
 )
+from svbackend.scoring import COSINE_BLOCK_BYTES
 
 SCHEMA = [
     SchemaColumn("gender", "categorical", "match"),
@@ -224,6 +225,23 @@ def test_trial_feature_matrix_empty_trial_list(np_rng):
     table = AttributeTable(columns=("gender", "snr", "length"))
     names, matrix = trial_feature_matrix([], make_records(np_rng), table, SCHEMA)
     assert matrix.shape == (0, len(names))
+
+
+def test_trial_feature_matrix_peak_stays_within_a_few_blocks(np_rng, traced_peak):
+    """20 000 trials among 2 000 utterances: gathering both sides' rows for
+    every trial at once held about three matrices; gathering them a block of
+    trials at a time holds the matrix plus a few budgets."""
+    n_utts, n_trials = 2000, 20_000
+    records = [ChunkEmbeddings(f"u{i:04d}", np_rng.normal(size=(4, 32))) for i in range(n_utts)]
+    table = AttributeTable(columns=tuple(col.name for col in SCHEMA))
+    for rec in records:
+        table.rows[rec.utt_id] = {"gender": str(np_rng.integers(2)), "snr": float(np_rng.normal()),
+                                  "length": float(np_rng.uniform(1.0, 9.0))}
+    pick = np_rng.integers(0, n_utts, size=(n_trials, 2)).tolist()
+    trials = TrialList([f"u{e:04d}" for e, _ in pick], [f"u{t:04d}" for _, t in pick])
+    (names, matrix), peak = traced_peak(trial_feature_matrix, trials, records, table, SCHEMA)
+    assert matrix.shape == (n_trials, len(names))
+    assert peak < matrix.nbytes + 4 * COSINE_BLOCK_BYTES
 
 
 # ---------------------------------------------------------------------------

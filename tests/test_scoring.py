@@ -1,17 +1,20 @@
 """Cosine and chunked pairwise trial scoring against double-loop oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from svbackend.dataio import ChunkEmbeddings, Trial
+from svbackend import scoring
+from svbackend.dataio import ChunkEmbeddings, Trial, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.scoring import (
     COSINE_BLOCK_BYTES,
     cosine,
     cosine_matrix,
     pairwise_score,
+    row_norms,
     score_trials,
     trial_sides,
     vector_norm,
@@ -67,9 +70,10 @@ def test_cosine_matrix_transpose_symmetry(np_rng):
 
 
 def test_cosine_matrix_spanning_row_blocks_bit_identical(np_rng):
-    # 13 rows of 700 x 64 products take about 4.5 budgets; the transpose's
-    # 700 rows of 13 x 64 products take about 4.5 budgets too, so both
-    # directions span several row blocks with a partial last block.
+    # 13 rows of 700 x 64 products take about 18 budgets, and one row's more
+    # than one, so the forward direction spans column blocks; the transpose's
+    # 700 rows of 13 x 64 products span several row blocks. Both end with a
+    # partial last block.
     a = np_rng.normal(size=(13, 64))
     b = np_rng.normal(size=(700, 64))
     assert a.size * b.shape[0] * 8 > 4 * COSINE_BLOCK_BYTES
@@ -78,6 +82,35 @@ def test_cosine_matrix_spanning_row_blocks_bit_identical(np_rng):
         for j in range(b.shape[0]):
             assert forward[i, j] == cosine(a[i], b[j])
     assert forward.tobytes() == cosine_matrix(b, a).T.copy().tobytes()
+
+
+def test_cosine_matrix_splits_one_row_over_column_blocks(np_rng, traced_peak):
+    # one row's 300 x 32 products take over nine budgets of 8 KiB, so every row
+    # is scored against blocks of 32 columns, the last one partial
+    budget = 8192
+    a = np_rng.normal(size=(5, 32))
+    b = np_rng.normal(size=(300, 32))
+    assert b.size * 8 > 9 * budget
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        sims, peak = traced_peak(cosine_matrix, a, b, row_norms(b))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            assert sims[i, j] == cosine(a[i], b[j])
+    assert peak < sims.nbytes + 3 * budget
+
+
+def test_score_trials_peak_stays_within_a_few_blocks(np_rng, traced_peak):
+    """20 000 trials among 2 000 utterances of 4 chunks (dim 32): grouping the
+    trials by shape with ``np.unique(..., axis=0)`` peaked near 2.5 MB (10
+    budgets); one integer shape code per trial keeps the kernel within a few
+    budgets beyond its scores."""
+    n_utts, n_trials = 2000, 20_000
+    records = [ChunkEmbeddings(f"u{i:04d}", np_rng.normal(size=(4, 32))) for i in range(n_utts)]
+    pick = np_rng.integers(0, n_utts, size=(n_trials, 2)).tolist()
+    trials = TrialList([f"u{e:04d}" for e, _ in pick], [f"u{t:04d}" for _, t in pick])
+    scores, peak = traced_peak(score_trials, records, trials)
+    assert scores.shape == (n_trials,)
+    assert peak < 5 * COSINE_BLOCK_BYTES + scores.nbytes
 
 
 def test_vector_norm_and_mean_embedding():

@@ -1,7 +1,6 @@
 """Seeded synthetic data: determinism, structure, and attribute ranges."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,16 +198,11 @@ def test_trials_at_maximum_counts_and_past_them():
         gen_trials(records, speaker_map, 0, n_cross + 1, seed=4)
 
 
-def test_trials_memory_stays_bounded_on_many_speakers():
+def test_trials_memory_stays_bounded_on_many_speakers(traced_peak):
     # 640 speakers x 2 utterances: 818 560 pairs, of which 2 000 are sampled
     records = [ChunkEmbeddings(utt_id(speaker_id(s), u), np.ones((1, 1))) for s in range(640) for u in range(2)]
     speaker_map = {rec.utt_id: rec.utt_id.split("_")[0] for rec in records}
-    tracemalloc.start()
-    try:
-        trials = gen_trials(records, speaker_map, n_pos=500, n_neg=1500, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    trials, peak = traced_peak(gen_trials, records, speaker_map, n_pos=500, n_neg=1500, seed=1)
     assert len(trials) == 2000
     assert peak < 1 << 20
 

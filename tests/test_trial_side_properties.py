@@ -3,7 +3,6 @@ statistics and blocked ddf, each against its per-trial or per-row reference
 copy in ``trial_side_reference``; input-order invariance of ``build_cohort``
 and ``ddf``; and bounded memory of the blocked AS-Norm and ddf."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -232,17 +231,7 @@ def test_build_cohort_does_not_depend_on_input_order(data):
 # Memory
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
-def test_asnorm_and_ddf_peaks_stay_within_block_budget():
+def test_asnorm_and_ddf_peaks_stay_within_block_budget(traced_peak):
     """3000 sides against 600 cohort rows (dim 16): the whole similarity matrix
     would be 14 MiB (and the unblocked kernels peaked at 15 and 28 MiB); the
     blocked kernels stay within a few blocks."""
@@ -265,7 +254,7 @@ def test_asnorm_and_ddf_peaks_stay_within_block_budget():
     assert peak < full_matrix / 3
 
 
-def test_ddf_stacks_target_rows_a_block_at_a_time():
+def test_ddf_stacks_target_rows_a_block_at_a_time(traced_peak):
     """20 000 targets (dim 64) against 512 sources: the target profiles stacked
     whole would take 9.8 MiB (ddf peaked at 13.6 MiB when it stacked them up
     front); stacking each block of target rows as it is scored keeps the peak
