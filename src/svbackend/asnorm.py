@@ -25,11 +25,11 @@ import numpy as np
 from .dataio import ChunkEmbeddings, Trial, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, trial_sides
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, mean_rows, require_sides, row_norms, side_rows, take_sides
 
 
 def build_cohort(
-    records: list[ChunkEmbeddings],
+    records: Iterable[ChunkEmbeddings],
     speaker_map: dict[str, str],
     per_speaker: int = 20,
     seed: int = 0,
@@ -40,27 +40,29 @@ def build_cohort(
     shuffle of the speaker's sorted utterance list (substream derived from
     the speaker id, so the choice is independent of input order), and the
     speaker's row is the mean of the chosen utterances' mean embeddings.
+    ``records`` is a list or a stream, consumed once into one mean row per
+    utterance before the speaker map is consulted.
     """
     if per_speaker < 1:
         raise ValueError(f"per_speaker must be >= 1, got {per_speaker}")
     if not speaker_map:
         raise ToolkitError("empty speaker map")
-    by_speaker: dict[str, list[ChunkEmbeddings]] = {}
-    for rec in records:
-        if rec.utt_id not in speaker_map:
-            raise ToolkitError(f"utterance {rec.utt_id!r} missing from speaker map")
-        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec)
+    ids, means = mean_rows(records)
+    by_speaker: dict[str, list[int]] = {}
+    for i, utt_id in enumerate(ids):
+        if utt_id not in speaker_map:
+            raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
+        by_speaker.setdefault(speaker_map[utt_id], []).append(i)
     for speaker_id in speaker_map.values():
         if speaker_id not in by_speaker:
             raise ToolkitError(f"speaker {speaker_id!r} has no utterances in the store")
 
     cohort = []
     for speaker_id in sorted(by_speaker):
-        recs = sorted(by_speaker[speaker_id], key=lambda r: r.utt_id)
+        rows = sorted(by_speaker[speaker_id], key=ids.__getitem__)
         rng = SplitMix64(derive_seed(seed, f"cohort/{speaker_id}"))
-        chosen = rng.take(recs, min(per_speaker, len(recs)))
-        means = np.stack([rec.mean_embedding() for rec in chosen])
-        cohort.append(ChunkEmbeddings(speaker_id, means.mean(axis=0)[None, :]))
+        chosen = rng.take(rows, min(per_speaker, len(rows)))
+        cohort.append(ChunkEmbeddings(speaker_id, means[chosen].mean(axis=0)[None, :]))
     return cohort
 
 
@@ -82,15 +84,6 @@ def top_n_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
         raise ToolkitError(f"need at least top_n={top_n} cohort scores, got shape {scores.shape}")
     mu, sd = _top_n_rows(scores[None, :], top_n)
     return float(mu[0]), float(sd[0])
-
-
-def _mean_rows(records: list[ChunkEmbeddings]) -> np.ndarray:
-    """The records' mean embeddings as the rows of one matrix, each written
-    into its row as it is computed, so no list of them is held."""
-    rows = np.empty((len(records), records[0].dim), dtype=np.float64)
-    for row, rec in zip(rows, records):
-        row[:] = rec.mean_embedding()
-    return rows
 
 
 def _normalize(raw, mu_e, sd_e, mu_t, sd_t):
@@ -122,17 +115,20 @@ def normalize_from_cohort_scores(
 def asnorm_trials(
     raw_scores: np.ndarray,
     pairs: TrialList | Iterable[Trial],
-    records: list[ChunkEmbeddings],
-    cohort: list[ChunkEmbeddings],
+    records: Iterable[ChunkEmbeddings],
+    cohort: Iterable[ChunkEmbeddings],
     top_n: int = 100,
 ) -> np.ndarray:
     """AS-Norm of each scored pair, with the sides' embeddings looked up in
     ``records`` and the cohort rows the mean embeddings of ``cohort``'s records.
 
-    Side rows are scored against the cohort in blocks whose similarities fit
-    in ``COSINE_BLOCK_BYTES`` (at least one row each), and each block is
-    partitioned in place and reduced to its rows' top-N mean and std before
-    the next is scored.
+    Each is a list or a stream, consumed once, ``records`` first: only the
+    mean embedding of each trial side is kept, in the order
+    :func:`~svbackend.scoring.trial_sides` gives, and one mean row per cohort
+    record. Side rows are scored against the cohort in blocks whose
+    similarities fit in ``COSINE_BLOCK_BYTES`` (at least one row each), and
+    each block is partitioned in place and reduced to its rows' top-N mean
+    and std before the next is scored.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
@@ -140,18 +136,25 @@ def asnorm_trials(
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
-    if len(cohort) < top_n:
-        raise ToolkitError(f"cohort has {len(cohort)} speakers, need >= top_n={top_n}")
+    rows, enroll, test = side_rows(pairs)
+    means = np.empty((len(rows), 0), dtype=np.float64)
+    for row, rec in take_sides(records, rows):
+        if not means.shape[1]:
+            means = np.empty((len(means), rec.dim), dtype=np.float64)
+        elif rec.dim != means.shape[1]:
+            raise ToolkitError(f"embedding dim mismatch: trial sides of dims {means.shape[1]} and {rec.dim}")
+        means[row] = rec.mean_embedding()
+    _, cohort_rows = mean_rows(cohort)
+    if len(cohort_rows) < top_n:
+        raise ToolkitError(f"cohort has {len(cohort_rows)} speakers, need >= top_n={top_n}")
     if not pairs:
         return raw_scores
-    side_records, enroll, test = trial_sides(records, pairs)
-    mu = np.empty(len(side_records), dtype=np.float64)
-    sd = np.empty(len(side_records), dtype=np.float64)
-    cohort_rows = _mean_rows(cohort)
+    require_sides(rows)
+    mu = np.empty(len(means), dtype=np.float64)
+    sd = np.empty(len(means), dtype=np.float64)
     cohort_norms = row_norms(cohort_rows)
-    step = max(1, COSINE_BLOCK_BYTES // (len(cohort) * 8))
-    for start in range(0, len(side_records), step):
-        rows = slice(start, start + step)
-        means = _mean_rows(side_records[rows])
-        mu[rows], sd[rows] = _top_n_rows(cosine_matrix(means, cohort_rows, cohort_norms), top_n)
+    step = max(1, COSINE_BLOCK_BYTES // (len(cohort_rows) * 8))
+    for start in range(0, len(means), step):
+        block = slice(start, start + step)
+        mu[block], sd[block] = _top_n_rows(cosine_matrix(means[block], cohort_rows, cohort_norms), top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

@@ -60,7 +60,7 @@ def score(embeddings, trials, out):
 @click.option("--out", required=True, help="Output cohort store (one row per speaker).")
 def cohort(embeddings, speakers, per_speaker, seed, out):
     """Build a per-speaker cohort for AS-Norm."""
-    records = dataio.read_embeddings(embeddings)
+    records = dataio.iter_embeddings(embeddings)
     speaker_map = dataio.read_speaker_map(speakers)
     dataio.write_embeddings(asnorm_mod.build_cohort(records, speaker_map, per_speaker, seed), out)
 
@@ -75,8 +75,8 @@ def cohort(embeddings, speakers, per_speaker, seed, out):
 def asnorm_cmd(scores, embeddings, cohort_path, top_n, out):
     """Apply adaptive symmetric score normalization."""
     pairs, raw = dataio.read_scores(scores)
-    records = dataio.read_embeddings(embeddings)
-    cohort_records = dataio.read_embeddings(cohort_path)
+    records = dataio.iter_embeddings(embeddings)
+    cohort_records = dataio.iter_embeddings(cohort_path)
     normalized = asnorm_mod.asnorm_trials(raw, pairs, records, cohort_records, top_n)
     dataio.write_scores(pairs, normalized, out)
 
@@ -92,7 +92,7 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
     columns = dataio.read_schema(schema)
     table = dataio.read_attributes(attributes, columns)
     trial_list = dataio.read_trials(trials)
-    records = dataio.read_embeddings(embeddings)
+    records = dataio.iter_embeddings(embeddings)
     names, matrix = qmf.trial_feature_matrix(trial_list, records, table, columns)
     dataio.write_trial_features(trial_list, names, matrix, out)
 
@@ -161,8 +161,8 @@ def eval_cmd(scores, trials, p_targets):
 @click.option("--out", required=True, help="Output selection CSV.")
 def ddf(source_emb, source_spk, target_emb, target_spk, top_k, dedup, out):
     """Select source speakers nearest the target domain."""
-    source = curation.profiles_from_store(dataio.read_embeddings(source_emb), dataio.read_speaker_map(source_spk))
-    targets = curation.profiles_from_store(dataio.read_embeddings(target_emb), dataio.read_speaker_map(target_spk))
+    source = curation.profiles_from_store(dataio.iter_embeddings(source_emb), dataio.read_speaker_map(source_spk))
+    targets = curation.profiles_from_store(dataio.iter_embeddings(target_emb), dataio.read_speaker_map(target_spk))
     selections = curation.ddf_select(source, targets, curation.DdfConfig(top_k=top_k, dedup_threshold=dedup))
     dataio.write_selections(
         [(sel.speaker_id, sel.max_similarity, sel.nearest_target_id) for sel in selections], out

@@ -12,13 +12,14 @@ the output does not depend on input ordering.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import ChunkEmbeddings
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, row_norms, vector_norm
+from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, mean_rows, row_norms, vector_norm
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,12 @@ def _lower_median(matrix: np.ndarray) -> np.ndarray:
     return ordered[(matrix.shape[0] - 1) // 2]
 
 
-def median_profile(speaker_id: str, utterance_means: list[np.ndarray]) -> SpeakerProfile:
-    """Median-of-means speaker profile, L2 normalized."""
-    if not utterance_means:
+def median_profile(speaker_id: str, utterance_means) -> SpeakerProfile:
+    """Median-of-means speaker profile, L2 normalized, from a list of mean
+    embeddings or a matrix of them as rows."""
+    if len(utterance_means) == 0:
         raise ToolkitError(f"speaker {speaker_id!r} has no utterances")
-    matrix = np.stack([np.asarray(m, dtype=np.float64) for m in utterance_means])
+    matrix = np.asarray(utterance_means, dtype=np.float64)
     median = _lower_median(matrix)
     norm = vector_norm(median)
     if not norm > 0.0:
@@ -67,16 +69,17 @@ def median_profile(speaker_id: str, utterance_means: list[np.ndarray]) -> Speake
     return SpeakerProfile(speaker_id=speaker_id, median_embedding=median / norm)
 
 
-def profiles_from_store(records: list[ChunkEmbeddings], speaker_map: dict[str, str]) -> list[SpeakerProfile]:
+def profiles_from_store(records: Iterable[ChunkEmbeddings], speaker_map: dict[str, str]) -> list[SpeakerProfile]:
     """One profile per speaker from an embedding store, sorted by speaker id.
-    A speaker's utterance means are computed as its profile is made, so the
-    means of one speaker at a time are held."""
-    by_speaker: dict[str, list[ChunkEmbeddings]] = {}
-    for rec in records:
-        if rec.utt_id not in speaker_map:
-            raise ToolkitError(f"utterance {rec.utt_id!r} missing from speaker map")
-        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec)
-    return [median_profile(spk, [rec.mean_embedding() for rec in recs]) for spk, recs in sorted(by_speaker.items())]
+    ``records`` is a list or a stream, consumed once into one mean row per
+    utterance before the speaker map is consulted."""
+    ids, means = mean_rows(records)
+    by_speaker: dict[str, list[int]] = {}
+    for i, utt_id in enumerate(ids):
+        if utt_id not in speaker_map:
+            raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
+        by_speaker.setdefault(speaker_map[utt_id], []).append(i)
+    return [median_profile(spk, means[rows]) for spk, rows in sorted(by_speaker.items())]
 
 
 @dataclass(frozen=True)

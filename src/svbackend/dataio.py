@@ -12,8 +12,10 @@ order is the one raised. :func:`read_text` holds the whole text and is for
 the JSON documents only (the fusion model and the synth config). The store
 reader checks each record's fields and casts its values with one numpy call;
 only when that cast or the finiteness check fails does it parse them token
-by token, to name the bad token. The store writer formats and writes one
-record at a time, so the store's text is never held whole.
+by token, to name the bad token. :func:`iter_embeddings` yields each record
+as its line is read, for kernels that keep a summary per record, and
+:func:`read_embeddings` is the list of it. The store writer formats and
+writes one record at a time, so the store's text is never held whole.
 
 A trial list is a :class:`TrialList`: an enroll id column, a test id column
 and, when labeled, a bool label array. It checks all its ids at once and
@@ -21,15 +23,19 @@ scans them pair by pair only to name the first bad one. The trial reader
 reads a list once and, unless told, takes whether it is labeled from its
 first line. The trial, score and feature readers return one, and every function that takes a trial list
 also takes a sequence of :class:`Trial` records, converted once by
-:meth:`TrialList.of`. The score reader casts its score column with one
-numpy call and parses score by score only when that fails.
+:meth:`TrialList.of`. The score reader casts its scores a block at a time,
+each block with one numpy call, and parses score by score only when that
+fails.
 
 The trial feature reader makes one pass over the file's ``csv`` records,
-checking each row's field count in line order and keeping each distinct
-cell text once; it casts those texts with one numpy call (a blank cell is
-NaN) and gathers, and parses the cells one by one only when that fails, to
-name the first bad cell. Both it and the score reader raise a bad id or
-value before a fault on a later line. :func:`read_fusion_features` reads
+checking each row's field count in line order, and casts the cells of a
+block of rows with one numpy call (a blank cell is NaN) into a
+:class:`RowBuffer`, a matrix that grows in place; it parses a block's cells
+one by one only when that fails, to name the first bad cell. A line with no
+quote and no NUL, that is not empty and no longer than the field size
+limit, is split on commas, which is what strict ``csv`` makes of it; every
+other line goes through strict ``csv``. Both it and the score reader raise a
+bad id or value before a fault on a later line. :func:`read_fusion_features` reads
 fusion's inputs as named columns aligned on one pair list. The score writer
 formats a column with ``map(repr, ...)``. The feature writer formats a block
 of rows at a time, each distinct bit pattern in the block once, with blocks
@@ -68,8 +74,6 @@ import json
 import math
 import os
 import tempfile
-from array import array
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -193,6 +197,44 @@ def _parse_float(token: str, path: str, line: int) -> float:
     return value
 
 
+def _floats(tokens: list[str], path: str, line_of) -> np.ndarray:
+    """``tokens`` cast with one numpy call. Only when that cast or the
+    finiteness check fails are they parsed one by one, to raise the located
+    error of the first bad one; token i is on line ``line_of(i)``."""
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_float(token, path, line_of(i)) for i, token in enumerate(tokens)], dtype=np.float64)
+
+
+class RowBuffer:
+    """Rows of a float64 array appended a block at a time into one buffer that
+    grows in place by an eighth when it is full, so a reader that does not know
+    its row count never holds its rows twice."""
+
+    def __init__(self, *width: int):
+        self._data = np.empty((0, *width), dtype=np.float64)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, rows: np.ndarray) -> None:
+        end = self._n + len(rows)
+        if end > len(self._data):
+            self._data.resize((end + end // 8, *self._data.shape[1:]), refcheck=False)
+        self._data[self._n:end] = rows
+        self._n = end
+
+    def take(self) -> np.ndarray:
+        """The rows appended, cut to their count in place."""
+        self._data.resize((self._n, *self._data.shape[1:]), refcheck=False)
+        return self._data
+
+
 def _is_token(s: str) -> bool:
     """True when ``s`` is non-empty and holds no whitespace character."""
     return s.split() == [s]
@@ -212,18 +254,25 @@ def _csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     that runs past the end of its line, or any fault strict ``csv`` raises
     (such as a field over ``csv.field_size_limit()``, a quote left open at the
     end of the text or text after a closing quote), is a located error at the
-    line where the record starts."""
-    reader = csv.reader((line for _, line in _lines(path)), strict=True)
-    lineno = 0
-    while True:
+    line where the record starts.
+
+    A line with no quote and no NUL, that is not empty and is no longer than
+    the field size limit, is what strict ``csv`` reads as the line split on
+    commas, so it is split on commas. Any other line starts a record that a
+    strict ``csv.reader`` reads from it and, if its quote runs on, from the
+    lines after it, as one reader over the whole file would."""
+    limit = csv.field_size_limit()
+    numbered = _lines(path)
+    for lineno, line in numbered:
+        if line and '"' not in line and "\0" not in line and len(line) <= limit:
+            yield lineno, line.split(",")
+            continue
+        reader = csv.reader(itertools.chain((line,), (rest for _, rest in numbered)), strict=True)
         try:
             fields = next(reader)
-        except StopIteration:
-            return
         except csv.Error as exc:
-            raise DataFormatError(f"malformed CSV: {exc}", path=path, line=lineno + 1) from None
-        lineno += 1
-        if reader.line_num != lineno:
+            raise DataFormatError(f"malformed CSV: {exc}", path=path, line=lineno) from None
+        if reader.line_num != 1:
             raise DataFormatError("quoted field runs past the end of its line", path=path, line=lineno)
         yield lineno, fields
 
@@ -271,6 +320,15 @@ class ChunkEmbeddings:
 
 
 def read_embeddings(path: str) -> list[ChunkEmbeddings]:
+    """Every record of the store, in file order."""
+    return list(iter_embeddings(path))
+
+
+def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
+    """The store's records, each yielded as its line is read, so a consumer
+    that keeps a summary per record never holds the store. Nothing is read
+    until the first record is asked for; a fault is raised when its line is
+    reached."""
     path = str(path)
     lines = _data_lines(path)
     header_no, header = next(lines, (1, None))
@@ -286,13 +344,11 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     if dim < 1:
         raise DataFormatError(f"dimension must be >= 1, got {dim}", path=path, line=header_no)
 
-    records: list[ChunkEmbeddings] = []
     seen: set[str] = set()
     for lineno, raw in lines:
         record = _record(raw, dim, seen, path, lineno)
         seen.add(record.utt_id)
-        records.append(record)
-    return records
+        yield record
 
 
 def _record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
@@ -491,13 +547,19 @@ def write_trials(trials: TrialList | Iterable[Trial], path: str) -> None:
 
 def read_scores(path: str) -> tuple[TrialList, np.ndarray]:
     """Score file as (pair list without labels, score vector), in file order.
-    The scores are cast with one numpy call; only when that cast or the
-    finiteness check fails are they parsed one by one, to name the first bad
-    score, which is raised before a fault on any later line."""
+    The scores are cast a block at a time, each block with one numpy call,
+    and parsed one by one only when that fails, to name the first bad score,
+    which is raised before a fault on any later line. A score token takes
+    about eight times its 8 bytes, so a block's tokens fit in
+    ``COSINE_BLOCK_BYTES``."""
+    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
+
     path = str(path)
+    step = max(1, COSINE_BLOCK_BYTES // (8 * 8))
     enroll: list[str] = []
     test: list[str] = []
-    values: list[str] = []
+    scores = RowBuffer()
+    values: list[str] = []  # the scores of the block being read
     fault = None
     try:
         for lineno, raw in _data_lines(path):
@@ -510,19 +572,15 @@ def read_scores(path: str) -> tuple[TrialList, np.ndarray]:
             enroll.append(e)
             test.append(t)
             values.append(value)
+            if len(values) == step:  # no line is blank, so score i is on line i + 1
+                scores.append(_floats(values, path, (len(scores) + 1).__add__))
+                values = []
     except DataFormatError as exc:
         fault = exc  # raised below unless a score on an earlier line is bad
-    try:
-        scores = np.array(values, dtype=np.float64)
-        bad = not np.all(np.isfinite(scores))
-    except ValueError:
-        bad = True
-    if bad:  # no line is blank, so score i is on line i + 1
-        for lineno, value in enumerate(values, start=1):
-            _parse_float(value, path, lineno)
+    scores.append(_floats(values, path, (len(scores) + 1).__add__))
     if fault is not None:
         raise fault
-    return TrialList(enroll, test), scores
+    return TrialList(enroll, test), scores.take()
 
 
 def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None:
@@ -724,6 +782,12 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
 
 
 def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
+    """(pairs, feature names, matrix) of a trial feature table. The cells are
+    cast a block of rows at a time into a matrix that grows in place, as the
+    score reader casts its scores; a block's cell texts take about eight
+    times their values' bytes, and fit in ``COSINE_BLOCK_BYTES``."""
+    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
+
     path = str(path)
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
@@ -734,10 +798,11 @@ def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
     names = header[2:]
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
+    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, len(names)) * 8))
     enroll: list[str] = []
     test: list[str] = []
-    index = defaultdict(itertools.count(1).__next__, {"": 0})  # each distinct cell text -> its code; blank is NaN
-    codes = array("q")  # every row's feature cells as codes, row-major
+    matrix = RowBuffer(len(names))
+    cells: list[str] = []  # the feature cells of the block being read, row-major
     fault = None
     try:
         for lineno, fields in rows:
@@ -745,33 +810,42 @@ def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
                 raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
             enroll.append(fields[0])
             test.append(fields[1])
-            codes.extend(map(index.__getitem__, fields[2:]))
+            cells += fields[2:]
+            if len(enroll) - len(matrix) == step:
+                matrix.append(_feature_block(enroll, test, cells, len(matrix), len(names), path))
+                cells = []
     except DataFormatError as exc:
         fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
-    earlier = []  # _csv_rows gives one record per line, so row r is on line r + 2
-    bad_id = _first_bad_id(enroll, test)
-    if bad_id is not None:
-        earlier.append(DataFormatError(bad_id[1], path=path, line=bad_id[0] + 2))
-    texts = list(index)
-    distinct = np.array(["nan", *texts[1:]], dtype=object)
-    try:
-        table = distinct.astype(np.float64)
-        bad = not np.all(np.isfinite(table[1:]))
-    except ValueError:
-        bad = True
-    if bad:
-        try:
-            for i, code in enumerate(codes):
-                if code:
-                    _parse_float(texts[code], path, i // len(names) + 2)
-        except DataFormatError as exc:
-            earlier.append(exc)
-    if earlier:  # on one line a bad id comes before a bad cell
-        raise min(earlier, key=lambda exc: exc.line)
+    matrix.append(_feature_block(enroll, test, cells, len(matrix), len(names), path))
     if fault is not None:
         raise fault
-    trials = TrialList(enroll, test)
-    return trials, names, table[np.frombuffer(codes, dtype=np.int64)].reshape(len(trials), len(names))
+    return TrialList(enroll, test), names, matrix.take()
+
+
+def _feature_block(
+    enroll: list[str], test: list[str], cells: list[str], start: int, width: int, path: str
+) -> np.ndarray:
+    """The feature rows of the table's rows from ``start`` on, whose cells are
+    ``cells``, as a matrix of ``width`` columns in which a blank cell is NaN.
+    The first bad id or cell in line order is raised, an id before a cell on
+    one line; row r is on line r + 2, since the reader's records are one line
+    each."""
+    n_rows = len(enroll) - start
+    errors = []
+    bad_id = _first_bad_id(enroll[start:], test[start:])
+    if bad_id is not None:
+        errors.append(DataFormatError(bad_id[1], path=path, line=start + bad_id[0] + 2))
+    blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
+    for i in blank:  # cast as zeros, then set to NaN, so that a "nan" cell is still an error
+        cells[i] = "0"
+    try:
+        values = _floats(cells, path, lambda i: start + i // width + 2)
+    except DataFormatError as exc:
+        errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.line)
+    values[blank] = np.nan
+    return values.reshape(n_rows, width)
 
 
 def read_fusion_features(
@@ -792,6 +866,7 @@ def read_fusion_features(
             reference = pairs
         else:
             check_score_alignment(reference, pairs, path)
+        del pairs  # so that its ids are not held while the next file is read
         name = Path(path).stem
         if name in names:
             raise DataFormatError(f"duplicate score feature name {name!r} (from {path})")

@@ -43,11 +43,8 @@ from .errors import ConvergenceWarning, FeatureMismatchError, ToolkitError
 def sigmoid(x):
     """Numerically stable logistic function, elementwise."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))  # at most 1, so neither branch overflows
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 

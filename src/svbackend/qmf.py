@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial, TrialList
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, trial_sides
+from .scoring import COSINE_BLOCK_BYTES, require_sides, side_rows, take_sides
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -60,34 +60,45 @@ def _transform_value(value: float, col: SchemaColumn) -> float:
     return math.log1p(value)
 
 
-def _side_stats(records: list[ChunkEmbeddings]) -> np.ndarray:
-    """The statistics of ``EMBEDDING_STAT_NAMES``, one row per record: L1/L2
-    norm and component std of the mean embedding, then the mean and std of
-    the per-dimension stds across chunks (population stds throughout).
+def _side_stats(sides: Iterable[tuple[int, ChunkEmbeddings]], out: np.ndarray) -> None:
+    """Write the statistics of ``EMBEDDING_STAT_NAMES`` of each (row, record)
+    of ``sides`` into that row of ``out``: L1/L2 norm and component std of the
+    mean embedding, then the mean and std of the per-dimension stds across
+    chunks (population stds throughout).
 
-    Records are stacked by chunk shape in blocks whose chunks and the
-    deviations ``std`` forms from them fit in ``COSINE_BLOCK_BYTES`` together
-    (at least one record each). Every statistic is a reduction over the
-    chunk axis or the contiguous last axis, as it would be on a lone record,
-    so a row does not depend on what else is in its block.
+    Records are gathered by chunk shape as they come, and whenever one more
+    record's chunks and the deviations ``std`` forms from them would pass
+    ``COSINE_BLOCK_BYTES`` (at least one record each), each shape's gathered
+    records are stacked and reduced as one block and let go. Every statistic
+    is a reduction over the chunk axis or the contiguous last axis, as it
+    would be on a lone record, so a row does not depend on what else is in
+    its block.
     """
-    stats = np.empty((len(records), len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, rec in enumerate(records):
-        by_shape.setdefault(rec.chunks.shape, []).append(i)
-    for (n_chunks, dim), members in by_shape.items():
-        step = max(1, COSINE_BLOCK_BYTES // (2 * n_chunks * dim * 8))
-        for start in range(0, len(members), step):
-            block = members[start:start + step]
-            chunks = np.array([records[i].chunks for i in block])  # C-ordered (block, n_chunks, dim)
-            mean = chunks.mean(axis=1)
-            dim_stds = chunks.std(axis=1)
-            stats[block, 0] = np.abs(mean).sum(axis=1)
-            stats[block, 1] = np.sqrt(np.sum(mean * mean, axis=1))
-            stats[block, 2] = mean.std(axis=1)
-            stats[block, 3] = dim_stds.mean(axis=1)
-            stats[block, 4] = dim_stds.std(axis=1)
-    return stats
+    pending: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+    held = 0
+    for row, rec in sides:
+        if held and 2 * (held + rec.chunks.nbytes) > COSINE_BLOCK_BYTES:
+            _stats_blocks(pending, out)
+            held = 0
+        rows, chunks = pending.setdefault(rec.chunks.shape, ([], []))
+        rows.append(row)
+        chunks.append(rec.chunks)
+        held += rec.chunks.nbytes
+    _stats_blocks(pending, out)
+
+
+def _stats_blocks(pending: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]], out: np.ndarray) -> None:
+    """Reduce each shape's gathered records as one block into their rows of ``out``, and empty ``pending``."""
+    for rows, chunks in pending.values():
+        block = np.array(chunks)  # C-ordered (records, n_chunks, dim)
+        mean = block.mean(axis=1)
+        dim_stds = block.std(axis=1)
+        out[rows, 0] = np.abs(mean).sum(axis=1)
+        out[rows, 1] = np.sqrt(np.sum(mean * mean, axis=1))
+        out[rows, 2] = mean.std(axis=1)
+        out[rows, 3] = dim_stds.mean(axis=1)
+        out[rows, 4] = dim_stds.std(axis=1)
+    pending.clear()
 
 
 def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +115,7 @@ def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trial_feature_matrix(
     trials: TrialList | Iterable[Trial],
-    records: list[ChunkEmbeddings],
+    records: Iterable[ChunkEmbeddings],
     table: AttributeTable,
     schema: list[SchemaColumn],
 ) -> tuple[list[str], np.ndarray]:
@@ -114,14 +125,19 @@ def trial_feature_matrix(
     missing), categorical codes (-1 when missing) and embedding statistics;
     the trial columns are gathers of its two sides' rows, made for blocks of
     trials whose two gathered side rows fit in ``COSINE_BLOCK_BYTES``.
+    ``records`` is a list or a stream, consumed once; only the embedding
+    statistics of each side are kept.
     """
-    side_records, enroll, test = trial_sides(records, trials)
+    side_ids, enroll, test = side_rows(trials)
+    side = np.empty((len(side_ids), len(schema) + len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
+    missing = dict(side_ids)
+    _side_stats(take_sides(records, missing), side[:, len(schema):])
+    require_sides(missing)
     rows = []
-    for rec in side_records:
-        if rec.utt_id not in table.rows:
-            raise ToolkitError(f"utterance {rec.utt_id!r} missing from attribute table")
-        rows.append(table.rows[rec.utt_id])
-    side = np.empty((len(side_records), len(schema) + len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
+    for utt_id in side_ids:
+        if utt_id not in table.rows:
+            raise ToolkitError(f"utterance {utt_id!r} missing from attribute table")
+        rows.append(table.rows[utt_id])
     for c, col in enumerate(schema):
         values = [row.get(col.name) for row in rows]
         if col.kind == "categorical":
@@ -129,7 +145,6 @@ def trial_feature_matrix(
             side[:, c] = [-1 if v is None else codes.setdefault(v, len(codes)) for v in values]
         else:
             side[:, c] = [math.nan if v is None else _transform_value(v, col) for v in values]
-    side[:, len(schema):] = _side_stats(side_records)
     names = feature_names(schema)
     matrix = np.empty((len(enroll), len(names)), dtype=np.float64)
     kinds = [col.kind for col in schema] + ["real"] * len(EMBEDDING_STAT_NAMES)
@@ -196,11 +211,14 @@ def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(params.names):
         raise ToolkitError(f"expected a 2-D matrix of {len(params.names)} features, got shape {matrix.shape}")
-    filled = np.where(np.isnan(matrix), params.median[None, :], matrix)
-    if not np.all(np.isfinite(filled)):
+    scaled = np.where(np.isnan(matrix), params.median[None, :], matrix)
+    if not np.all(np.isfinite(scaled)):
         raise ToolkitError("non-finite feature value")
     span = params.hi - params.lo
     constant = span == 0.0
-    safe_span = np.where(constant, 1.0, span)
-    scaled = np.clip((filled - params.lo[None, :]) / safe_span[None, :], 0.0, 1.0)
-    return np.where(constant[None, :], 0.5, scaled)
+    # each step in place, so the matrix is copied once
+    scaled -= params.lo[None, :]
+    scaled /= np.where(constant, 1.0, span)[None, :]
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled[:, constant] = 0.5
+    return scaled

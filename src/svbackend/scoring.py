@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
-from .dataio import ChunkEmbeddings, Trial, TrialList
+from .dataio import ChunkEmbeddings, RowBuffer, Trial, TrialList
 from .errors import ToolkitError
 
 # Bytes one block of temporaries may hold, the one budget of every blocked kernel: the
 # elementwise products of cosine_matrix and score_trials (and, in score_trials, the chunks
 # gathered for them), asnorm's and curation's blocks of similarity rows, qmf's stacked
-# chunks and gathered side rows, and the feature writer's blocks of rows. A stage peaks at
-# its inputs and outputs plus a few such blocks; larger blocks raise that peak.
+# chunks and gathered side rows, the feature writer's blocks of rows, and the score and
+# feature readers' blocks of tokens. A stage peaks at its inputs and outputs plus a few
+# such blocks; larger blocks raise that peak.
 COSINE_BLOCK_BYTES = 1 << 18
 
 
@@ -112,26 +112,70 @@ def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseSc
     return PairwiseScore(value=value, n_pairs=enroll.n_chunks * test.n_chunks)
 
 
-def trial_sides(
-    records: list[ChunkEmbeddings], trials: TrialList | Iterable[Trial]
-) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
-    """The records the trials reference, each once in order of first
-    appearance (enroll before test within a trial), and each trial's enroll
-    and test row in that list."""
+def side_rows(trials: TrialList | Iterable[Trial]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Each utterance the trials reference mapped to its row, in order of
+    first appearance (enroll before test within a trial), and each trial's
+    enroll and test row."""
     trials = TrialList.of(trials)
-    store = dataio.embeddings_by_id(records)  # through the module, so perfbench's tracer sees the call
     order = dict.fromkeys(itertools.chain.from_iterable(zip(trials.enroll, trials.test)))
-    for utt_id in order:
-        if utt_id not in store:
-            raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
     rows = {utt_id: row for row, utt_id in enumerate(order)}
     enroll, test = (np.fromiter(map(rows.__getitem__, ids), dtype=np.intp, count=len(ids))
                     for ids in (trials.enroll, trials.test))
-    return [store[utt_id] for utt_id in rows], enroll, test
+    return rows, enroll, test
 
 
-def score_trials(records: list[ChunkEmbeddings], trials: TrialList | Iterable[Trial]) -> np.ndarray:
-    """Pairwise scores for a trial list, in trial order."""
+def take_sides(records: Iterable[ChunkEmbeddings], rows: dict[str, int]) -> Iterator[tuple[int, ChunkEmbeddings]]:
+    """(row, record) for the first record of each utterance in ``rows``, as
+    the stream ``records`` gives them; records ``rows`` does not name are
+    passed over. Each utterance found is removed from ``rows``, so once the
+    stream is consumed ``rows`` holds the missing ones, for
+    :func:`require_sides`."""
+    for rec in records:
+        row = rows.pop(rec.utt_id, None)
+        if row is not None:
+            yield row, rec
+
+
+def require_sides(missing: dict[str, int]) -> None:
+    """Raise for the first utterance left in ``missing`` by :func:`take_sides`."""
+    for utt_id in missing:
+        raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
+
+
+def trial_sides(
+    records: Iterable[ChunkEmbeddings], trials: TrialList | Iterable[Trial]
+) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
+    """The records the trials reference, each once in order of first
+    appearance (enroll before test within a trial), and each trial's enroll
+    and test row in that list. ``records`` is consumed once, and only the
+    records the trials reference are kept."""
+    rows, enroll, test = side_rows(trials)
+    side_records: list = [None] * len(rows)
+    for row, rec in take_sides(records, rows):
+        side_records[row] = rec
+    require_sides(rows)
+    return side_records, enroll, test
+
+
+def mean_rows(records: Iterable[ChunkEmbeddings]) -> tuple[list[str], np.ndarray]:
+    """The ids of the stream ``records`` and their mean embeddings as the rows
+    of one matrix, each written into the matrix as its record is read, so no
+    record is kept. The records must share one dim."""
+    ids: list[str] = []
+    rows = None
+    for rec in records:
+        if rows is None:
+            dim, rows = rec.dim, RowBuffer(rec.dim)
+        elif rec.dim != dim:
+            raise ToolkitError(f"embedding dim mismatch: {ids[0]!r} has {dim}, {rec.utt_id!r} has {rec.dim}")
+        rows.append(rec.mean_embedding()[None, :])
+        ids.append(rec.utt_id)
+    return ids, np.empty((0, 0)) if rows is None else rows.take()
+
+
+def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList | Iterable[Trial]) -> np.ndarray:
+    """Pairwise scores for a trial list, in trial order, from a list or a
+    stream of records of which only those the trials reference are kept."""
     return _score_sides(*trial_sides(records, trials))
 
 

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from svbackend.dataio import write_embeddings
 from svbackend.synth import SynthConfig, gen_dataset
 
 # Property tests draw the same examples on every run and carry no time limit,
@@ -29,6 +30,14 @@ def small_synth():
         seed=11,
     )
     return gen_dataset(cfg)
+
+
+@pytest.fixture()
+def synth_store(tmp_path, small_synth):
+    """Path of an embedding store file holding ``small_synth``'s records."""
+    path = str(tmp_path / "embeddings.txt")
+    write_embeddings(small_synth[0], path)
+    return path
 
 
 @pytest.fixture()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 from unittest import mock
 
 import numpy as np
@@ -545,6 +546,41 @@ def test_feature_writer_peak_stays_within_a_few_blocks(tmp_path, np_rng, traced_
     names = [f"f{j}" for j in range(17)]
     _, peak = traced_peak(dataio.write_trial_features, trials, names, matrix, str(tmp_path / "feat.csv"))
     assert peak < 4 * scoring.COSINE_BLOCK_BYTES
+
+
+def id_bytes(trials):
+    """Bytes of a trial list's id columns: their strings, and their two lists
+    counted twice, since a TrialList copies the lists a reader hands it."""
+    return sum(2 * sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) for ids in (trials.enroll, trials.test))
+
+
+def test_feature_reader_peak_stays_within_its_output_and_a_few_blocks(tmp_path, np_rng, traced_peak):
+    """20 000 rows of 17 features drawn from 5 000 distinct values: an index of
+    the table's distinct cell texts and a code per cell held the matrix about
+    twice over; casting a block of rows at a time into a matrix grown in place
+    holds the ids and the matrix plus a few budgets."""
+    n_trials = 20_000
+    trials = dataio.TrialList([f"e{i:05d}" for i in range(n_trials)], [f"t{i:05d}" for i in range(n_trials)])
+    matrix = np_rng.choice(np_rng.normal(size=5000), size=(n_trials, 17))
+    path = str(tmp_path / "feat.csv")
+    dataio.write_trial_features(trials, [f"f{j}" for j in range(17)], matrix, path)
+    (back_trials, _, back), peak = traced_peak(dataio.read_trial_features, path)
+    assert back.tobytes() == matrix.tobytes()
+    assert peak < id_bytes(back_trials) + matrix.nbytes + 4 * scoring.COSINE_BLOCK_BYTES
+
+
+def test_score_reader_peak_stays_within_its_output_and_a_few_blocks(tmp_path, np_rng, traced_peak):
+    """50 000 scores: holding every score token until one cast held about nine
+    times the scores' bytes beside them; a cast per block holds the ids and
+    the scores plus a few budgets."""
+    n_trials = 50_000
+    trials = dataio.TrialList([f"e{i:05d}" for i in range(n_trials)], [f"t{i:05d}" for i in range(n_trials)])
+    scores = np_rng.normal(size=n_trials)
+    path = str(tmp_path / "scores.txt")
+    dataio.write_scores(trials, scores, path)
+    (pairs, back), peak = traced_peak(dataio.read_scores, path)
+    assert back.tobytes() == scores.tobytes()
+    assert peak < id_bytes(pairs) + scores.nbytes + 4 * scoring.COSINE_BLOCK_BYTES
 
 
 def fusion_input_files(tmp_path):

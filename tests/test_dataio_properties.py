@@ -1,7 +1,8 @@
 """Property tests: the store reader against its token-by-token oracle, the
 block-streamed line source against the whole-file read, the trial feature
-reader against its csv one and the score reader against its per-line one
-(both with two faults, the first in line order raised), the trial list's
+reader against its csv one and against strict csv on every line, the score
+reader against its per-line one (both with two faults, the first in line
+order raised, and at block sizes of a few rows), the trial list's
 whole-list id check against the per-id one, the table writers against their
 csv.writer and format_float oracles, writer round trips, the metric and
 scaling kernels against numpy's, and the batched trial scorer against the
@@ -234,11 +235,40 @@ def csv_read_trial_features(path):
     """read_trial_features as it was before its whole-file fast path: csv.reader
     and one _parse_float per cell."""
     path = str(path)
-    reader = csv.reader(dataio.read_text(path).splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("missing CSV header", path=path, line=1) from None
+    return checked_feature_table(path, enumerate(csv.reader(dataio.read_text(path).splitlines()), start=1))
+
+
+def strict_csv_read_trial_features(path):
+    """read_trial_features with every line read by one strict csv.reader, as it
+    read them before it split plain lines on commas: a fault of the reader,
+    or a record that runs past the end of its line, is located at the line
+    where the record starts."""
+    path = str(path)
+
+    def records():
+        reader = csv.reader(dataio.read_text(path).splitlines(), strict=True)
+        lineno = 0
+        while True:
+            try:
+                fields = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                raise DataFormatError(f"malformed CSV: {exc}", path=path, line=lineno + 1) from None
+            lineno += 1
+            if reader.line_num != lineno:
+                raise DataFormatError("quoted field runs past the end of its line", path=path, line=lineno)
+            yield lineno, fields
+
+    return checked_feature_table(path, records())
+
+
+def checked_feature_table(path, records):
+    """The feature table of (line number, fields) records, each record checked
+    in full, with one _parse_float per cell, before the next is read."""
+    _, header = next(records, (1, None))
+    if header is None:
+        raise DataFormatError("missing CSV header", path=path, line=1)
     if len(header) < 2 or header[0] != "enroll" or header[1] != "test":
         raise DataFormatError("header must start with 'enroll,test'", path=path, line=1)
     names = header[2:]
@@ -246,7 +276,7 @@ def csv_read_trial_features(path):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
     trials = []
     rows = []
-    for lineno, fields in enumerate(reader, start=2):
+    for lineno, fields in records:
         if len(fields) != len(header):
             raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
         for name, value in (("enroll_id", fields[0]), ("test_id", fields[1])):
@@ -391,6 +421,51 @@ def test_trial_feature_reader_raises_the_first_fault_in_line_order(store_path, r
     expected = table_outcome(csv_read_trial_features, store_path)
     assert table_outcome(dataio.read_trial_features, store_path) == expected
     assert expected[1].startswith(f"{store_path}:{min(faulty) + 1}: ")
+
+
+FIELD_LIMIT = 32  # csv.field_size_limit() in the tests below: above every field feature_tables draws
+LINE_EDITS = {"nul": "\0", "long": "x" * (FIELD_LIMIT + 1), "quote": '"', "comma": ",", "space": " ", "letter": "x",
+              "empty": None}
+
+
+@given(feature_tables(), st.lists(st.tuples(st.sampled_from(sorted(LINE_EDITS)), st.integers(0, 99), st.integers(0, 99)),
+                                  max_size=2), st.integers(1, 320))
+def test_trial_feature_reader_splits_plain_lines_as_strict_csv_reads_them(store_path, rows, edits, budget):
+    """Lines shorter and longer than the field limit, quoted ids and names
+    holding commas and quotes, blank cells, and up to two lines edited with a
+    NUL byte, a field over the limit, a stray quote, comma, space or letter,
+    or no text: the reader, which splits plain lines on commas and casts
+    blocks of one to five rows here, gives the ids, names, values or located
+    error of strict csv on every line."""
+    lines = render_csv(rows).splitlines()
+    for kind, line_at, char_at in edits:
+        i = line_at % len(lines)
+        k = char_at % (len(lines[i]) + 1)
+        lines[i] = "" if LINE_EDITS[kind] is None else lines[i][:k] + LINE_EDITS[kind] + lines[i][k:]
+    store_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        expected = table_outcome(strict_csv_read_trial_features, store_path)
+        with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+            assert table_outcome(dataio.read_trial_features, store_path) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=12), st.integers(64, 256), st.data())
+def test_score_reader_blocks_give_the_per_line_outcome(store_path, rows, budget, data):
+    """With blocks of one to four scores, each cast on its own, a bad score
+    and maybe a short line give the per-line reader's first error."""
+    lines = [f"{e} {t} {v}" for e, t, v in rows]
+    bad = data.draw(st.integers(0, len(lines) - 1))
+    lines[bad] = f"{rows[bad][0]} {rows[bad][1]} {data.draw(st.sampled_from(BAD_VALUES))}"
+    if data.draw(st.booleans()):
+        short = data.draw(st.integers(0, len(lines) - 1))
+        lines[short] = f"{rows[short][0]} {rows[short][1]}"
+    store_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        got = table_outcome(dataio.read_scores, store_path)
+    assert got == table_outcome(token_read_scores, store_path)
 
 
 # every character str.split splits on, and ids made of them, of letters, or empty

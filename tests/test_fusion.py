@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fusion_grid_oracle import (
     FROZEN_ARGMIN,
@@ -37,6 +39,31 @@ def test_sigmoid_hand_values():
     assert math.isfinite(sigmoid(-800.0)) and math.isfinite(sigmoid(800.0))
     vec = sigmoid(np.array([-1.0, 0.0, 1.0]))
     assert vec[0] + vec[2] == pytest.approx(1.0, abs=1e-15)
+
+
+def masked_sigmoid(x):
+    """The logistic function as it was before its branch-free form: the two
+    halves of the input gathered, mapped and scattered back."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return float(out) if out.ndim == 0 else out
+
+
+logits = st.one_of(st.sampled_from([0.0, -0.0, 800.0, -800.0, 745.0, -745.0]), st.floats(-800.0, 800.0))
+
+
+@given(st.lists(logits, max_size=33))
+def test_sigmoid_is_the_masked_form_bit_for_bit(values):
+    x = np.array(values, dtype=np.float64)
+    assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+    for value in values[:3]:
+        got = sigmoid(np.array(value))  # a 0-d input gives a float
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(masked_sigmoid(value)).tobytes()
 
 
 def test_soft_threshold_values():
