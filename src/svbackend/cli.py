@@ -109,11 +109,11 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
 @click.option("--out", required=True, help="Output model JSON.")
 def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
-    trial_list = dataio.read_trials(trials, expect_labels=True)
-    _, names, raw = dataio.read_fusion_features(scores, qmf_path, trial_list)
+    pairs, names, raw = dataio.read_fusion_features(scores, qmf_path, dataio.read_trials(trials, expect_labels=True))
+    labels, pairs = pairs.labels, None  # the ids are not needed to fit
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        model = fusion.train(raw, trial_list.labels, names, lam=lam, max_iters=max_iters, tol=tol)
+        model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
     for warning in caught:
         click.echo(f"warning: {warning.message}", err=True)
     dataio.save_fusion_model(model, out)
@@ -140,8 +140,7 @@ def fuse_apply(model_path, scores, qmf_path, out):
 def eval_cmd(scores, trials, p_targets):
     """Report EER and minDCF on labeled trials."""
     trial_list = dataio.read_trials(trials, expect_labels=True)
-    pairs, values = dataio.read_scores(scores)
-    dataio.check_score_alignment(trial_list, pairs, scores)
+    _, values = dataio.read_scores(scores, trial_list)
     report = metrics.evaluate(values, trial_list.labels, tuple(p_targets))
     parts = [f"EER={report['eer'] * 100.0:.2f}%"]
     for p_target in p_targets:

@@ -25,7 +25,10 @@ first line. The trial, score and feature readers return one, and every function 
 also takes a sequence of :class:`Trial` records, converted once by
 :meth:`TrialList.of`. The score reader casts its scores a block at a time,
 each block with one numpy call, and parses score by score only when that
-fails.
+fails. Given a reference trial list, the score and feature readers check
+each block of pairs against it as they read, keep only the first mismatch
+and hold none of the file's ids: a fault anywhere in the file is raised
+first, then a count that differs, then the mismatched pair on its line.
 
 The trial feature reader makes one pass over the file's ``csv`` records,
 checking each row's field count in line order, and casts the cells of a
@@ -36,7 +39,8 @@ quote and no NUL, that is not empty and no longer than the field size
 limit, is split on commas, which is what strict ``csv`` makes of it; every
 other line goes through strict ``csv``. Both it and the score reader raise a
 bad id or value before a fault on a later line. :func:`read_fusion_features` reads
-fusion's inputs as named columns aligned on one pair list. The score writer
+fusion's inputs as named columns of one matrix, the feature table cast
+straight into it, every file checked against one pair list. The score writer
 formats a column with ``map(repr, ...)``. The feature writer formats a block
 of rows at a time, each distinct bit pattern in the block once, with blocks
 sized by ``scoring.COSINE_BLOCK_BYTES``, so it holds a few blocks beyond the
@@ -211,12 +215,15 @@ def _floats(tokens: list[str], path: str, line_of) -> np.ndarray:
 
 
 class RowBuffer:
-    """Rows of a float64 array appended a block at a time into one buffer that
-    grows in place by an eighth when it is full, so a reader that does not know
-    its row count never holds its rows twice."""
+    """Rows of a float64 array appended a block at a time into one buffer,
+    made for ``rows`` rows, that grows in place by an eighth when it is full,
+    so a reader that does not know its row count never holds its rows twice.
+    Each row has ``lead`` more columns before those appended, which are left
+    for the caller to fill."""
 
-    def __init__(self, *width: int):
-        self._data = np.empty((0, *width), dtype=np.float64)
+    def __init__(self, *width: int, rows: int = 0, lead: int = 0):
+        self._data = np.empty((rows, *(lead + w for w in width)), dtype=np.float64)
+        self._lead = lead
         self._n = 0
 
     def __len__(self) -> int:
@@ -226,7 +233,7 @@ class RowBuffer:
         end = self._n + len(rows)
         if end > len(self._data):
             self._data.resize((end + end // 8, *self._data.shape[1:]), refcheck=False)
-        self._data[self._n:end] = rows
+        self._data[self._n:end][..., self._lead:] = rows
         self._n = end
 
     def take(self) -> np.ndarray:
@@ -446,14 +453,15 @@ class TrialList:
     """A trial list as columns: the enroll ids, the test ids and, when the
     list is labeled, one bool label per pair (``None`` when it is not). The
     ids are checked once for the whole list; the first that is empty or holds
-    whitespace is named in a ``ValueError``."""
+    whitespace is named in a ``ValueError``. A ``list`` of ids is kept, not
+    copied."""
 
     enroll: list[str]
     test: list[str]
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        enroll, test = list(self.enroll), list(self.test)
+        enroll, test = (ids if type(ids) is list else list(ids) for ids in (self.enroll, self.test))
         if len(enroll) != len(test):
             raise ValueError(f"{len(enroll)} enroll ids but {len(test)} test ids")
         bad = _first_bad_id(enroll, test)
@@ -545,21 +553,68 @@ def write_trials(trials: TrialList | Iterable[Trial], path: str) -> None:
     atomic_write_text(str(path), lines)
 
 
-def read_scores(path: str) -> tuple[TrialList, np.ndarray]:
+class _Pairs:
+    """The pairs of a file that lines up with a trial list, and one value or
+    row of values per pair, handed over a block at a time. Without a
+    ``reference`` the ids are kept as the columns of the pair list returned.
+    With one, each block's pairs are checked against the reference's pairs at
+    their place, and only the first mismatch is kept, so no id list is held;
+    the values go into a :class:`RowBuffer` made for the reference's
+    length."""
+
+    def __init__(self, reference: TrialList | Iterable[Trial] | None, *width: int, lead: int = 0):
+        self.reference = None if reference is None else TrialList.of(reference)
+        self.values = RowBuffer(*width, rows=len(self.reference or ()), lead=lead)
+        self.enroll, self.test, self.mismatch = [], [], None
+
+    def add(self, enroll: list[str], test: list[str], values: np.ndarray) -> None:
+        start = len(self.values)
+        self.values.append(values)
+        if self.reference is None:
+            self.enroll += enroll
+            self.test += test
+        elif self.mismatch is None:
+            want_e, want_t = (ids[start:len(self.values)] for ids in (self.reference.enroll, self.reference.test))
+            if want_e != enroll[:len(want_e)] or want_t != test[:len(want_t)]:
+                i = next(i for i, pair in enumerate(zip(want_e, want_t)) if pair != (enroll[i], test[i]))
+                self.mismatch = (start + i, enroll[i], test[i])
+
+    def take(self, path: str, first_line: int) -> tuple[TrialList, np.ndarray]:
+        """(pairs, values). With a reference, the count of pairs is checked
+        against it first, then the first mismatched pair is raised on its
+        line (pair i is on line ``first_line + i``); the pairs are the
+        reference."""
+        if self.reference is None:
+            return TrialList(self.enroll, self.test), self.values.take()
+        want, found = self.reference, len(self.values)
+        if found != len(want):
+            raise DataFormatError(f"expected {len(want)} scored pairs, found {found}", path=path)
+        if self.mismatch is not None:
+            i, e, t = self.mismatch
+            raise DataFormatError(f"pair mismatch vs trial list: expected '{want.enroll[i]} {want.test[i]}', "
+                                  f"found '{e} {t}'", path=path, line=first_line + i)
+        return want, self.values.take()
+
+
+def read_scores(path: str, reference: TrialList | Iterable[Trial] | None = None) -> tuple[TrialList, np.ndarray]:
     """Score file as (pair list without labels, score vector), in file order.
     The scores are cast a block at a time, each block with one numpy call,
     and parsed one by one only when that fails, to name the first bad score,
     which is raised before a fault on any later line. A score token takes
     about eight times its 8 bytes, so a block's tokens fit in
-    ``COSINE_BLOCK_BYTES``."""
+    ``COSINE_BLOCK_BYTES``. Given a ``reference`` trial list, the file's
+    pairs are checked against it as they are read and the pair list
+    returned is the reference: a fault anywhere in the file is raised first,
+    then a count that differs, then the first mismatched pair with its
+    line."""
     from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
 
     path = str(path)
     step = max(1, COSINE_BLOCK_BYTES // (8 * 8))
-    enroll: list[str] = []
+    pairs = _Pairs(reference)
+    enroll: list[str] = []  # the ids and scores of the block being read
     test: list[str] = []
-    scores = RowBuffer()
-    values: list[str] = []  # the scores of the block being read
+    values: list[str] = []
     fault = None
     try:
         for lineno, raw in _data_lines(path):
@@ -573,14 +628,15 @@ def read_scores(path: str) -> tuple[TrialList, np.ndarray]:
             test.append(t)
             values.append(value)
             if len(values) == step:  # no line is blank, so score i is on line i + 1
-                scores.append(_floats(values, path, (len(scores) + 1).__add__))
-                values = []
+                pairs.add(enroll, test, _floats(values, path, (len(pairs.values) + 1).__add__))
+                enroll, test, values = [], [], []
     except DataFormatError as exc:
         fault = exc  # raised below unless a score on an earlier line is bad
-    scores.append(_floats(values, path, (len(scores) + 1).__add__))
+    scores = _floats(values, path, (len(pairs.values) + 1).__add__)
     if fault is not None:
         raise fault
-    return TrialList(enroll, test), scores.take()
+    pairs.add(enroll, test, scores)
+    return pairs.take(path, 1)
 
 
 def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None:
@@ -595,17 +651,12 @@ def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None
 
 
 def check_score_alignment(trials: TrialList | Iterable[Trial], pairs: TrialList | Iterable[Trial], path: str) -> None:
-    """Require that a score file's pairs line up with a trial list positionally."""
-    trials, pairs = TrialList.of(trials), TrialList.of(pairs)
-    if len(pairs) != len(trials):
-        raise DataFormatError(f"expected {len(trials)} scored pairs, found {len(pairs)}", path=str(path))
-    if trials.enroll == pairs.enroll and trials.test == pairs.test:
-        return
-    for i, (e, t, pe, pt) in enumerate(zip(trials.enroll, trials.test, pairs.enroll, pairs.test), start=1):
-        if (e, t) != (pe, pt):
-            raise DataFormatError(
-                f"pair mismatch vs trial list: expected '{e} {t}', found '{pe} {pt}'", path=str(path), line=i
-            )
+    """Require that a score file's pairs line up with a trial list positionally,
+    as :func:`read_scores` given the trial list as its reference requires."""
+    pairs = TrialList.of(pairs)
+    check = _Pairs(trials)
+    check.add(pairs.enroll, pairs.test, np.empty(len(pairs)))
+    check.take(str(path), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -781,11 +832,17 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
             yield ",".join([texts[k] for k in row])
 
 
-def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
+def read_trial_features(
+    path: str, reference: TrialList | Iterable[Trial] | None = None, lead: int = 0
+) -> tuple[TrialList, list[str], np.ndarray]:
     """(pairs, feature names, matrix) of a trial feature table. The cells are
     cast a block of rows at a time into a matrix that grows in place, as the
     score reader casts its scores; a block's cell texts take about eight
-    times their values' bytes, and fit in ``COSINE_BLOCK_BYTES``."""
+    times their values' bytes, and fit in ``COSINE_BLOCK_BYTES``. Given a
+    ``reference`` trial list, the pairs are checked against it as
+    :func:`read_scores` checks them, the pair on line i + 2 being pair i, and
+    the matrix is made for its length at once. The matrix has ``lead`` more
+    columns before the features, which are left for the caller to fill."""
     from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
 
     path = str(path)
@@ -799,10 +856,10 @@ def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
     step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, len(names)) * 8))
-    enroll: list[str] = []
+    pairs = _Pairs(reference, len(names), lead=lead)
+    enroll: list[str] = []  # the ids and feature cells (row-major) of the block being read
     test: list[str] = []
-    matrix = RowBuffer(len(names))
-    cells: list[str] = []  # the feature cells of the block being read, row-major
+    cells: list[str] = []
     fault = None
     try:
         for lineno, fields in rows:
@@ -811,28 +868,29 @@ def read_trial_features(path: str) -> tuple[TrialList, list[str], np.ndarray]:
             enroll.append(fields[0])
             test.append(fields[1])
             cells += fields[2:]
-            if len(enroll) - len(matrix) == step:
-                matrix.append(_feature_block(enroll, test, cells, len(matrix), len(names), path))
-                cells = []
+            if len(enroll) == step:
+                pairs.add(enroll, test, _feature_block(enroll, test, cells, len(pairs.values), len(names), path))
+                enroll, test, cells = [], [], []
     except DataFormatError as exc:
         fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
-    matrix.append(_feature_block(enroll, test, cells, len(matrix), len(names), path))
+    block = _feature_block(enroll, test, cells, len(pairs.values), len(names), path)
     if fault is not None:
         raise fault
-    return TrialList(enroll, test), names, matrix.take()
+    pairs.add(enroll, test, block)
+    trials, matrix = pairs.take(path, 2)  # pair i is on line i + 2, after the header
+    return trials, names, matrix
 
 
 def _feature_block(
     enroll: list[str], test: list[str], cells: list[str], start: int, width: int, path: str
 ) -> np.ndarray:
-    """The feature rows of the table's rows from ``start`` on, whose cells are
-    ``cells``, as a matrix of ``width`` columns in which a blank cell is NaN.
-    The first bad id or cell in line order is raised, an id before a cell on
-    one line; row r is on line r + 2, since the reader's records are one line
-    each."""
-    n_rows = len(enroll) - start
+    """The feature rows of the ids ``enroll`` and ``test``, the table's rows
+    from ``start`` on, whose cells are ``cells``, as a matrix of ``width``
+    columns in which a blank cell is NaN. The first bad id or cell in line
+    order is raised, an id before a cell on one line; row r is on line r + 2,
+    since the reader's records are one line each."""
     errors = []
-    bad_id = _first_bad_id(enroll[start:], test[start:])
+    bad_id = _first_bad_id(enroll, test)
     if bad_id is not None:
         errors.append(DataFormatError(bad_id[1], path=path, line=start + bad_id[0] + 2))
     blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
@@ -845,7 +903,7 @@ def _feature_block(
     if errors:
         raise min(errors, key=lambda exc: exc.line)
     values[blank] = np.nan
-    return values.reshape(n_rows, width)
+    return values.reshape(len(enroll), width)
 
 
 def read_fusion_features(
@@ -854,33 +912,30 @@ def read_fusion_features(
     reference: TrialList | Iterable[Trial] | None = None,
 ) -> tuple[TrialList, list[str], np.ndarray]:
     """(pairs, names, raw matrix) of fusion's columns: one per score file, named
-    by its stem, then the feature table's, each file aligned against
-    ``reference`` (the first score file's pairs when None). Names are unique."""
-    if reference is not None:
-        reference = TrialList.of(reference)
+    by its stem, then the feature table's, each file checked against
+    ``reference`` as it is read (the first score file's pairs when None).
+    Names are unique. The feature table is cast straight into the one
+    matrix, and the score columns are copied in."""
     names: list[str] = []
     columns: list[np.ndarray] = []
     for path in score_paths:
-        pairs, values = read_scores(path)
-        if reference is None:
-            reference = pairs
-        else:
-            check_score_alignment(reference, pairs, path)
-        del pairs  # so that its ids are not held while the next file is read
+        reference, values = read_scores(path, reference)
         name = Path(path).stem
         if name in names:
             raise DataFormatError(f"duplicate score feature name {name!r} (from {path})")
         names.append(name)
         columns.append(values)
-    if qmf_path is not None:
-        pairs, qmf_names, matrix = read_trial_features(qmf_path)
-        check_score_alignment(reference, pairs, qmf_path)
+    if qmf_path is None:
+        matrix = np.empty((len(reference), len(columns)))
+    else:
+        reference, qmf_names, matrix = read_trial_features(qmf_path, reference, lead=len(columns))
         for name in qmf_names:
             if name in names:
                 raise DataFormatError(f"duplicate feature name {name!r} (from {qmf_path})")
         names += qmf_names
-        columns.append(matrix)
-    return reference, names, np.column_stack(columns)
+    for j, values in enumerate(columns):
+        matrix[:, j] = values
+    return reference, names, matrix
 
 
 # ---------------------------------------------------------------------------

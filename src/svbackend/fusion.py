@@ -207,7 +207,8 @@ def train(
     tol: float = 1e-9,
 ) -> FusionModel:
     """Fit min-max scaling on raw (unscaled) feature rows, then the fusion
-    weights on the scaled rows; the model carries both. A fit that stops at
+    weights on the rows scaled in place, which uses up ``raw_features``; the
+    model carries both. A fit that stops at
     ``max_iters`` before its KKT residual reaches ``tol`` still returns its
     model, and issues a ``ConvergenceWarning`` saying how far it got."""
     scaling = qmf.minmax_fit(raw_features, names)
@@ -227,8 +228,9 @@ def apply_model(raw_features: np.ndarray, names: list[str], model: FusionModel) 
     """Fusion probabilities for raw (unscaled) feature rows under a model.
 
     ``names`` label the columns and must equal the model's feature names in
-    order. Applies the model's median imputation and min-max scaling, then
-    the linear logit and sigmoid. One probability per row.
+    order. Applies the model's median imputation and min-max scaling in
+    place, which uses up ``raw_features``, then the linear logit and sigmoid.
+    One probability per row.
     """
     if len(names) != len(model.feature_names):
         raise FeatureMismatchError(f"model expects {len(model.feature_names)} features, got {len(names)}")

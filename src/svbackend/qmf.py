@@ -203,7 +203,9 @@ def _median(observed: np.ndarray) -> float:
 
 
 def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:
-    """Impute NaNs with the fitted medians, then map each feature to [0, 1].
+    """Impute NaNs with the fitted medians, then map each feature to [0, 1],
+    in place: a float64 array given is scaled and returned, its raw values
+    used up, so the matrix is never copied.
 
     Values outside the fitted range clamp to 0 or 1; a constant feature
     (lo == hi) maps to 0.5 everywhere.
@@ -211,14 +213,13 @@ def minmax_apply(matrix: np.ndarray, params: MinMaxParams) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(params.names):
         raise ToolkitError(f"expected a 2-D matrix of {len(params.names)} features, got shape {matrix.shape}")
-    scaled = np.where(np.isnan(matrix), params.median[None, :], matrix)
-    if not np.all(np.isfinite(scaled)):
+    np.copyto(matrix, params.median[None, :], where=np.isnan(matrix))
+    if not np.all(np.isfinite(matrix)):
         raise ToolkitError("non-finite feature value")
     span = params.hi - params.lo
     constant = span == 0.0
-    # each step in place, so the matrix is copied once
-    scaled -= params.lo[None, :]
-    scaled /= np.where(constant, 1.0, span)[None, :]
-    np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled[:, constant] = 0.5
-    return scaled
+    matrix -= params.lo[None, :]
+    matrix /= np.where(constant, 1.0, span)[None, :]
+    np.clip(matrix, 0.0, 1.0, out=matrix)
+    matrix[:, constant] = 0.5
+    return matrix

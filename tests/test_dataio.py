@@ -549,9 +549,8 @@ def test_feature_writer_peak_stays_within_a_few_blocks(tmp_path, np_rng, traced_
 
 
 def id_bytes(trials):
-    """Bytes of a trial list's id columns: their strings, and their two lists
-    counted twice, since a TrialList copies the lists a reader hands it."""
-    return sum(2 * sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) for ids in (trials.enroll, trials.test))
+    """Bytes of a trial list's id columns: their two lists and their strings."""
+    return sum(sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) for ids in (trials.enroll, trials.test))
 
 
 def test_feature_reader_peak_stays_within_its_output_and_a_few_blocks(tmp_path, np_rng, traced_peak):
@@ -581,6 +580,82 @@ def test_score_reader_peak_stays_within_its_output_and_a_few_blocks(tmp_path, np
     (pairs, back), peak = traced_peak(dataio.read_scores, path)
     assert back.tobytes() == scores.tobytes()
     assert peak < id_bytes(pairs) + scores.nbytes + 4 * scoring.COSINE_BLOCK_BYTES
+
+
+def test_fusion_reader_peak_stays_within_its_matrix_and_a_few_blocks(tmp_path, np_rng, traced_peak):
+    """A score file and a table of 17 features on 20 000 trials, read against
+    the trial list: stacking the columns held the table's matrix and its id
+    lists beside the stacked copy; casting the table into the one matrix and
+    checking pairs as they are read holds that matrix plus a few budgets, and
+    none of the files' id lists."""
+    n_trials = 20_000
+    trials = dataio.TrialList([f"e{i:05d}" for i in range(n_trials)], [f"t{i:05d}" for i in range(n_trials)])
+    scores = np_rng.normal(size=n_trials)
+    matrix = np_rng.choice(np_rng.normal(size=5000), size=(n_trials, 17))
+    raw, table = str(tmp_path / "raw.txt"), str(tmp_path / "qmf.csv")
+    dataio.write_scores(trials, scores, raw)
+    dataio.write_trial_features(trials, [f"f{j}" for j in range(17)], matrix, table)
+    (pairs, names, back), peak = traced_peak(dataio.read_fusion_features, [raw], table, trials)
+    assert pairs is trials and names == ["raw"] + [f"f{j}" for j in range(17)]
+    assert back.tobytes() == np.column_stack([scores, matrix]).tobytes()
+    assert peak < back.nbytes + 4 * scoring.COSINE_BLOCK_BYTES
+
+
+def test_score_reader_given_a_reference_checks_its_pairs(tmp_path):
+    path = str(tmp_path / "s.txt")
+    reference = dataio.TrialList(["a", "c", "e"], ["b", "d", "f"])
+    with open(path, "w") as handle:
+        handle.write("a b 0.5\nc d -1.0\ne f 2.0\n")
+    pairs, scores = dataio.read_scores(path, reference)
+    assert pairs is reference and scores.tolist() == [0.5, -1.0, 2.0]
+    # the mismatch names the file line of the pair
+    with open(path, "w") as handle:
+        handle.write("a b 0.5\nx d -1.0\ne f 2.0\n")
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_scores(path, reference)
+    assert str(err.value) == f"{path}:2: pair mismatch vs trial list: expected 'c d', found 'x d'"
+    # a malformed line after the mismatch is raised instead
+    with open(path, "w") as handle:
+        handle.write("a b 0.5\nx d -1.0\ne f\n")
+    with pytest.raises(DataFormatError, match="expected 'enroll test score'") as err:
+        dataio.read_scores(path, reference)
+    assert err.value.line == 3
+    # a short file raises the count, not the mismatch before it
+    with open(path, "w") as handle:
+        handle.write("a b 0.5\nx d -1.0\n")
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_scores(path, reference)
+    assert str(err.value) == f"{path}: expected 3 scored pairs, found 2"
+
+
+def test_feature_reader_given_a_reference_checks_its_pairs(tmp_path):
+    path = str(tmp_path / "qmf.csv")
+    reference = dataio.TrialList(["a", "c", "e"], ["b", "d", "f"])
+    with open(path, "w") as handle:
+        handle.write("enroll,test,f1\na,b,0.5\nc,d,\ne,f,2.0\n")
+    pairs, names, matrix = dataio.read_trial_features(path, reference)
+    assert pairs is reference and names == ["f1"]
+    assert matrix.tobytes() == np.array([[0.5], [np.nan], [2.0]]).tobytes()
+    # with lead columns the features follow them
+    assert dataio.read_trial_features(path, reference, lead=2)[2][:, 2:].tobytes() == matrix.tobytes()
+    # the row on file line 3 is pair 1: the mismatch names line 3
+    with open(path, "w") as handle:
+        handle.write("enroll,test,f1\na,b,0.5\nx,d,\ne,f,2.0\n")
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_trial_features(path, reference)
+    assert str(err.value) == f"{path}:3: pair mismatch vs trial list: expected 'c d', found 'x d'"
+    # a malformed line after the mismatch is raised instead
+    with open(path, "w") as handle:
+        handle.write("enroll,test,f1\na,b,0.5\nx,d,\ne,f,inf\n")
+    with pytest.raises(DataFormatError, match="non-finite") as err:
+        dataio.read_trial_features(path, reference)
+    assert err.value.line == 4
+    # a short file raises the count, not the mismatch before it
+    with open(path, "w") as handle:
+        handle.write("enroll,test,f1\na,b,0.5\nx,d,\n")
+    with pytest.raises(DataFormatError) as err:
+        dataio.read_trial_features(path, reference)
+    assert str(err.value) == f"{path}: expected 3 scored pairs, found 2"
 
 
 def fusion_input_files(tmp_path):
@@ -623,6 +698,13 @@ def test_read_fusion_features_rejects_repeated_names_and_misaligned_files(tmp_pa
     with pytest.raises(DataFormatError, match="pair mismatch") as err:
         dataio.read_fusion_features([paths["raw.txt"], swapped])
     assert (err.value.path, err.value.line) == (swapped, 1)
+
+    # the feature table's header is its line 1, so its pair i is on line i + 2
+    table = str(tmp_path / "swapped.csv")
+    dataio.write_trial_features(trials[::-1], ["f1"], np.array([[3.0], [4.0]]), table)
+    with pytest.raises(DataFormatError, match="pair mismatch") as err:
+        dataio.read_fusion_features([paths["raw.txt"]], table)
+    assert (err.value.path, err.value.line) == (table, 2)
 
 
 def make_model() -> dataio.FusionModel:

@@ -468,6 +468,73 @@ def test_score_reader_blocks_give_the_per_line_outcome(store_path, rows, budget,
     assert got == table_outcome(token_read_scores, store_path)
 
 
+def read_then_check_pairs(reader, path, reference, first_line):
+    """``reader(path)``, then its pairs checked against ``reference`` as the
+    fusion and eval stages checked them after reading the whole file: the
+    count first, then the first mismatched pair, named on its file line (pair
+    i is on line ``first_line + i``)."""
+    pairs, *rest = reader(path)
+    if len(pairs) != len(reference):
+        raise DataFormatError(f"expected {len(reference)} scored pairs, found {len(pairs)}", path=str(path))
+    for i, (want, got) in enumerate(zip(zip(reference.enroll, reference.test), zip(pairs.enroll, pairs.test))):
+        if want != got:
+            raise DataFormatError(f"pair mismatch vs trial list: expected '{want[0]} {want[1]}', "
+                                  f"found '{got[0]} {got[1]}'", path=str(path), line=first_line + i)
+    return (reference, *rest)
+
+
+def edited_pairs(data, pairs):
+    """A trial list of ``pairs`` as they are, with one dropped or added, or
+    with one id changed."""
+    pairs = [list(pair) for pair in pairs]
+    kind = data.draw(st.sampled_from(["same", "drop", "add", "id"] if pairs else ["same", "add"]))
+    if kind == "drop":
+        del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+    elif kind == "add":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), [data.draw(ids), data.draw(ids)])
+    elif kind == "id":
+        pairs[data.draw(st.integers(0, len(pairs) - 1))][data.draw(st.integers(0, 1))] += "q"
+    return dataio.TrialList([e for e, _ in pairs], [t for _, t in pairs])
+
+
+@given(st.lists(st.tuples(ids, ids, value_tokens), max_size=12), st.integers(64, 256), st.data())
+def test_score_reader_checks_pairs_against_a_reference_as_reading_then_checking_does(store_path, rows, budget, data):
+    """With blocks of one to four scores, a reference that is the file's
+    pairs, one short, one longer or with one id changed, and maybe a bad
+    score or a short line: the scores, or the first of a format fault, a
+    count that differs and a mismatched pair with its line."""
+    reference = edited_pairs(data, [(e, t) for e, t, _ in rows])
+    lines = [f"{e} {t} {v}" for e, t, v in rows]
+    if lines and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = data.draw(st.sampled_from([f"{rows[i][0]} {rows[i][1]} nan", f"{rows[i][0]} {rows[i][1]}"]))
+    store_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        got = table_outcome(dataio.read_scores, store_path, reference)
+    assert got == table_outcome(read_then_check_pairs, dataio.read_scores, store_path, reference, 1)
+
+
+@given(feature_tables(), st.integers(1, 320), st.data())
+def test_feature_reader_checks_pairs_against_a_reference_as_reading_then_checking_does(store_path, rows, budget,
+                                                                                       data):
+    """As the score reader's test above, for feature tables read a block of
+    one to five rows at a time, where pair i is on line i + 2."""
+    reference = edited_pairs(data, [row[:2] for row in rows[1:]])
+    if len(rows) > 1 and len(rows[0]) > 2 and data.draw(st.booleans()):
+        row = rows[data.draw(st.integers(1, len(rows) - 1))]
+        kind = data.draw(st.sampled_from(["value", "short", "id"]))
+        if kind == "value":
+            row[data.draw(st.integers(2, len(row) - 1))] = data.draw(st.sampled_from(BAD_VALUES))
+        elif kind == "short":
+            del row[data.draw(st.integers(0, len(row) - 1))]
+        else:
+            row[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["", "a b"]))
+    store_path.write_text(render_csv(rows), encoding="utf-8")
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        got = table_outcome(dataio.read_trial_features, store_path, reference)
+    assert got == table_outcome(read_then_check_pairs, dataio.read_trial_features, store_path, reference, 2)
+
+
 # every character str.split splits on, and ids made of them, of letters, or empty
 WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
 id_or_not = st.one_of(st.text("ab", min_size=1, max_size=3), st.text(WHITESPACE + "ab", max_size=3))

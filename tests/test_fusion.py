@@ -304,7 +304,7 @@ def test_train_matches_manual_pipeline(np_rng):
     raw = np_rng.normal(size=(40, 3)) * np.array([1.0, 10.0, 0.1])
     raw[3, 1] = np.nan
     labels = raw[:, 0] + 0.3 * np_rng.normal(size=40) > 0.0
-    model = train(raw, labels, names, lam=0.02, max_iters=5000, tol=1e-10)
+    model = train(raw.copy(), labels, names, lam=0.02, max_iters=5000, tol=1e-10)  # train scales its copy in place
 
     params = qmf.minmax_fit(raw, names)
     problem = FusionProblem(qmf.minmax_apply(raw, params), labels, lam=0.02)
