@@ -22,7 +22,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .dataio import ChunkEmbeddings, Trial, TrialList
+from .dataio import ChunkEmbeddings, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
 from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, mean_rows, require_sides, row_norms, side_rows, take_sides
@@ -114,7 +114,7 @@ def normalize_from_cohort_scores(
 
 def asnorm_trials(
     raw_scores: np.ndarray,
-    pairs: TrialList | Iterable[Trial],
+    pairs: TrialList,
     records: Iterable[ChunkEmbeddings],
     cohort: Iterable[ChunkEmbeddings],
     top_n: int = 100,
@@ -132,7 +132,6 @@ def asnorm_trials(
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    pairs = TrialList.of(pairs)
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")

@@ -21,14 +21,15 @@ A trial list is a :class:`TrialList`: an enroll id column, a test id column
 and, when labeled, a bool label array. It checks all its ids at once and
 scans them pair by pair only to name the first bad one. The trial reader
 reads a list once and, unless told, takes whether it is labeled from its
-first line. The trial, score and feature readers return one, and every function that takes a trial list
-also takes a sequence of :class:`Trial` records, converted once by
-:meth:`TrialList.of`. The score reader casts its scores a block at a time,
-each block with one numpy call, and parses score by score only when that
-fails. Given a reference trial list, the score and feature readers check
-each block of pairs against it as they read, keep only the first mismatch
-and hold none of the file's ids: a fault anywhere in the file is raised
-first, then a count that differs, then the mismatched pair on its line.
+first line. The trial, score and feature readers return one, and it is the
+only trial type the functions here take; :class:`Trial` is the record form
+that :func:`~svbackend.scoring.score_trials` alone still converts. The score
+reader casts its scores a block at a time, each block with one numpy call,
+and parses score by score only when that fails. Given a reference trial
+list, the score and feature readers check each block of pairs against it as
+they read, keep only the first mismatch and hold none of the file's ids: a
+fault anywhere in the file is raised first, then a count that differs, then
+the mismatched pair on its line.
 
 The trial feature reader makes one pass over the file's ``csv`` records,
 checking each row's field count in line order, and casts the cells of a
@@ -40,12 +41,16 @@ limit, is split on commas, which is what strict ``csv`` makes of it; every
 other line goes through strict ``csv``. Both it and the score reader raise a
 bad id or value before a fault on a later line. :func:`read_fusion_features` reads
 fusion's inputs as named columns of one matrix, the feature table cast
-straight into it, every file checked against one pair list. The score writer
-formats a column with ``map(repr, ...)``. The feature writer formats a block
-of rows at a time, each distinct bit pattern in the block once, with blocks
-sized by ``scoring.COSINE_BLOCK_BYTES``, so it holds a few blocks beyond the
-matrix it is given. Both hand over one line at a time; :func:`_csv_field`
-quotes a feature-table id or header name as ``csv.writer`` would.
+straight into it, every file checked against one pair list.
+
+Every writer hands :func:`atomic_write_text` one line at a time, so none
+holds its file's text whole. The score writer formats a column with
+``map(repr, ...)``. The feature writer formats a block of rows at a time,
+each distinct bit pattern in the block once, with blocks sized by
+``scoring.COSINE_BLOCK_BYTES``, so it holds a few blocks beyond the matrix it
+is given. The three CSV writers (attributes, trial features, selections)
+quote every field with :func:`_csv_field`, which writes what ``csv.writer``
+does for any row but one made of a single empty field.
 
 Formats:
 
@@ -72,7 +77,6 @@ Formats:
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
@@ -97,9 +101,10 @@ def format_float(value: float) -> str:
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write ``text``, a str or an iterable of str pieces, via a synced temp file
-    renamed over ``path``, with the mode ``open`` gives a new file (0o666 less
-    the umask) rather than mkstemp's 0o600. If producing a piece raises, the
-    temp file is removed and ``path`` is left as it was."""
+    renamed over ``path``, then sync the directory so the rename survives a
+    crash. The file gets the mode ``open`` gives a new file (0o666 less the
+    umask) rather than mkstemp's 0o600. If producing a piece raises, the temp
+    file is removed and ``path`` is left as it was."""
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
@@ -113,6 +118,11 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
             handle.flush()
             os.fsync(fd)
         os.replace(tmp, path)
+        dir_fd = os.open(directory, os.O_RDONLY)  # the rename is durable once its directory is synced
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -293,6 +303,11 @@ def _csv_field(value: str) -> str:
     return value
 
 
+def _csv_line(fields: Iterable[str]) -> str:
+    """One CSV record and its ``\\n``, every field through :func:`_csv_field`."""
+    return ",".join(map(_csv_field, fields)) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Embedding store
 
@@ -423,13 +438,12 @@ def embeddings_by_id(records: list[ChunkEmbeddings]) -> dict[str, ChunkEmbedding
 
 @dataclass(frozen=True)
 class Trial:
-    """One trial as a record, a form a caller may build a trial list from;
-    :meth:`TrialList.of` turns a sequence of them into columns and checks
-    their ids."""
+    """One trial as a record, the benchmark's scorer input form, which
+    :func:`~svbackend.scoring.score_trials` alone still converts; every other
+    function takes a :class:`TrialList`."""
 
     enroll_id: str
     test_id: str
-    label: bool | None = None
 
 
 def _first_bad_id(enroll: list[str], test: list[str]) -> tuple[int, str] | None:
@@ -474,24 +488,6 @@ class TrialList:
             if labels.dtype != bool or labels.shape != (len(enroll),):
                 raise ValueError(f"labels must be {len(enroll)} bools, got {labels.dtype} of shape {labels.shape}")
             object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def of(cls, trials: TrialList | Iterable[Trial]) -> TrialList:
-        """``trials`` itself when it is a TrialList, else the columns of a
-        sequence of :class:`Trial`, whose labels are all set or all None (an
-        empty sequence is unlabeled)."""
-        if isinstance(trials, TrialList):
-            return trials
-        trials = list(trials)
-        labels = [t.label for t in trials]
-        unlabeled = not trials or None in labels
-        if unlabeled and any(label is not None for label in labels):
-            raise ValueError("either every trial has a label or none has")
-        return cls(
-            [t.enroll_id for t in trials],
-            [t.test_id for t in trials],
-            None if unlabeled else np.array(labels, dtype=bool),
-        )
 
     def __len__(self) -> int:
         return len(self.enroll)
@@ -544,8 +540,7 @@ def sniff_trial_labels(path: str) -> bool:
     return read_trials(path).labels is not None
 
 
-def write_trials(trials: TrialList | Iterable[Trial], path: str) -> None:
-    trials = TrialList.of(trials)
+def write_trials(trials: TrialList, path: str) -> None:
     if trials.labels is None:
         lines = (f"{e} {t}\n" for e, t in zip(trials.enroll, trials.test))
     else:
@@ -562,8 +557,8 @@ class _Pairs:
     the values go into a :class:`RowBuffer` made for the reference's
     length."""
 
-    def __init__(self, reference: TrialList | Iterable[Trial] | None, *width: int, lead: int = 0):
-        self.reference = None if reference is None else TrialList.of(reference)
+    def __init__(self, reference: TrialList | None, *width: int, lead: int = 0):
+        self.reference = reference
         self.values = RowBuffer(*width, rows=len(self.reference or ()), lead=lead)
         self.enroll, self.test, self.mismatch = [], [], None
 
@@ -596,7 +591,7 @@ class _Pairs:
         return want, self.values.take()
 
 
-def read_scores(path: str, reference: TrialList | Iterable[Trial] | None = None) -> tuple[TrialList, np.ndarray]:
+def read_scores(path: str, reference: TrialList | None = None) -> tuple[TrialList, np.ndarray]:
     """Score file as (pair list without labels, score vector), in file order.
     The scores are cast a block at a time, each block with one numpy call,
     and parsed one by one only when that fails, to name the first bad score,
@@ -639,8 +634,7 @@ def read_scores(path: str, reference: TrialList | Iterable[Trial] | None = None)
     return pairs.take(path, 1)
 
 
-def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None:
-    trials = TrialList.of(trials)
+def write_scores(trials: TrialList, scores, path: str) -> None:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(trials) != scores.shape[0]:
         raise ValueError(f"expected one score per trial, got {len(trials)} trials and {scores.shape} scores")
@@ -650,10 +644,9 @@ def write_scores(trials: TrialList | Iterable[Trial], scores, path: str) -> None
     atomic_write_text(str(path), (f"{e} {t} {v}\n" for e, t, v in zip(trials.enroll, trials.test, values)))
 
 
-def check_score_alignment(trials: TrialList | Iterable[Trial], pairs: TrialList | Iterable[Trial], path: str) -> None:
+def check_score_alignment(trials: TrialList, pairs: TrialList, path: str) -> None:
     """Require that a score file's pairs line up with a trial list positionally,
     as :func:`read_scores` given the trial list as its reference requires."""
-    pairs = TrialList.of(pairs)
     check = _Pairs(trials)
     check.add(pairs.enroll, pairs.test, np.empty(len(pairs)))
     check.take(str(path), 1)
@@ -778,34 +771,31 @@ def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
 
 
 def write_attributes(table: AttributeTable, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("utt_id",) + table.columns)
-    for utt_id, row in table.rows.items():
-        rendered = []
-        for name in table.columns:
-            value = row.get(name)
-            if value is None:
-                rendered.append("")
-            elif isinstance(value, float):
-                rendered.append(format_float(value))
-            else:
-                rendered.append(str(value))
-        writer.writerow([utt_id] + rendered)
-    atomic_write_text(str(path), buf.getvalue())
+    """CSV of the table, one line handed over at a time; a missing cell is
+    written blank and a real one with :func:`format_float`."""
+    atomic_write_text(str(path), itertools.chain(
+        (_csv_line(("utt_id", *table.columns)),),
+        (_csv_line((utt_id, *(_attribute_cell(row.get(name)) for name in table.columns)))
+         for utt_id, row in table.rows.items()),
+    ))
+
+
+def _attribute_cell(value: float | str | None) -> str:
+    if value is None:
+        return ""
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
 # Trial feature table (per-trial quality features)
 
 
-def write_trial_features(trials: TrialList | Iterable[Trial], names: list[str], matrix, path: str) -> None:
+def write_trial_features(trials: TrialList, names: list[str], matrix, path: str) -> None:
     """CSV of per-trial features; NaN cells are written blank (missing)."""
-    trials = TrialList.of(trials)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
-    header = ",".join(map(_csv_field, ["enroll", "test", *names])) + "\n"
+    header = _csv_line(["enroll", "test", *names])
     ids = map("{},{}".format, map(_csv_field, trials.enroll), map(_csv_field, trials.test))
     if names:
         lines = (f"{i},{row}\n" for i, row in zip(ids, _feature_rows(matrix)))
@@ -833,7 +823,7 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
 
 
 def read_trial_features(
-    path: str, reference: TrialList | Iterable[Trial] | None = None, lead: int = 0
+    path: str, reference: TrialList | None = None, lead: int = 0
 ) -> tuple[TrialList, list[str], np.ndarray]:
     """(pairs, feature names, matrix) of a trial feature table. The cells are
     cast a block of rows at a time into a matrix that grows in place, as the
@@ -909,7 +899,7 @@ def _feature_block(
 def read_fusion_features(
     score_paths: Iterable[str],
     qmf_path: str | None = None,
-    reference: TrialList | Iterable[Trial] | None = None,
+    reference: TrialList | None = None,
 ) -> tuple[TrialList, list[str], np.ndarray]:
     """(pairs, names, raw matrix) of fusion's columns: one per score file, named
     by its stem, then the feature table's, each file checked against
@@ -943,13 +933,12 @@ def read_fusion_features(
 
 
 def write_selections(rows, path: str) -> None:
-    """CSV of ``(speaker_id, max_similarity, nearest_target)`` rows, in the given order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["speaker_id", "max_similarity", "nearest_target"])
-    for speaker_id, similarity, nearest in rows:
-        writer.writerow([speaker_id, format_float(similarity), nearest])
-    atomic_write_text(str(path), buf.getvalue())
+    """CSV of ``(speaker_id, max_similarity, nearest_target)`` rows, in the
+    given order, one line handed over at a time."""
+    atomic_write_text(str(path), itertools.chain(
+        (_csv_line(("speaker_id", "max_similarity", "nearest_target")),),
+        (_csv_line((speaker_id, format_float(similarity), nearest)) for speaker_id, similarity, nearest in rows),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, Trial, TrialList
+from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, TrialList
 from .errors import ToolkitError
 from .scoring import COSINE_BLOCK_BYTES, require_sides, side_rows, take_sides
 
@@ -114,7 +114,7 @@ def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trial_feature_matrix(
-    trials: TrialList | Iterable[Trial],
+    trials: TrialList,
     records: Iterable[ChunkEmbeddings],
     table: AttributeTable,
     schema: list[SchemaColumn],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ChunkEmbeddings, RowBuffer, Trial, TrialList
+from .dataio import ChunkEmbeddings, RowBuffer, TrialList
 from .errors import ToolkitError
 
 # Bytes one block of temporaries may hold, the one budget of every blocked kernel: the
@@ -112,11 +112,10 @@ def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseSc
     return PairwiseScore(value=value, n_pairs=enroll.n_chunks * test.n_chunks)
 
 
-def side_rows(trials: TrialList | Iterable[Trial]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+def side_rows(trials: TrialList) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """Each utterance the trials reference mapped to its row, in order of
     first appearance (enroll before test within a trial), and each trial's
     enroll and test row."""
-    trials = TrialList.of(trials)
     order = dict.fromkeys(itertools.chain.from_iterable(zip(trials.enroll, trials.test)))
     rows = {utt_id: row for row, utt_id in enumerate(order)}
     enroll, test = (np.fromiter(map(rows.__getitem__, ids), dtype=np.intp, count=len(ids))
@@ -143,7 +142,7 @@ def require_sides(missing: dict[str, int]) -> None:
 
 
 def trial_sides(
-    records: Iterable[ChunkEmbeddings], trials: TrialList | Iterable[Trial]
+    records: Iterable[ChunkEmbeddings], trials: TrialList
 ) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
     """The records the trials reference, each once in order of first
     appearance (enroll before test within a trial), and each trial's enroll
@@ -173,9 +172,13 @@ def mean_rows(records: Iterable[ChunkEmbeddings]) -> tuple[list[str], np.ndarray
     return ids, np.empty((0, 0)) if rows is None else rows.take()
 
 
-def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList | Iterable[Trial]) -> np.ndarray:
+def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList) -> np.ndarray:
     """Pairwise scores for a trial list, in trial order, from a list or a
-    stream of records of which only those the trials reference are kept."""
+    stream of records of which only those the trials reference are kept.
+    ``trials`` may also be a sequence of ``dataio.Trial`` records, the form
+    the benchmark's swap-symmetry check passes; no other function takes it."""
+    if not isinstance(trials, TrialList):
+        trials = TrialList([t.enroll_id for t in trials], [t.test_id for t in trials])
     return _score_sides(*trial_sides(records, trials))
 
 

@@ -8,13 +8,21 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from svbackend.dataio import write_embeddings
+from svbackend.dataio import TrialList, write_embeddings
 from svbackend.synth import SynthConfig, gen_dataset
 
 # Property tests draw the same examples on every run and carry no time limit,
 # so a slow spell of the machine cannot fail them.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+def trial_list(pairs, labels=None) -> TrialList:
+    """The :class:`TrialList` of ``(enroll, test)`` pairs, labeled when
+    ``labels`` is given."""
+    pairs = list(pairs)
+    return TrialList([e for e, _ in pairs], [t for _, t in pairs],
+                     None if labels is None else np.array(labels, dtype=bool))
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import inspect
 import numpy as np
 import pytest
 
+from conftest import trial_list
 from svbackend.asnorm import asnorm_trials, build_cohort, normalize_from_cohort_scores, top_n_stats
-from svbackend.dataio import ChunkEmbeddings, Trial
+from svbackend.dataio import ChunkEmbeddings, TrialList
 from svbackend.errors import DegenerateCohortError, ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
 from svbackend.scoring import cosine
@@ -188,7 +189,8 @@ def test_asnorm_score_matches_manual_pipeline(small_synth, np_rng):
     e_emb = np_rng.normal(size=8)
     t_emb = np_rng.normal(size=8)
     raw = 0.37
-    got = asnorm_trials(np.array([raw]), [Trial("u0", "u1")], _single_chunk_records([e_emb, t_emb]), cohort, top_n=4)
+    sides = _single_chunk_records([e_emb, t_emb])
+    got = asnorm_trials(np.array([raw]), trial_list([("u0", "u1")]), sides, cohort, top_n=4)
     e_scores = np.array([cosine(e_emb, row) for row in _rows(cohort)])
     t_scores = np.array([cosine(t_emb, row) for row in _rows(cohort)])
     expected = normalize_from_cohort_scores(raw, e_scores, t_scores, 4)
@@ -200,9 +202,9 @@ def test_asnorm_score_requires_enough_cohort(small_synth, np_rng):
     cohort = build_cohort(records, speaker_map, per_speaker=2)
     sides = _single_chunk_records(np_rng.normal(size=(2, 8)))
     with pytest.raises(ToolkitError, match=f"cohort has {len(cohort)} speakers, need >= top_n=100"):
-        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, cohort, top_n=100)
+        asnorm_trials(np.array([0.1]), trial_list([("u0", "u1")]), sides, cohort, top_n=100)
     with pytest.raises(ToolkitError, match="cohort has 0 speakers, need >= top_n=4"):
-        asnorm_trials(np.array([0.1]), [Trial("u0", "u1")], sides, [], top_n=4)
+        asnorm_trials(np.array([0.1]), trial_list([("u0", "u1")]), sides, [], top_n=4)
 
 
 def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
@@ -212,7 +214,7 @@ def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
     e = np_rng.normal(size=(5, 8))
     t = np_rng.normal(size=(5, 8))
     sides = _single_chunk_records(np.concatenate([e, t]))
-    pairs = [Trial(f"u{i}", f"u{i + 5}") for i in range(5)]
+    pairs = trial_list((f"u{i}", f"u{i + 5}") for i in range(5))
     out = asnorm_trials(raw, pairs, sides, cohort, top_n=4)
     for i in range(5):
         assert out[i] == _manual_asnorm(float(raw[i]), e[i], t[i], cohort, 4)
@@ -226,15 +228,12 @@ def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_r
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map, per_speaker=2, seed=3)
     sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(3, 8))) for i in range(4)]
-    pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 4, size=(12, 2))]
-    pairs.append(Trial("s2", "s2"))
+    pairs = trial_list([*((f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 4, size=(12, 2))), ("s2", "s2")])
     raw = np_rng.normal(size=len(pairs)) * 0.3
     by_id = {rec.utt_id: rec for rec in sides}
     out = asnorm_trials(raw, pairs, sides + records[:2], cohort, top_n=4)
-    for i, pair in enumerate(pairs):
-        expected = _manual_asnorm(
-            float(raw[i]), by_id[pair.enroll_id].mean_embedding(), by_id[pair.test_id].mean_embedding(), cohort, 4
-        )
+    for i, (e, t) in enumerate(zip(pairs.enroll, pairs.test)):
+        expected = _manual_asnorm(float(raw[i]), by_id[e].mean_embedding(), by_id[t].mean_embedding(), cohort, 4)
         assert out[i] == expected
 
 
@@ -242,10 +241,10 @@ def test_asnorm_trials_swap_symmetry_is_bitwise(small_synth, np_rng):
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map, per_speaker=2, seed=4)
     sides = [ChunkEmbeddings(f"s{i}", np_rng.normal(size=(2, 8))) for i in range(5)]
-    pairs = [Trial(f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 5, size=(15, 2))]
+    pairs = trial_list((f"s{int(a)}", f"s{int(b)}") for a, b in np_rng.integers(0, 5, size=(15, 2)))
     raw = np_rng.normal(size=len(pairs)) * 0.3
     forward = asnorm_trials(raw, pairs, sides, cohort, top_n=4)
-    swapped = asnorm_trials(raw, [Trial(p.test_id, p.enroll_id) for p in pairs], sides, cohort, top_n=4)
+    swapped = asnorm_trials(raw, TrialList(pairs.test, pairs.enroll), sides, cohort, top_n=4)
     assert forward.tobytes() == swapped.tobytes()
 
 
@@ -253,7 +252,7 @@ def test_asnorm_trials_missing_utterance(small_synth, np_rng):
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map, per_speaker=2)
     with pytest.raises(ToolkitError, match="'ghost' missing from embedding store"):
-        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, "ghost")], records, cohort, top_n=2)
+        asnorm_trials(np.array([0.1]), trial_list([(records[0].utt_id, "ghost")]), records, cohort, top_n=2)
 
 
 def test_asnorm_trials_multi_chunk_cohort_equals_store_of_its_means(small_synth, np_rng):
@@ -262,7 +261,8 @@ def test_asnorm_trials_multi_chunk_cohort_equals_store_of_its_means(small_synth,
     records, _ = small_synth
     cohort = [ChunkEmbeddings(f"c{k}", np_rng.normal(size=(int(np_rng.integers(1, 4)), 8))) for k in range(6)]
     means = [ChunkEmbeddings(rec.utt_id, rec.mean_embedding()[None, :]) for rec in cohort]
-    pairs = [Trial(records[i].utt_id, records[j].utt_id) for i, j in np_rng.integers(0, len(records), size=(10, 2))]
+    drawn = np_rng.integers(0, len(records), size=(10, 2))
+    pairs = trial_list((records[i].utt_id, records[j].utt_id) for i, j in drawn)
     raw = np_rng.normal(size=len(pairs)) * 0.3
     got = asnorm_trials(raw, pairs, records, cohort, top_n=4)
     assert got.tobytes() == asnorm_trials(raw, pairs, records, means, top_n=4).tobytes()
@@ -272,7 +272,7 @@ def test_config_validation(small_synth):
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map)
     with pytest.raises(ValueError, match="top_n must be >= 1, got 0"):
-        asnorm_trials(np.array([0.1]), [Trial(records[0].utt_id, records[1].utt_id)], records, cohort, top_n=0)
+        asnorm_trials(np.array([0.1]), trial_list([(records[0].utt_id, records[1].utt_id)]), records, cohort, top_n=0)
     with pytest.raises(ValueError, match="per_speaker must be >= 1, got 0"):
         build_cohort(records, speaker_map, per_speaker=0)
     assert inspect.signature(asnorm_trials).parameters["top_n"].default == 100

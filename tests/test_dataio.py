@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import trial_list
 from svbackend import dataio, scoring
 from svbackend.errors import DataFormatError
 
@@ -54,6 +55,22 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_atomic_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # a rename is durable only once the directory holding it is synced
+    path = tmp_path / "out.txt"
+    synced = []  # (is a directory, the target's text at that moment)
+    real_fsync = os.fsync
+
+    def record(fd):
+        real_fsync(fd)
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.read_text() if path.exists() else None))
+
+    monkeypatch.setattr(os, "fsync", record)
+    dataio.atomic_write_text(str(path), "contents\n")
+    assert synced == [(False, None), (True, "contents\n")]
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_read_text_missing_file_is_data_error(tmp_path):
@@ -217,12 +234,42 @@ def test_score_and_store_writers_hand_over_one_line_at_a_time(tmp_path, monkeypa
         pieces[os.path.basename(path)] = list(text)
 
     monkeypatch.setattr(dataio, "atomic_write_text", record)
-    trials = [dataio.Trial(f"e{i}", f"t{i}") for i in range(4)]
+    trials = trial_list((f"e{i}", f"t{i}") for i in range(4))
     dataio.write_scores(trials, [0.5, -0.0, 1e-300, 2.0], str(tmp_path / "scores.txt"))
     records = [dataio.ChunkEmbeddings(f"u{i}", np.full((1, 2), i + 0.5)) for i in range(3)]
     dataio.write_embeddings(records, str(tmp_path / "emb.txt"))
     assert pieces["scores.txt"] == ["e0 t0 0.5\n", "e1 t1 -0.0\n", "e2 t2 1e-300\n", "e3 t3 2.0\n"]
     assert pieces["emb.txt"] == ["dim=2\n", "u0 1 0.5 0.5\n", "u1 1 1.5 1.5\n", "u2 1 2.5 2.5\n"]
+
+
+def test_csv_writers_hand_over_one_line_at_a_time(tmp_path, monkeypatch):
+    pieces = {}
+
+    def record(path, text):
+        assert not isinstance(text, str)
+        pieces[os.path.basename(path)] = list(text)
+
+    monkeypatch.setattr(dataio, "atomic_write_text", record)
+    table = dataio.AttributeTable(columns=("gender", "snr"))
+    table.rows["u1"] = {"gender": "m", "snr": np.float64(0.5)}
+    table.rows["u,2"] = {"gender": None, "snr": -0.0}
+    dataio.write_attributes(table, str(tmp_path / "attr.csv"))
+    dataio.write_selections([("s1", np.float64(0.25), "t0"), ("s2", 1e-300, 't"1')], str(tmp_path / "ddf.csv"))
+    # a numpy scalar is written as the float it holds, not as its repr
+    assert pieces["attr.csv"] == ["utt_id,gender,snr\n", "u1,m,0.5\n", '"u,2",,-0.0\n']
+    assert pieces["ddf.csv"] == ["speaker_id,max_similarity,nearest_target\n", "s1,0.25,t0\n", 's2,1e-300,"t""1"\n']
+
+
+def test_attribute_writer_peak_stays_within_a_few_blocks(tmp_path, traced_peak):
+    # about 835 KiB of text, which a writer that gathered the table's text first held whole
+    table = dataio.AttributeTable(columns=("gender", "snr", "length"))
+    for i in range(20_000):
+        table.rows[f"utt{i:05d}"] = {"gender": "mf"[i % 2], "snr": i / 7,
+                                     "length": None if i % 5 == 0 else math.pi * i}
+    path = tmp_path / "attr.csv"
+    _, peak = traced_peak(dataio.write_attributes, table, str(path))
+    assert os.path.getsize(path) > 3 * scoring.COSINE_BLOCK_BYTES
+    assert peak < 2 * scoring.COSINE_BLOCK_BYTES
 
 
 def test_is_token_agrees_with_isspace_rule_on_every_code_point():
@@ -257,15 +304,15 @@ def test_embeddings_by_id():
 
 
 def test_trials_round_trip_labeled_and_unlabeled(tmp_path):
-    labeled = [dataio.Trial("a", "b", True), dataio.Trial("b", "c", False)]
-    unlabeled = [dataio.Trial("a", "b"), dataio.Trial("c", "d")]
+    labeled = trial_list([("a", "b"), ("b", "c")], [True, False])
+    unlabeled = trial_list([("a", "b"), ("c", "d")])
     p1, p2 = str(tmp_path / "l.txt"), str(tmp_path / "u.txt")
     dataio.write_trials(labeled, p1)
     dataio.write_trials(unlabeled, p2)
-    assert dataio.read_trials(p1, expect_labels=True) == dataio.TrialList.of(labeled)
-    assert dataio.read_trials(p2, expect_labels=False) == dataio.TrialList.of(unlabeled)
-    assert dataio.read_trials(p1) == dataio.TrialList.of(labeled)
-    assert dataio.read_trials(p2) == dataio.TrialList.of(unlabeled)
+    assert dataio.read_trials(p1, expect_labels=True) == labeled
+    assert dataio.read_trials(p2, expect_labels=False) == unlabeled
+    assert dataio.read_trials(p1) == labeled
+    assert dataio.read_trials(p2) == unlabeled
     assert dataio.sniff_trial_labels(p1) is True
     assert dataio.sniff_trial_labels(p2) is False
 
@@ -315,18 +362,18 @@ def test_read_trials_errors(tmp_path):
 
 
 def test_scores_round_trip_and_alignment(tmp_path):
-    trials = [dataio.Trial("a", "b"), dataio.Trial("c", "d")]
+    trials = trial_list([("a", "b"), ("c", "d")])
     values = np.array([0.1 + 0.2, -5e-324])
     path = str(tmp_path / "s.txt")
     dataio.write_scores(trials, values, path)
     pairs, back = dataio.read_scores(path)
-    assert pairs == dataio.TrialList.of(trials)
+    assert pairs == trials
     assert back.tobytes() == values.tobytes()
     dataio.check_score_alignment(trials, pairs, path)
     with pytest.raises(DataFormatError, match="pair mismatch"):
-        dataio.check_score_alignment([trials[1], trials[0]], pairs, path)
+        dataio.check_score_alignment(trial_list([("c", "d"), ("a", "b")]), pairs, path)
     with pytest.raises(DataFormatError, match="scored pairs"):
-        dataio.check_score_alignment(trials[:1], pairs, path)
+        dataio.check_score_alignment(trial_list([("a", "b")]), pairs, path)
 
 
 def test_scores_errors(tmp_path):
@@ -338,9 +385,9 @@ def test_scores_errors(tmp_path):
     with pytest.raises(DataFormatError, match="non-finite"):
         dataio.read_scores(str(path))
     with pytest.raises(ValueError, match="non-finite"):
-        dataio.write_scores([dataio.Trial("a", "b")], np.array([np.nan]), str(path))
+        dataio.write_scores(trial_list([("a", "b")]), np.array([np.nan]), str(path))
     with pytest.raises(ValueError, match="one score per trial"):
-        dataio.write_scores([dataio.Trial("a", "b")], np.array([1.0, 2.0]), str(path))
+        dataio.write_scores(trial_list([("a", "b")]), np.array([1.0, 2.0]), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +494,12 @@ def test_attributes_errors(tmp_path):
 
 
 def test_trial_features_round_trip_with_nan(tmp_path):
-    trials = [dataio.Trial("a", "b"), dataio.Trial("c", "d")]
+    trials = trial_list([("a", "b"), ("c", "d")])
     matrix = np.array([[0.5, np.nan], [1 / 3, 2.0]])
     path = str(tmp_path / "feat.csv")
     dataio.write_trial_features(trials, ["f1", "f2"], matrix, path)
     back_trials, names, back = dataio.read_trial_features(path)
-    assert back_trials == dataio.TrialList.of(trials)
+    assert back_trials == trials
     assert names == ["f1", "f2"]
     assert np.isnan(back[0, 1])
     assert bits(back[1, 0]) == bits(1 / 3)
@@ -660,7 +707,7 @@ def test_feature_reader_given_a_reference_checks_its_pairs(tmp_path):
 
 def fusion_input_files(tmp_path):
     """Two aligned score files, raw.txt and norm.txt, and a feature table with column f1."""
-    trials = [dataio.Trial("a", "b"), dataio.Trial("c", "d")]
+    trials = trial_list([("a", "b"), ("c", "d")])
     paths = {name: str(tmp_path / name) for name in ("raw.txt", "norm.txt", "qmf.csv")}
     dataio.write_scores(trials, [0.5, -0.25], paths["raw.txt"])
     dataio.write_scores(trials, [1.5, 2.0], paths["norm.txt"])
@@ -671,7 +718,7 @@ def fusion_input_files(tmp_path):
 def test_read_fusion_features_names_columns_by_stem_and_stacks_them(tmp_path):
     trials, paths = fusion_input_files(tmp_path)
     pairs, names, raw = dataio.read_fusion_features([paths["raw.txt"], paths["norm.txt"]], paths["qmf.csv"])
-    assert pairs == dataio.TrialList.of(trials)
+    assert pairs == trials
     assert names == ["raw", "norm", "f1"]
     assert raw.tobytes() == np.array([[0.5, 1.5, 3.0], [-0.25, 2.0, np.nan]]).tobytes()
     labeled = dataio.TrialList(["a", "c"], ["b", "d"], np.array([True, False]))
@@ -693,15 +740,16 @@ def test_read_fusion_features_rejects_repeated_names_and_misaligned_files(tmp_pa
     with pytest.raises(DataFormatError, match="duplicate feature name 'f1'"):
         dataio.read_fusion_features([f1], paths["qmf.csv"])
 
+    reversed_trials = dataio.TrialList(trials.enroll[::-1], trials.test[::-1])
     swapped = str(tmp_path / "swapped.txt")
-    dataio.write_scores(trials[::-1], [0.0, 1.0], swapped)
+    dataio.write_scores(reversed_trials, [0.0, 1.0], swapped)
     with pytest.raises(DataFormatError, match="pair mismatch") as err:
         dataio.read_fusion_features([paths["raw.txt"], swapped])
     assert (err.value.path, err.value.line) == (swapped, 1)
 
     # the feature table's header is its line 1, so its pair i is on line i + 2
     table = str(tmp_path / "swapped.csv")
-    dataio.write_trial_features(trials[::-1], ["f1"], np.array([[3.0], [4.0]]), table)
+    dataio.write_trial_features(reversed_trials, ["f1"], np.array([[3.0], [4.0]]), table)
     with pytest.raises(DataFormatError, match="pair mismatch") as err:
         dataio.read_fusion_features([paths["raw.txt"]], table)
     assert (err.value.path, err.value.line) == (table, 2)

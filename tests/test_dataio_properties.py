@@ -15,12 +15,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from conftest import trial_list
 from svbackend import dataio, metrics, qmf, scoring
 from svbackend.asnorm import asnorm_trials
-from svbackend.dataio import ChunkEmbeddings, Trial
+from svbackend.dataio import ChunkEmbeddings, TrialList
 from svbackend.errors import DataFormatError, DegenerateCohortError
 
 ID_CHARS = "abcxyz019_-.:"
@@ -211,20 +212,21 @@ def test_write_then_read_embeddings_is_identity(store_path, matrices, data):
 
 @given(st.lists(st.tuples(ids, ids, finite), max_size=20))
 def test_write_then_read_scores_is_identity(store_path, rows):
-    trials = [Trial(e, t) for e, t, _ in rows]
+    trials = trial_list((e, t) for e, t, _ in rows)
     scores = np.array([s for _, _, s in rows], dtype=np.float64)
     dataio.write_scores(trials, scores, store_path)
     back_trials, back_scores = dataio.read_scores(store_path)
-    assert back_trials == dataio.TrialList.of(trials)
+    assert back_trials == trials
     assert back_scores.tobytes() == scores.tobytes()
 
 
 @given(st.booleans().flatmap(lambda labeled: st.lists(
-    st.builds(Trial, ids, ids, st.booleans() if labeled else st.none()), max_size=20)))
-def test_write_then_read_trials_is_identity(store_path, trials):
-    labeled = any(t.label is not None for t in trials)
+    st.tuples(ids, ids, st.booleans() if labeled else st.none()), max_size=20)))
+def test_write_then_read_trials_is_identity(store_path, rows):
+    labeled = any(y is not None for _, _, y in rows)
+    trials = trial_list(((e, t) for e, t, _ in rows), [y for _, _, y in rows] if labeled else None)
     dataio.write_trials(trials, store_path)
-    assert dataio.read_trials(store_path, expect_labels=labeled) == dataio.TrialList.of(trials)
+    assert dataio.read_trials(store_path, expect_labels=labeled) == trials
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def checked_feature_table(path, records):
     names = header[2:]
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
-    trials = []
+    enroll, test = [], []
     rows = []
     for lineno, fields in records:
         if len(fields) != len(header):
@@ -283,19 +285,24 @@ def checked_feature_table(path, records):
             if not dataio._is_token(value):
                 raise DataFormatError(f"{name} must be non-empty without whitespace, got {value!r}",
                                       path=path, line=lineno)
-        trials.append(Trial(fields[0], fields[1], None))
+        enroll.append(fields[0])
+        test.append(fields[1])
         rows.append([math.nan if cell == "" else dataio._parse_float(cell, path, lineno) for cell in fields[2:]])
-    return dataio.TrialList.of(trials), names, np.asarray(rows, dtype=np.float64).reshape(len(trials), len(names))
+    return TrialList(enroll, test), names, np.asarray(rows, dtype=np.float64).reshape(len(enroll), len(names))
+
+
+def csv_writer_text(rows) -> str:
+    """The text ``csv.writer`` writes for ``rows``, one line each."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def csv_write_trial_features(trials, names, matrix):
     """The text write_trial_features wrote through csv.writer and format_float."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["enroll", "test"] + list(names))
-    for trial, row in zip(trials, np.asarray(matrix, dtype=np.float64)):
-        writer.writerow([trial.enroll_id, trial.test_id] + ["" if math.isnan(v) else dataio.format_float(v) for v in row])
-    return buf.getvalue()
+    return csv_writer_text([["enroll", "test", *names]] + [
+        [e, t] + ["" if math.isnan(v) else dataio.format_float(v) for v in row]
+        for e, t, row in zip(trials.enroll, trials.test, np.asarray(matrix, dtype=np.float64))])
 
 
 def table_outcome(reader, *args):
@@ -563,7 +570,7 @@ finite_float = any_float.filter(math.isfinite)
 def test_write_trial_features_matches_csv_writer_bytes(store_path, names, data):
     n = data.draw(st.integers(0, 5))
     id_text = st.text(ID_CHARS + ',"', min_size=1, max_size=6)
-    trials = [Trial(data.draw(id_text), data.draw(id_text)) for _ in range(n)]
+    trials = trial_list((data.draw(id_text), data.draw(id_text)) for _ in range(n))
     matrix = np.array(data.draw(st.lists(st.lists(any_float, min_size=len(names), max_size=len(names)),
                                          min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(names))
     dataio.write_trial_features(trials, names, matrix, store_path)
@@ -574,7 +581,7 @@ def test_write_trial_features_matches_csv_writer_bytes_on_repeated_bit_patterns(
     # 0.0 and -0.0 compare equal but print apart; NaNs of any sign or payload print blank
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(np.float64)
     matrix = np.array([[0.0, -0.0, nans[0], 0.1], [-0.0, 0.0, 0.1, nans[1]], [0.1, 0.1, nans[2], -0.0]])
-    trials = [Trial("a", "b"), Trial("a", "c"), Trial('q"', "x,y")]
+    trials = trial_list([("a", "b"), ("a", "c"), ('q"', "x,y")])
     names = ["f", "g", "h", "i"]
     dataio.write_trial_features(trials, names, matrix, store_path)
     assert store_path.read_bytes() == csv_write_trial_features(trials, names, matrix).encode("utf-8")
@@ -583,11 +590,54 @@ def test_write_trial_features_matches_csv_writer_bytes_on_repeated_bit_patterns(
 
 @given(st.lists(st.tuples(ids, ids, finite_float), max_size=20))
 def test_write_scores_matches_format_float_bytes(store_path, rows):
-    trials = [Trial(e, t) for e, t, _ in rows]
+    trials = trial_list((e, t) for e, t, _ in rows)
     scores = np.array([s for _, _, s in rows], dtype=np.float64)
     dataio.write_scores(trials, scores, store_path)
-    reference = "".join(f"{t.enroll_id} {t.test_id} {dataio.format_float(s)}\n" for t, s in zip(trials, scores))
+    reference = "".join(f"{e} {t} {dataio.format_float(s)}\n" for e, t, s in zip(trials.enroll, trials.test, scores))
     assert store_path.read_bytes() == reference.encode("utf-8")
+
+
+# No reader returns a field that holds "\r", at which str.splitlines breaks lines, so the fields
+# drawn leave it out; "\n", quotes, commas, spaces and NUL are in.
+csv_text = st.text(ID_CHARS + ',"\n \t\0é', max_size=5)
+
+
+@given(st.lists(st.lists(csv_text, max_size=4), max_size=6))
+@example([[""], ["", ""], [], ['"'], ["a\nb", ""]])
+def test_csv_line_writes_what_csv_writer_does_but_for_one_empty_field(rows):
+    for row in rows:
+        if row == [""]:
+            assert (dataio._csv_line(row), csv_writer_text([row])) == ("\n", '""\n')
+        else:
+            assert dataio._csv_line(row) == csv_writer_text([row])
+
+
+def csv_write_attributes(table) -> str:
+    """The text write_attributes wrote through csv.writer and format_float."""
+    def cell(value):
+        return "" if value is None else dataio.format_float(value) if isinstance(value, float) else str(value)
+
+    return csv_writer_text([("utt_id", *table.columns)] + [
+        [utt_id, *(cell(row.get(name)) for name in table.columns)] for utt_id, row in table.rows.items()])
+
+
+attribute_cells = st.one_of(st.none(), any_float, any_float.map(np.float64), st.text(ID_CHARS + ',"', max_size=4))
+
+
+@given(st.lists(st.text(ID_CHARS + ',"', min_size=1, max_size=4), unique=True, max_size=3), st.data())
+def test_write_attributes_and_selections_match_csv_writer_bytes(store_path, names, data):
+    table = dataio.AttributeTable(columns=tuple(names))
+    keys = data.draw(st.lists(st.text(ID_CHARS + ',"\n', min_size=1, max_size=5), unique=True, max_size=5))
+    for utt_id in keys:
+        table.rows[utt_id] = {name: data.draw(attribute_cells) for name in names}
+    dataio.write_attributes(table, store_path)
+    assert store_path.read_bytes() == csv_write_attributes(table).encode("utf-8")
+
+    rows = data.draw(st.lists(st.tuples(csv_text.filter(bool), any_float, csv_text.filter(bool)), max_size=5))
+    dataio.write_selections(rows, store_path)
+    reference = [("speaker_id", "max_similarity", "nearest_target")]
+    reference += [(speaker_id, dataio.format_float(v), nearest) for speaker_id, v, nearest in rows]
+    assert store_path.read_bytes() == csv_writer_text(reference).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +693,7 @@ def scored_store(draw, min_trials=1):
         ChunkEmbeddings(u, draw(order)(nonzero_rows(draw(st.lists(rows, min_size=1, max_size=4))))) for u in utts
     ]
     side = st.sampled_from(utts)
-    trials = draw(st.lists(st.builds(Trial, side, side), min_size=min_trials, max_size=30))
+    trials = draw(st.lists(st.tuples(side, side), min_size=min_trials, max_size=30).map(trial_list))
     return records, trials
 
 
@@ -655,7 +705,7 @@ def bits(values) -> bytes:
 def test_score_trials_equals_pairwise_score_across_blocks(store, data):
     records, trials = store
     by_id = dataio.embeddings_by_id(records)
-    pairs = [(by_id[t.enroll_id], by_id[t.test_id]) for t in trials]
+    pairs = [(by_id[e], by_id[t]) for e, t in zip(trials.enroll, trials.test)]
     # at most one trial's products per block, and often a fraction of one
     smallest = min(e.n_chunks * t.n_chunks * e.dim * 8 for e, t in pairs)
     budget = data.draw(st.integers(1, smallest))
@@ -671,7 +721,7 @@ def test_score_trials_equals_pairwise_score_across_blocks(store, data):
 @given(scored_store(), st.data())
 def test_score_and_asnorm_trials_are_swap_symmetric(store, data):
     records, trials = store
-    swapped = [Trial(t.test_id, t.enroll_id) for t in trials]
+    swapped = TrialList(trials.test, trials.enroll)
     raw = scoring.score_trials(records, trials)
     assert bits(scoring.score_trials(records, swapped)) == bits(raw)
 

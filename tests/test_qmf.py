@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import trial_side_reference as reference
-from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial, TrialList
+from conftest import trial_list
+from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.qmf import (
     EMBEDDING_STAT_NAMES,
@@ -34,7 +35,7 @@ def features(records, attrs, trials, schema=SCHEMA):
 
 def stats_of(record):
     """The record's embedding statistics, read from a trial of the record with itself."""
-    (row,) = features([record], {record.utt_id: {}}, [Trial(record.utt_id, record.utt_id)], schema=[])
+    (row,) = features([record], {record.utt_id: {}}, trial_list([(record.utt_id, record.utt_id)]), schema=[])
     assert all(row[f"{stat}_min"] == row[f"{stat}_max"] for stat in EMBEDDING_STAT_NAMES)
     return {stat: row[f"{stat}_min"] for stat in EMBEDDING_STAT_NAMES}
 
@@ -98,7 +99,7 @@ def make_records(np_rng):
 
 def vector_for(np_rng, e_attrs, t_attrs):
     """Features of one trial between two random records with the given attributes."""
-    (row,) = features(make_records(np_rng), {"e": e_attrs, "t": t_attrs}, [Trial("e", "t")])
+    (row,) = features(make_records(np_rng), {"e": e_attrs, "t": t_attrs}, trial_list([("e", "t")]))
     return row
 
 
@@ -142,7 +143,7 @@ def test_side_symmetry_is_exact(np_rng):
         "e": {"gender": "f", "snr": 12.0, "length": 30.0},
         "t": {"gender": "m", "snr": 3.0, "length": None},
     }
-    fwd, bwd = features(records, attrs, [Trial("e", "t"), Trial("t", "e")])
+    fwd, bwd = features(records, attrs, trial_list([("e", "t"), ("t", "e")]))
     assert list(fwd) == list(bwd)
     assert np.array(list(fwd.values())).tobytes() == np.array(list(bwd.values())).tobytes()
 
@@ -160,7 +161,7 @@ def test_zero_ties_pair_by_sign_not_side_order(np_rng):
     ]
     for (e_snr, t_snr), expected in cases:
         attrs = {"e": {"gender": "m", "snr": e_snr, "length": 0.0}, "t": {"gender": "m", "snr": t_snr, "length": -0.0}}
-        for row in features(records, attrs, [Trial("e", "t"), Trial("t", "e")]):
+        for row in features(records, attrs, trial_list([("e", "t"), ("t", "e")])):
             got = (row["snr_min"], row["snr_max"])
             assert np.array(got).tobytes() == np.array(expected).tobytes(), (e_snr, t_snr, got)
             # log1p keeps the sign of a zero
@@ -176,7 +177,7 @@ def test_zero_ties_pair_by_sign_not_side_order(np_rng):
 def test_embedding_stats_paired_min_max(np_rng):
     records = make_records(np_rng)
     attrs = {"gender": "m", "snr": 1.0, "length": 1.0}
-    (vec,) = features(records, {"e": attrs, "t": attrs}, [Trial("e", "t")])
+    (vec,) = features(records, {"e": attrs, "t": attrs}, trial_list([("e", "t")]))
     e_stats, t_stats = stats_of(records[0]), stats_of(records[1])
     for stat in EMBEDDING_STAT_NAMES:
         assert vec[f"{stat}_min"] == min(e_stats[stat], t_stats[stat])
@@ -199,7 +200,7 @@ def test_trial_feature_matrix_matches_per_trial_loop(np_rng):
             "snr": float(i),
             "length": 10.0 * i + 1.0,
         }
-    trials = [Trial("u0", "u1"), Trial("u2", "u3"), Trial("u1", "u1")]
+    trials = trial_list([("u0", "u1"), ("u2", "u3"), ("u1", "u1")])
     names, matrix = trial_feature_matrix(trials, records, table, SCHEMA)
     assert names == feature_names(SCHEMA)
     assert matrix.shape == (3, len(names))
@@ -215,15 +216,15 @@ def test_trial_feature_matrix_missing_inputs(np_rng):
     # known to the attribute table but absent from the store
     table.rows["nope"] = {"gender": "f", "snr": 2.0, "length": 1.0}
     with pytest.raises(ToolkitError, match="embedding store"):
-        trial_feature_matrix([Trial("u0", "nope")], records, table, SCHEMA)
+        trial_feature_matrix(trial_list([("u0", "nope")]), records, table, SCHEMA)
     table.rows.pop("u0")
     with pytest.raises(ToolkitError, match="attribute table"):
-        trial_feature_matrix([Trial("u0", "u0")], records, table, SCHEMA)
+        trial_feature_matrix(trial_list([("u0", "u0")]), records, table, SCHEMA)
 
 
 def test_trial_feature_matrix_empty_trial_list(np_rng):
     table = AttributeTable(columns=("gender", "snr", "length"))
-    names, matrix = trial_feature_matrix([], make_records(np_rng), table, SCHEMA)
+    names, matrix = trial_feature_matrix(TrialList([], []), make_records(np_rng), table, SCHEMA)
     assert matrix.shape == (0, len(names))
 
 

@@ -6,8 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import trial_list
 from svbackend import scoring
-from svbackend.dataio import ChunkEmbeddings, Trial, TrialList
+from svbackend.dataio import ChunkEmbeddings, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.scoring import (
     COSINE_BLOCK_BYTES,
@@ -178,11 +179,11 @@ def test_pairwise_score_rejects_dim_mismatch(np_rng):
 
 def test_score_trials_order_and_values(np_rng):
     records = [ChunkEmbeddings(f"u{i}", np_rng.normal(size=(2, 6))) for i in range(4)]
-    trials = [Trial("u2", "u0"), Trial("u1", "u3"), Trial("u0", "u0")]
+    trials = trial_list([("u2", "u0"), ("u1", "u3"), ("u0", "u0")])
     scores = score_trials(records, trials)
     by_id = {r.utt_id: r for r in records}
-    for trial, value in zip(trials, scores):
-        assert value == pairwise_score(by_id[trial.enroll_id], by_id[trial.test_id]).value
+    for e, t, value in zip(trials.enroll, trials.test, scores):
+        assert value == pairwise_score(by_id[e], by_id[t]).value
 
 
 def test_score_trials_scores_mixed_dims_and_reports_the_first_bad_trial(np_rng):
@@ -194,26 +195,26 @@ def test_score_trials_scores_mixed_dims_and_reports_the_first_bad_trial(np_rng):
         ChunkEmbeddings("zero", np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])),
     ]
     by_id = {r.utt_id: r for r in records}
-    good = [Trial("a4", "b4"), Trial("d8", "c8"), Trial("b4", "b4"), Trial("c8", "d8")]
-    scores = score_trials(records, good)
-    assert scores.tolist() == [pairwise_score(by_id[t.enroll_id], by_id[t.test_id]).value for t in good]
+    good = [("a4", "b4"), ("d8", "c8"), ("b4", "b4"), ("c8", "d8")]
+    scores = score_trials(records, trial_list(good))
+    assert scores.tolist() == [pairwise_score(by_id[e], by_id[t]).value for e, t in good]
 
-    mismatch, zero = Trial("a4", "c8"), Trial("zero", "a4")
+    mismatch, zero = ("a4", "c8"), ("zero", "a4")
     with pytest.raises(ToolkitError, match=r"^embedding dim mismatch: 'a4' has 4, 'c8' has 8$"):
-        score_trials(records, good + [mismatch, zero])
+        score_trials(records, trial_list(good + [mismatch, zero]))
     with pytest.raises(ToolkitError, match=r"^cosine undefined for zero-norm vector$"):
-        score_trials(records, good + [zero, mismatch])
+        score_trials(records, trial_list(good + [zero, mismatch]))
 
 
 def test_score_trials_missing_utterance(np_rng):
     records = [ChunkEmbeddings("u0", np_rng.normal(size=(1, 4)))]
     with pytest.raises(ToolkitError, match="ghost"):
-        score_trials(records, [Trial("u0", "ghost")])
+        score_trials(records, trial_list([("u0", "ghost")]))
 
 
 def test_trial_sides_indexes_unique_utterances_in_first_appearance_order(np_rng):
     records = [ChunkEmbeddings(f"u{i}", np_rng.normal(size=(1, 4))) for i in range(5)]
-    trials = [Trial("u3", "u1"), Trial("u1", "u3"), Trial("u0", "u0"), Trial("u3", "u0")]
+    trials = trial_list([("u3", "u1"), ("u1", "u3"), ("u0", "u0"), ("u3", "u0")])
     side_records, enroll, test = trial_sides(records, trials)
     assert [rec.utt_id for rec in side_records] == ["u3", "u1", "u0"]
     assert enroll.tolist() == [0, 1, 2, 0]

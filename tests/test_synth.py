@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from svbackend.dataio import ChunkEmbeddings, Trial, TrialList
+from svbackend.dataio import ChunkEmbeddings, TrialList
 from svbackend.errors import ToolkitError
 from svbackend.rng import SplitMix64, derive_seed
 from svbackend.synth import (
@@ -144,11 +144,11 @@ def listed_gen_trials(records, speaker_map, n_pos, n_neg, seed):
     if n_neg > len(neg_pairs):
         raise ToolkitError(f"requested {n_neg} cross-speaker pairs, only {len(neg_pairs)} available")
     rng = SplitMix64(derive_seed(seed, "trials"))
-    trials = [Trial(a, b, True) for a, b in rng.take(pos_pairs, n_pos)]
-    trials += [Trial(a, b, False) for a, b in rng.take(neg_pairs, n_neg)]
+    trials = [(a, b, True) for a, b in rng.take(pos_pairs, n_pos)]
+    trials += [(a, b, False) for a, b in rng.take(neg_pairs, n_neg)]
     rng.shuffle(trials)
-    return TrialList([t.enroll_id for t in trials], [t.test_id for t in trials],
-                     np.array([t.label for t in trials], dtype=bool))
+    return TrialList([e for e, _, _ in trials], [t for _, t, _ in trials],
+                     np.array([y for _, _, y in trials], dtype=bool))
 
 
 def outcome(fn, *args):

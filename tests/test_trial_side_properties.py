@@ -11,10 +11,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import trial_side_reference as reference
+from conftest import trial_list
 from svbackend import asnorm, curation, qmf
 from svbackend.asnorm import asnorm_trials, build_cohort, top_n_stats
 from svbackend.curation import DdfConfig, SpeakerProfile, ddf_select, profiles_from_store
-from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn, Trial
+from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn
 from svbackend.errors import DegenerateCohortError, ToolkitError
 from svbackend.scoring import COSINE_BLOCK_BYTES
 from test_curation import unit
@@ -48,7 +49,7 @@ def qmf_inputs(draw):
     for u in utts:
         table.rows[u] = {col.name: draw(categories if col.kind == "categorical" else reals) for col in schema}
     side = st.sampled_from(utts)
-    trials = draw(st.lists(st.builds(Trial, side, side), min_size=1, max_size=12))
+    trials = draw(st.lists(st.tuples(side, side), min_size=1, max_size=12).map(trial_list))
     return trials, records, table, schema
 
 
@@ -73,7 +74,7 @@ def test_trial_feature_matrix_matches_per_trial_reference(inputs, budget):
 @given(qmf_inputs(), st.data())
 def test_trial_feature_matrix_missing_attribute_row_error(inputs, data):
     trials, records, table, schema = inputs
-    used = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    used = sorted({*trials.enroll, *trials.test})
     del table.rows[data.draw(st.sampled_from(used))]
     with pytest.raises(ToolkitError) as expected:
         reference.trial_feature_matrix(trials, records, table, schema)
@@ -87,7 +88,7 @@ def test_trial_feature_matrix_missing_attribute_row_error(inputs, data):
 def test_trial_feature_matrix_log1p_domain_error(inputs, data):
     trials, records, table, schema = inputs
     schema = schema + [SchemaColumn("len", "real", "log1p")]
-    used = sorted({t.enroll_id for t in trials} | {t.test_id for t in trials})
+    used = sorted({*trials.enroll, *trials.test})
     bad = data.draw(st.sampled_from(used))
     for u, row in table.rows.items():
         row["len"] = data.draw(st.floats(-1e6, -1.0)) if u == bad else data.draw(reals)
@@ -119,7 +120,7 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
     records = [ChunkEmbeddings(u, nonzero_rows(data.draw(st.lists(rows, min_size=1, max_size=3)))) for u in utts]
     assume(all(np.any(rec.mean_embedding()) for rec in records))
     side = st.sampled_from(utts)
-    trials = data.draw(st.lists(st.builds(Trial, side, side), min_size=1, max_size=15))
+    trials = data.draw(st.lists(st.tuples(side, side), min_size=1, max_size=15).map(trial_list))
     n_cohort = data.draw(st.integers(1, 12))
     cohort_rows = nonzero_rows(data.draw(st.lists(rows, min_size=n_cohort, max_size=n_cohort)))
     cohort = [ChunkEmbeddings(f"spk{k}", row[None, :]) for k, row in enumerate(cohort_rows)]
@@ -132,10 +133,10 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
     except DegenerateCohortError:
         assume(False)
     by_id = {rec.utt_id: rec for rec in records}
-    side_ids = list(dict.fromkeys(u for t in trials for u in (t.enroll_id, t.test_id)))
+    side_ids = list(dict.fromkeys(u for pair in zip(trials.enroll, trials.test) for u in pair))
     mu, sd = reference.side_stats(np.stack([by_id[u].mean_embedding() for u in side_ids]), cohort_rows, top_n)
-    e = np.array([side_ids.index(t.enroll_id) for t in trials])
-    t = np.array([side_ids.index(t.test_id) for t in trials])
+    e = np.array([side_ids.index(u) for u in trials.enroll])
+    t = np.array([side_ids.index(u) for u in trials.test])
     expected = 0.5 * ((raw - mu[e]) / sd[e] + (raw - mu[t]) / sd[t])
     assert np.array_equal(bits(got), bits(expected))
 
@@ -239,7 +240,7 @@ def test_asnorm_and_ddf_peaks_stay_within_block_budget(traced_peak):
     n_sides, n_cohort, dim = 3000, 600, 16
     full_matrix = n_sides * n_cohort * 8
     records = [ChunkEmbeddings(f"u{i}", rng.normal(size=(1, dim))) for i in range(n_sides)]
-    trials = [Trial(f"u{2 * i}", f"u{2 * i + 1}") for i in range(n_sides // 2)]
+    trials = trial_list((f"u{2 * i}", f"u{2 * i + 1}") for i in range(n_sides // 2))
     raw = rng.uniform(-1.0, 1.0, size=len(trials))
     cohort = [ChunkEmbeddings(f"spk{k}", rng.normal(size=(1, dim))) for k in range(n_cohort)]
     normalized, peak = traced_peak(asnorm_trials, raw, trials, records, cohort, 100)

@@ -65,11 +65,11 @@ def trial_feature_matrix(trials, records, table, schema, swap=False):
     side_records, enroll, test = trial_sides(records, trials)
     side_qmf = [embedding_qmf(rec) for rec in side_records]
     matrix = np.empty((len(trials), len(names)), dtype=np.float64)
-    for i, trial in enumerate(trials):
-        for utt_id in (trial.enroll_id, trial.test_id):
+    for i, (e, t) in enumerate(zip(trials.enroll, trials.test)):
+        for utt_id in (e, t):
             if utt_id not in table.rows:
                 raise ToolkitError(f"utterance {utt_id!r} missing from attribute table")
-        sides = [(table.rows[trial.enroll_id], side_qmf[enroll[i]]), (table.rows[trial.test_id], side_qmf[test[i]])]
+        sides = [(table.rows[e], side_qmf[enroll[i]]), (table.rows[t], side_qmf[test[i]])]
         if swap:
             sides.reverse()
         matrix[i] = build_trial_qmf(*sides[0], *sides[1], schema)
