@@ -23,34 +23,33 @@ scans them pair by pair only to name the first bad one. The trial reader
 reads a list once and, unless told, takes whether it is labeled from its
 first line. The trial, score and feature readers return one, and it is the
 only trial type the functions here take; :class:`Trial` is the record form
-that :func:`~svbackend.scoring.score_trials` alone still converts. The score
-reader casts its scores a block at a time, each block with one numpy call,
-and parses score by score only when that fails. Given a reference trial
-list, the score and feature readers check each block of pairs against it as
-they read, keep only the first mismatch and hold none of the file's ids: a
-fault anywhere in the file is raised first, then a count that differs, then
-the mismatched pair on its line.
+that :func:`~svbackend.scoring.score_trials` alone still converts.
 
-The trial feature reader makes one pass over the file's ``csv`` records,
-checking each row's field count in line order, and casts the cells of a
+Score files and trial feature tables line up pair for pair with a trial
+list, and one loop, :func:`_read_pairs`, reads both. Each reader parses its
+own header and checks each row's field count; the loop casts the cells of a
 block of rows with one numpy call (a blank cell is NaN) into a
-:class:`RowBuffer`, a matrix that grows in place; it parses a block's cells
-one by one only when that fails, to name the first bad cell. A line with no
+:class:`RowBuffer`, a matrix that grows in place, and parses them one by
+one only to name a bad one, which is raised before a fault on a later line.
+Given a reference trial list, it checks each block's pairs against it and
+holds none of the file's ids: a fault anywhere in the file is raised first,
+then a count that differs, then the first mismatched pair on its line. The
+table's records come from :func:`_csv_rows`, which splits a line with no
 quote and no NUL, that is not empty and no longer than the field size
-limit, is split on commas, which is what strict ``csv`` makes of it; every
-other line goes through strict ``csv``. Both it and the score reader raise a
-bad id or value before a fault on a later line. :func:`read_fusion_features` reads
-fusion's inputs as named columns of one matrix, the feature table cast
-straight into it, every file checked against one pair list.
+limit, on commas, as strict ``csv`` reads it, and reads every other line
+with strict ``csv``. :func:`read_fusion_features` reads fusion's inputs as
+named columns of one matrix, the feature table cast straight into it.
 
 Every writer hands :func:`atomic_write_text` one line at a time, so none
-holds its file's text whole. The score writer formats a column with
-``map(repr, ...)``. The feature writer formats a block of rows at a time,
-each distinct bit pattern in the block once, with blocks sized by
-``scoring.COSINE_BLOCK_BYTES``, so it holds a few blocks beyond the matrix it
-is given. The three CSV writers (attributes, trial features, selections)
-quote every field with :func:`_csv_field`, which writes what ``csv.writer``
-does for any row but one made of a single empty field.
+holds its file's text whole, and refuses with ``ValueError``, leaving the
+file as it was, what a reader would reject: a CSV field holding a line
+break, an empty attribute id, a non-finite real attribute, an infinite
+feature, a speaker-map id that is not a token. The feature writer formats a
+block of rows at a time, each distinct bit pattern in the block once, with
+blocks sized by ``scoring.COSINE_BLOCK_BYTES``. The three CSV writers
+(attributes, trial features, selections) quote every field with
+:func:`_csv_field`, which writes what ``csv.writer`` does for any row but
+one made of a single empty field.
 
 Formats:
 
@@ -211,28 +210,15 @@ def _parse_float(token: str, path: str, line: int) -> float:
     return value
 
 
-def _floats(tokens: list[str], path: str, line_of) -> np.ndarray:
-    """``tokens`` cast with one numpy call. Only when that cast or the
-    finiteness check fails are they parsed one by one, to raise the located
-    error of the first bad one; token i is on line ``line_of(i)``."""
-    try:
-        values = np.array(tokens, dtype=np.float64)
-        if np.all(np.isfinite(values)):
-            return values
-    except ValueError:
-        pass
-    return np.array([_parse_float(token, path, line_of(i)) for i, token in enumerate(tokens)], dtype=np.float64)
-
-
 class RowBuffer:
-    """Rows of a float64 array appended a block at a time into one buffer,
-    made for ``rows`` rows, that grows in place by an eighth when it is full,
-    so a reader that does not know its row count never holds its rows twice.
-    Each row has ``lead`` more columns before those appended, which are left
-    for the caller to fill."""
+    """Rows of ``width`` float64 values appended a block at a time into one
+    matrix, made for ``rows`` rows, that grows in place by an eighth when it
+    is full, so a reader that does not know its row count never holds its
+    rows twice. Each row has ``lead`` more columns before those appended,
+    which are left for the caller to fill."""
 
-    def __init__(self, *width: int, rows: int = 0, lead: int = 0):
-        self._data = np.empty((rows, *(lead + w for w in width)), dtype=np.float64)
+    def __init__(self, width: int, rows: int = 0, lead: int = 0):
+        self._data = np.empty((rows, lead + width), dtype=np.float64)
         self._lead = lead
         self._n = 0
 
@@ -242,13 +228,13 @@ class RowBuffer:
     def append(self, rows: np.ndarray) -> None:
         end = self._n + len(rows)
         if end > len(self._data):
-            self._data.resize((end + end // 8, *self._data.shape[1:]), refcheck=False)
-        self._data[self._n:end][..., self._lead:] = rows
+            self._data.resize((end + end // 8, self._data.shape[1]), refcheck=False)
+        self._data[self._n:end, self._lead:] = rows
         self._n = end
 
     def take(self) -> np.ndarray:
         """The rows appended, cut to their count in place."""
-        self._data.resize((self._n, *self._data.shape[1:]), refcheck=False)
+        self._data.resize((self._n, self._data.shape[1]), refcheck=False)
         return self._data
 
 
@@ -296,9 +282,13 @@ def _csv_rows(path: str) -> Iterator[tuple[int, list[str]]]:
 
 def _csv_field(value: str) -> str:
     """``value`` as ``csv.writer`` (QUOTE_MINIMAL, line terminator ``\\n``)
-    writes it: quoted, with its quotes doubled, when it holds a comma, a
-    quote or a newline."""
-    if "," in value or '"' in value or "\n" in value:
+    writes it: quoted, with its quotes doubled, when it holds a comma or a
+    quote. A field holding a character at which ``str.splitlines`` breaks
+    lines raises ``ValueError``, since the CSV readers take a record to be
+    one line."""
+    if not value.isprintable() and value.splitlines() not in ([value], []):  # no line break is printable
+        raise ValueError(f"CSV field {value!r} holds a line break")
+    if "," in value or '"' in value:
         return '"' + value.replace('"', '""') + '"'
     return value
 
@@ -548,90 +538,102 @@ def write_trials(trials: TrialList, path: str) -> None:
     atomic_write_text(str(path), lines)
 
 
-class _Pairs:
-    """The pairs of a file that lines up with a trial list, and one value or
-    row of values per pair, handed over a block at a time. Without a
-    ``reference`` the ids are kept as the columns of the pair list returned.
-    With one, each block's pairs are checked against the reference's pairs at
-    their place, and only the first mismatch is kept, so no id list is held;
-    the values go into a :class:`RowBuffer` made for the reference's
-    length."""
+def _read_pairs(
+    path: str, rows: Iterable[list[str]], first_line: int, width: int, reference: TrialList | None, lead: int = 0
+) -> tuple[TrialList, np.ndarray]:
+    """(pairs, values) of a file that lines up with a trial list; each item of
+    ``rows`` is a pair's enroll id, test id and ``width`` value cells, pair i
+    on line ``first_line + i``. A block of cells is cast with one numpy call,
+    a blank cell as NaN, and parsed one by one only when that cast or the
+    finiteness check fails, to name the first bad cell; a cell's text takes
+    about eight times its 8 bytes, so a block's cells fit in
+    ``COSINE_BLOCK_BYTES``. A block's first bad id or cell is raised before a
+    fault ``rows`` raises on a later line. The values go into a
+    :class:`RowBuffer` with ``lead`` free columns. Without a ``reference``
+    the ids are kept as the pairs returned. With one, only the first
+    mismatch against it is kept, and after the last block a count that
+    differs is raised, then that mismatch on its line; the pairs returned
+    are the reference."""
+    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
 
-    def __init__(self, reference: TrialList | None, *width: int, lead: int = 0):
-        self.reference = reference
-        self.values = RowBuffer(*width, rows=len(self.reference or ()), lead=lead)
-        self.enroll, self.test, self.mismatch = [], [], None
-
-    def add(self, enroll: list[str], test: list[str], values: np.ndarray) -> None:
-        start = len(self.values)
-        self.values.append(values)
-        if self.reference is None:
-            self.enroll += enroll
-            self.test += test
-        elif self.mismatch is None:
-            want_e, want_t = (ids[start:len(self.values)] for ids in (self.reference.enroll, self.reference.test))
+    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, width) * 8))
+    rows = iter(rows)
+    values = RowBuffer(width, rows=len(reference or ()), lead=lead)
+    kept_enroll, kept_test, mismatch = [], [], None
+    while True:
+        enroll, test, cells, fault = [], [], [], None  # the ids and cells (row-major) of the block being read
+        try:
+            for fields in itertools.islice(rows, step):
+                enroll.append(fields[0])
+                test.append(fields[1])
+                cells += fields[2:]
+        except DataFormatError as exc:
+            fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
+        start = len(values)
+        errors = []
+        bad_id = _first_bad_id(enroll, test)
+        if bad_id is not None:
+            errors.append(DataFormatError(bad_id[1], path=path, line=first_line + start + bad_id[0]))
+        blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
+        for i in blank:  # cast as zeros, then set to NaN, so that a "nan" cell is still an error
+            cells[i] = "0"
+        try:
+            block = np.array(cells, dtype=np.float64)
+            finite = bool(np.all(np.isfinite(block)))
+        except ValueError:
+            finite = False
+        if not finite:
+            try:
+                block = np.array([_parse_float(text, path, first_line + start + i // width)
+                                  for i, text in enumerate(cells)], dtype=np.float64)
+            except DataFormatError as exc:
+                errors.append(exc)
+        if errors:
+            raise min(errors, key=lambda exc: exc.line)  # an id before a cell on one line
+        if fault is not None:
+            raise fault
+        block[blank] = np.nan
+        values.append(block.reshape(len(enroll), width))
+        if reference is None:
+            kept_enroll += enroll
+            kept_test += test
+        elif mismatch is None:
+            want_e, want_t = (ids[start:len(values)] for ids in (reference.enroll, reference.test))
             if want_e != enroll[:len(want_e)] or want_t != test[:len(want_t)]:
                 i = next(i for i, pair in enumerate(zip(want_e, want_t)) if pair != (enroll[i], test[i]))
-                self.mismatch = (start + i, enroll[i], test[i])
-
-    def take(self, path: str, first_line: int) -> tuple[TrialList, np.ndarray]:
-        """(pairs, values). With a reference, the count of pairs is checked
-        against it first, then the first mismatched pair is raised on its
-        line (pair i is on line ``first_line + i``); the pairs are the
-        reference."""
-        if self.reference is None:
-            return TrialList(self.enroll, self.test), self.values.take()
-        want, found = self.reference, len(self.values)
-        if found != len(want):
-            raise DataFormatError(f"expected {len(want)} scored pairs, found {found}", path=path)
-        if self.mismatch is not None:
-            i, e, t = self.mismatch
-            raise DataFormatError(f"pair mismatch vs trial list: expected '{want.enroll[i]} {want.test[i]}', "
-                                  f"found '{e} {t}'", path=path, line=first_line + i)
-        return want, self.values.take()
+                mismatch = (start + i, enroll[i], test[i])
+        if len(enroll) < step:
+            break
+    if reference is None:
+        return TrialList(kept_enroll, kept_test), values.take()
+    if len(values) != len(reference):
+        raise DataFormatError(f"expected {len(reference)} scored pairs, found {len(values)}", path=path)
+    if mismatch is not None:
+        i, e, t = mismatch
+        raise DataFormatError(f"pair mismatch vs trial list: expected '{reference.enroll[i]} {reference.test[i]}', "
+                              f"found '{e} {t}'", path=path, line=first_line + i)
+    return reference, values.take()
 
 
 def read_scores(path: str, reference: TrialList | None = None) -> tuple[TrialList, np.ndarray]:
-    """Score file as (pair list without labels, score vector), in file order.
-    The scores are cast a block at a time, each block with one numpy call,
-    and parsed one by one only when that fails, to name the first bad score,
-    which is raised before a fault on any later line. A score token takes
-    about eight times its 8 bytes, so a block's tokens fit in
-    ``COSINE_BLOCK_BYTES``. Given a ``reference`` trial list, the file's
-    pairs are checked against it as they are read and the pair list
-    returned is the reference: a fault anywhere in the file is raised first,
-    then a count that differs, then the first mismatched pair with its
-    line."""
-    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
-
+    """Score file as (pair list without labels, score vector), in file order,
+    read by :func:`_read_pairs`: the scores are cast a block at a time, a bad
+    score is raised before a fault on any later line, and given a
+    ``reference`` trial list the file's pairs are checked against it as they
+    are read and the pair list returned is the reference."""
     path = str(path)
-    step = max(1, COSINE_BLOCK_BYTES // (8 * 8))
-    pairs = _Pairs(reference)
-    enroll: list[str] = []  # the ids and scores of the block being read
-    test: list[str] = []
-    values: list[str] = []
-    fault = None
-    try:
+
+    def rows() -> Iterator[list[str]]:
         for lineno, raw in _data_lines(path):
             tokens = raw.split()
             if len(tokens) != 3:
                 raise DataFormatError(
                     f"expected 'enroll test score', found {len(tokens)} fields", path=path, line=lineno
                 )
-            e, t, value = tokens
-            enroll.append(e)
-            test.append(t)
-            values.append(value)
-            if len(values) == step:  # no line is blank, so score i is on line i + 1
-                pairs.add(enroll, test, _floats(values, path, (len(pairs.values) + 1).__add__))
-                enroll, test, values = [], [], []
-    except DataFormatError as exc:
-        fault = exc  # raised below unless a score on an earlier line is bad
-    scores = _floats(values, path, (len(pairs.values) + 1).__add__)
-    if fault is not None:
-        raise fault
-    pairs.add(enroll, test, scores)
-    return pairs.take(path, 1)
+            yield tokens
+
+    pairs, scores = _read_pairs(path, rows(), 1, 1, reference)  # no line is blank, so score i is on line i + 1
+    return pairs, scores.reshape(-1)
 
 
 def write_scores(trials: TrialList, scores, path: str) -> None:
@@ -647,9 +649,7 @@ def write_scores(trials: TrialList, scores, path: str) -> None:
 def check_score_alignment(trials: TrialList, pairs: TrialList, path: str) -> None:
     """Require that a score file's pairs line up with a trial list positionally,
     as :func:`read_scores` given the trial list as its reference requires."""
-    check = _Pairs(trials)
-    check.add(pairs.enroll, pairs.test, np.empty(len(pairs)))
-    check.take(str(path), 1)
+    _read_pairs(str(path), zip(pairs.enroll, pairs.test), 1, 0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +671,11 @@ def read_speaker_map(path: str) -> dict[str, str]:
 
 
 def write_speaker_map(mapping: dict[str, str], path: str) -> None:
+    """One ``utt_id speaker_id`` line per entry; an id that is empty or holds
+    whitespace raises ``ValueError`` and ``path`` is left as it was."""
+    for value in itertools.chain.from_iterable(mapping.items()):
+        if not _is_token(value):
+            raise ValueError(f"speaker map id must be non-empty without whitespace, got {value!r}")
     atomic_write_text(str(path), (f"{utt} {spk}\n" for utt, spk in mapping.items()))
 
 
@@ -772,18 +777,30 @@ def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
 
 def write_attributes(table: AttributeTable, path: str) -> None:
     """CSV of the table, one line handed over at a time; a missing cell is
-    written blank and a real one with :func:`format_float`."""
+    written blank and a real one with :func:`format_float`. An empty id, a
+    real that is not finite or a field holding a line break raises
+    ``ValueError`` and ``path`` is left as it was."""
     atomic_write_text(str(path), itertools.chain(
         (_csv_line(("utt_id", *table.columns)),),
-        (_csv_line((utt_id, *(_attribute_cell(row.get(name)) for name in table.columns)))
+        (_csv_line((_attribute_id(utt_id), *(_attribute_cell(row.get(name)) for name in table.columns)))
          for utt_id, row in table.rows.items()),
     ))
+
+
+def _attribute_id(utt_id: str) -> str:
+    if not utt_id:
+        raise ValueError("empty utt_id")
+    return utt_id
 
 
 def _attribute_cell(value: float | str | None) -> str:
     if value is None:
         return ""
-    return format_float(value) if isinstance(value, float) else str(value)
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite attribute value {value!r}")
+    return format_float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +808,9 @@ def _attribute_cell(value: float | str | None) -> str:
 
 
 def write_trial_features(trials: TrialList, names: list[str], matrix, path: str) -> None:
-    """CSV of per-trial features; NaN cells are written blank (missing)."""
+    """CSV of per-trial features; NaN cells are written blank (missing). An
+    infinite value or a field holding a line break raises ``ValueError`` and
+    ``path`` is left as it was."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
@@ -808,16 +827,20 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
     """Each row of ``matrix`` as its comma-joined cells, formatted a block of
     rows at a time: within a block each distinct bit pattern is formatted
     once, so 0.0 and -0.0 stay apart. repr of a Python float is format_float,
-    and every NaN is written blank. A cell's text takes up to about eight
-    times its 8 bytes, so a block of cells whose texts fit in
-    ``COSINE_BLOCK_BYTES`` holds an eighth of that in values."""
+    and every NaN is written blank; an infinite value raises ``ValueError``.
+    A cell's text takes up to about eight times its 8 bytes, so a block of
+    cells whose texts fit in ``COSINE_BLOCK_BYTES`` holds an eighth of that
+    in values."""
     from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
 
     step = max(1, COSINE_BLOCK_BYTES // (8 * matrix.shape[1] * 8))
     for start in range(0, matrix.shape[0], step):
         block = matrix[start:start + step]
         patterns, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        texts = ["" if v != v else repr(v) for v in patterns.view(np.float64).tolist()]
+        distinct = patterns.view(np.float64)
+        if np.isinf(distinct).any():
+            raise ValueError("infinite feature value")
+        texts = ["" if v != v else repr(v) for v in distinct.tolist()]
         for row in inverse.reshape(block.shape).tolist():
             yield ",".join([texts[k] for k in row])
 
@@ -825,19 +848,14 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
 def read_trial_features(
     path: str, reference: TrialList | None = None, lead: int = 0
 ) -> tuple[TrialList, list[str], np.ndarray]:
-    """(pairs, feature names, matrix) of a trial feature table. The cells are
-    cast a block of rows at a time into a matrix that grows in place, as the
-    score reader casts its scores; a block's cell texts take about eight
-    times their values' bytes, and fit in ``COSINE_BLOCK_BYTES``. Given a
-    ``reference`` trial list, the pairs are checked against it as
-    :func:`read_scores` checks them, the pair on line i + 2 being pair i, and
-    the matrix is made for its length at once. The matrix has ``lead`` more
-    columns before the features, which are left for the caller to fill."""
-    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
-
+    """(pairs, feature names, matrix) of a trial feature table, its rows read
+    by :func:`_read_pairs` as the score reader's are, the pair on line i + 2
+    being pair i; given a ``reference`` the matrix is made for its length at
+    once. The matrix has ``lead`` more columns before the features, which
+    are left for the caller to fill."""
     path = str(path)
-    rows = _csv_rows(path)
-    _, header = next(rows, (1, None))
+    records = _csv_rows(path)
+    _, header = next(records, (1, None))
     if header is None:
         raise DataFormatError("missing CSV header", path=path, line=1)
     if len(header) < 2 or header[0] != "enroll" or header[1] != "test":
@@ -845,55 +863,15 @@ def read_trial_features(
     names = header[2:]
     if len(set(names)) != len(names):
         raise DataFormatError("duplicate feature columns", path=path, line=1)
-    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, len(names)) * 8))
-    pairs = _Pairs(reference, len(names), lead=lead)
-    enroll: list[str] = []  # the ids and feature cells (row-major) of the block being read
-    test: list[str] = []
-    cells: list[str] = []
-    fault = None
-    try:
-        for lineno, fields in rows:
+
+    def rows() -> Iterator[list[str]]:
+        for lineno, fields in records:
             if len(fields) != len(header):
                 raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
-            enroll.append(fields[0])
-            test.append(fields[1])
-            cells += fields[2:]
-            if len(enroll) == step:
-                pairs.add(enroll, test, _feature_block(enroll, test, cells, len(pairs.values), len(names), path))
-                enroll, test, cells = [], [], []
-    except DataFormatError as exc:
-        fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
-    block = _feature_block(enroll, test, cells, len(pairs.values), len(names), path)
-    if fault is not None:
-        raise fault
-    pairs.add(enroll, test, block)
-    trials, matrix = pairs.take(path, 2)  # pair i is on line i + 2, after the header
+            yield fields
+
+    trials, matrix = _read_pairs(path, rows(), 2, len(names), reference, lead)  # line 1 is the header
     return trials, names, matrix
-
-
-def _feature_block(
-    enroll: list[str], test: list[str], cells: list[str], start: int, width: int, path: str
-) -> np.ndarray:
-    """The feature rows of the ids ``enroll`` and ``test``, the table's rows
-    from ``start`` on, whose cells are ``cells``, as a matrix of ``width``
-    columns in which a blank cell is NaN. The first bad id or cell in line
-    order is raised, an id before a cell on one line; row r is on line r + 2,
-    since the reader's records are one line each."""
-    errors = []
-    bad_id = _first_bad_id(enroll, test)
-    if bad_id is not None:
-        errors.append(DataFormatError(bad_id[1], path=path, line=start + bad_id[0] + 2))
-    blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
-    for i in blank:  # cast as zeros, then set to NaN, so that a "nan" cell is still an error
-        cells[i] = "0"
-    try:
-        values = _floats(cells, path, lambda i: start + i // width + 2)
-    except DataFormatError as exc:
-        errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda exc: exc.line)
-    values[blank] = np.nan
-    return values.reshape(len(enroll), width)
 
 
 def read_fusion_features(

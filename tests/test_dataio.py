@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -139,7 +140,7 @@ def test_embeddings_write_then_rewrite_identical_bytes(tmp_path, small_synth):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     dataio.write_embeddings(records, a)
     dataio.write_embeddings(dataio.read_embeddings(a), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -258,6 +259,51 @@ def test_csv_writers_hand_over_one_line_at_a_time(tmp_path, monkeypatch):
     # a numpy scalar is written as the float it holds, not as its repr
     assert pieces["attr.csv"] == ["utt_id,gender,snr\n", "u1,m,0.5\n", '"u,2",,-0.0\n']
     assert pieces["ddf.csv"] == ["speaker_id,max_similarity,nearest_target\n", "s1,0.25,t0\n", 's2,1e-300,"t""1"\n']
+
+
+def one_row_attributes(utt_id="u1", lang="en", snr=0.5):
+    table = dataio.AttributeTable(columns=("lang", "snr"))
+    table.rows[utt_id] = {"lang": lang, "snr": snr}
+    return table
+
+
+def one_trial_features(value=0.5, name="f1"):
+    return trial_list([("e", "t")]), [name], np.array([[value]])
+
+
+# input each writer once wrote without error, into a file that a reader of its format rejects
+UNREADABLE_WRITES = {
+    "attribute cell with a newline": (dataio.write_attributes, one_row_attributes(lang="en\nus")),
+    "attribute cell with a vertical tab": (dataio.write_attributes, one_row_attributes(lang="en\x0bus")),
+    "NaN attribute": (dataio.write_attributes, one_row_attributes(snr=math.nan)),
+    "inf attribute": (dataio.write_attributes, one_row_attributes(snr=math.inf)),
+    "-inf attribute": (dataio.write_attributes, one_row_attributes(snr=np.float64(-math.inf))),
+    "empty utt_id": (dataio.write_attributes, one_row_attributes(utt_id="")),
+    "speaker-map id with a space": (dataio.write_speaker_map, {"u 1": "s1"}),
+    "empty speaker id": (dataio.write_speaker_map, {"u1": ""}),
+    "inf feature": (dataio.write_trial_features, *one_trial_features(value=math.inf)),
+    "-inf feature": (dataio.write_trial_features, *one_trial_features(value=-math.inf)),
+    "feature name with a newline": (dataio.write_trial_features, *one_trial_features(name="f\n1")),
+    "selection id with a newline": (dataio.write_selections, [("s\n1", 0.25, "t0")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_WRITES))
+def test_writers_refuse_what_their_readers_reject(tmp_path, case):
+    writer, *args = UNREADABLE_WRITES[case]
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old,contents\n")
+    with pytest.raises(ValueError):
+        writer(*args, str(path))
+    assert path.read_bytes() == b"old,contents\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("char", list("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_csv_field_refuses_every_line_boundary(char):
+    with pytest.raises(ValueError, match="line break"):
+        dataio._csv_field(f"a{char}b")
+    assert dataio._csv_field("a\tb\0") == "a\tb\0"
 
 
 def test_attribute_writer_peak_stays_within_a_few_blocks(tmp_path, traced_peak):
@@ -781,7 +827,7 @@ def test_fusion_model_round_trip(tmp_path):
     assert back.scaling.hi.tobytes() == model.scaling.hi.tobytes()
     assert back.scaling.median.tobytes() == model.scaling.median.tobytes()
     assert back.lam == model.lam
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert set(payload) == {"feature_names", "weights", "intercept", "minmax", "medians", "lambda"}
 
 

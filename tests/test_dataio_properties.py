@@ -2,7 +2,8 @@
 block-streamed line source against the whole-file read, the trial feature
 reader against its csv one and against strict csv on every line, the score
 reader against its per-line one (both with two faults, the first in line
-order raised, and at block sizes of a few rows), the trial list's
+order raised, and at block sizes of a few rows), the score and feature
+readers against each other on one set of pairs, the trial list's
 whole-list id check against the per-id one, the table writers against their
 csv.writer and format_float oracles, writer round trips, the metric and
 scaling kernels against numpy's, and the batched trial scorer against the
@@ -542,6 +543,53 @@ def test_feature_reader_checks_pairs_against_a_reference_as_reading_then_checkin
     assert got == table_outcome(read_then_check_pairs, dataio.read_trial_features, store_path, reference, 2)
 
 
+def located_outcome(reader, path, reference):
+    """("ok", pairs, values as one column's bytes), or ("error", message
+    without its path and line, line)."""
+    try:
+        pairs, *rest = reader(path, reference)
+    except DataFormatError as exc:
+        prefix = f"{exc.path}:" if exc.line is None else f"{exc.path}:{exc.line}:"
+        return "error", str(exc)[len(prefix) + 1:], exc.line
+    return "ok", pairs, rest[-1].reshape(-1).tobytes()
+
+
+@given(st.lists(st.tuples(ids, ids, finite), max_size=12), st.integers(64, 256), st.data())
+def test_score_and_feature_readers_read_one_set_of_pairs_alike(store_path, rows, budget, data):
+    """A score file and a one-column feature table written from the same
+    pairs and values, read in blocks of one to four rows, maybe with a
+    ``zebra`` or ``inf`` value at row i and maybe against a reference with a
+    pair changed, dropped or added: the same pairs and bits, or the same
+    message, on line i + 1 of the score file and line i + 2 of the table."""
+    trials = trial_list((e, t) for e, t, _ in rows)
+    values = np.array([v for _, _, v in rows], dtype=np.float64)
+    scores_path, table_path = store_path.with_name("scores.txt"), store_path.with_name("table.csv")
+    dataio.write_scores(trials, values, scores_path)
+    dataio.write_trial_features(trials, ["f"], values[:, None], table_path)
+    bad = data.draw(st.none() | st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(["zebra", "inf"]))
+                    if rows else st.none())
+    if bad is not None:
+        i, token = bad
+        for path, at, text in ((scores_path, i, f"{rows[i][0]} {rows[i][1]} {token}"),
+                               (table_path, i + 1, f"{rows[i][0]},{rows[i][1]},{token}")):
+            lines = path.read_text().splitlines()
+            lines[at] = text
+            path.write_text("".join(line + "\n" for line in lines))
+    reference = edited_pairs(data, [(e, t) for e, t, _ in rows]) if data.draw(st.booleans()) else None
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        from_scores = located_outcome(dataio.read_scores, scores_path, reference)
+        from_table = located_outcome(dataio.read_trial_features, table_path, reference)
+    if bad is None and reference in (None, trials):
+        assert from_scores == from_table == ("ok", trials, values.tobytes())
+    else:
+        kind, message, line = from_scores
+        assert kind == "error"
+        assert from_table == (kind, message, None if line is None else line + 1)
+        if bad is not None:
+            expected = f"invalid float {token!r}" if token == "zebra" else f"non-finite value {token!r}"
+            assert (message, line) == (expected, i + 1)
+
+
 # every character str.split splits on, and ids made of them, of letters, or empty
 WHITESPACE = "".join(filter(str.isspace, map(chr, range(0x110000))))
 id_or_not = st.one_of(st.text("ab", min_size=1, max_size=3), st.text(WHITESPACE + "ab", max_size=3))
@@ -564,14 +612,15 @@ def test_trial_list_id_check_is_the_per_id_token_check(pairs):
 # every float, NaN and +-inf included, plus values whose repr takes exponent form
 any_float = st.one_of(st.floats(), st.sampled_from([-0.0, 1e16, 1e22, -1e-7, 5e-324, 1.5e-5, 123456789012345680.0]))
 finite_float = any_float.filter(math.isfinite)
+feature_float = any_float.filter(lambda v: not math.isinf(v))  # what write_trial_features writes: NaN but no +-inf
 
 
-@given(st.lists(st.text(ID_CHARS + ',"\n ', max_size=5), max_size=4), st.data())
+@given(st.lists(st.text(ID_CHARS + '," ', max_size=5), max_size=4), st.data())
 def test_write_trial_features_matches_csv_writer_bytes(store_path, names, data):
     n = data.draw(st.integers(0, 5))
     id_text = st.text(ID_CHARS + ',"', min_size=1, max_size=6)
     trials = trial_list((data.draw(id_text), data.draw(id_text)) for _ in range(n))
-    matrix = np.array(data.draw(st.lists(st.lists(any_float, min_size=len(names), max_size=len(names)),
+    matrix = np.array(data.draw(st.lists(st.lists(feature_float, min_size=len(names), max_size=len(names)),
                                          min_size=n, max_size=n)), dtype=np.float64).reshape(n, len(names))
     dataio.write_trial_features(trials, names, matrix, store_path)
     assert store_path.read_bytes() == csv_write_trial_features(trials, names, matrix).encode("utf-8")
@@ -597,13 +646,13 @@ def test_write_scores_matches_format_float_bytes(store_path, rows):
     assert store_path.read_bytes() == reference.encode("utf-8")
 
 
-# No reader returns a field that holds "\r", at which str.splitlines breaks lines, so the fields
-# drawn leave it out; "\n", quotes, commas, spaces and NUL are in.
-csv_text = st.text(ID_CHARS + ',"\n \t\0é', max_size=5)
+# The writers refuse a field that holds a character at which str.splitlines breaks lines, so the
+# fields drawn hold none; quotes, commas, spaces, tabs and NUL are in.
+csv_text = st.text(ID_CHARS + '," \t\0é', max_size=5)
 
 
 @given(st.lists(st.lists(csv_text, max_size=4), max_size=6))
-@example([[""], ["", ""], [], ['"'], ["a\nb", ""]])
+@example([[""], ["", ""], [], ['"'], ["a,b", ""]])
 def test_csv_line_writes_what_csv_writer_does_but_for_one_empty_field(rows):
     for row in rows:
         if row == [""]:
@@ -621,13 +670,13 @@ def csv_write_attributes(table) -> str:
         [utt_id, *(cell(row.get(name)) for name in table.columns)] for utt_id, row in table.rows.items()])
 
 
-attribute_cells = st.one_of(st.none(), any_float, any_float.map(np.float64), st.text(ID_CHARS + ',"', max_size=4))
+attribute_cells = st.one_of(st.none(), finite_float, finite_float.map(np.float64), st.text(ID_CHARS + ',"', max_size=4))
 
 
 @given(st.lists(st.text(ID_CHARS + ',"', min_size=1, max_size=4), unique=True, max_size=3), st.data())
 def test_write_attributes_and_selections_match_csv_writer_bytes(store_path, names, data):
     table = dataio.AttributeTable(columns=tuple(names))
-    keys = data.draw(st.lists(st.text(ID_CHARS + ',"\n', min_size=1, max_size=5), unique=True, max_size=5))
+    keys = data.draw(st.lists(st.text(ID_CHARS + ',"', min_size=1, max_size=5), unique=True, max_size=5))
     for utt_id in keys:
         table.rows[utt_id] = {name: data.draw(attribute_cells) for name in names}
     dataio.write_attributes(table, store_path)

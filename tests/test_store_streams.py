@@ -4,6 +4,8 @@ the list ``dataio.read_embeddings`` returns, a store fault comes before any
 check that needs the store's contents, and they keep a summary per
 utterance, not the store's chunks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_a_store_fault_comes_before_the_checks_on_its_contents(pipeline_inputs, 
     than top-N); the fault on the store's last line is raised first."""
     store, cohort_path, speaker_map, trials, table = pipeline_inputs
     bad = tmp_path / "bad.txt"
-    bad.write_text(open(store).read() + "late 1 nan" + " 0.5" * 7 + "\n")
+    bad.write_text(Path(store).read_text() + "late 1 nan" + " 0.5" * 7 + "\n")
     n_lines = len(bad.read_text().splitlines())
     ghosts = with_ghost_sides(trials)
     partial_map = dict(list(speaker_map.items())[1:])
