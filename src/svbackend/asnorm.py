@@ -25,7 +25,9 @@ import numpy as np
 from .dataio import ChunkEmbeddings, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, mean_rows, require_sides, row_norms, side_rows, take_sides
+from .scoring import (
+    COSINE_BLOCK_BYTES, cosine_matrix, gather_blocks, mean_rows, require_sides, row_norms, side_rows, take_sides,
+)
 
 
 def build_cohort(
@@ -125,7 +127,8 @@ def asnorm_trials(
     Each is a list or a stream, consumed once, ``records`` first: only the
     mean embedding of each trial side is kept, in the order
     :func:`~svbackend.scoring.trial_sides` gives, and one mean row per cohort
-    record. Side rows are scored against the cohort in blocks whose
+    record, each block of :func:`~svbackend.scoring.gather_blocks` reduced
+    with one call. Side rows are scored against the cohort in blocks whose
     similarities fit in ``COSINE_BLOCK_BYTES`` (at least one row each), and
     each block is partitioned in place and reduced to its rows' top-N mean
     and std before the next is scored.
@@ -137,12 +140,12 @@ def asnorm_trials(
         raise ToolkitError("raw scores and trial pairs must have equal length")
     rows, enroll, test = side_rows(pairs)
     means = np.empty((len(rows), 0), dtype=np.float64)
-    for row, rec in take_sides(records, rows):
+    for sides, block in gather_blocks(take_sides(records, rows)):
         if not means.shape[1]:
-            means = np.empty((len(means), rec.dim), dtype=np.float64)
-        elif rec.dim != means.shape[1]:
-            raise ToolkitError(f"embedding dim mismatch: trial sides of dims {means.shape[1]} and {rec.dim}")
-        means[row] = rec.mean_embedding()
+            means = np.empty((len(means), block.shape[2]), dtype=np.float64)
+        elif block.shape[2] != means.shape[1]:
+            raise ToolkitError(f"embedding dim mismatch: trial sides of dims {means.shape[1]} and {block.shape[2]}")
+        means[sides] = block.mean(axis=1)
     _, cohort_rows = mean_rows(cohort)
     if len(cohort_rows) < top_n:
         raise ToolkitError(f"cohort has {len(cohort_rows)} speakers, need >= top_n={top_n}")

@@ -70,16 +70,36 @@ def median_profile(speaker_id: str, utterance_means) -> SpeakerProfile:
 
 
 def profiles_from_store(records: Iterable[ChunkEmbeddings], speaker_map: dict[str, str]) -> list[SpeakerProfile]:
-    """One profile per speaker from an embedding store, sorted by speaker id.
+    """One profile per speaker from an embedding store, sorted by speaker id,
+    each what :func:`median_profile` gives on the speaker's utterance means.
     ``records`` is a list or a stream, consumed once into one mean row per
-    utterance before the speaker map is consulted."""
+    utterance before the speaker map is consulted. Speakers with the same
+    utterance count are profiled together, in blocks whose gathered means and
+    their sorted copy fit in ``COSINE_BLOCK_BYTES``: one sort along the
+    utterance axis and one :func:`~svbackend.scoring.row_norms` per block."""
     ids, means = mean_rows(records)
     by_speaker: dict[str, list[int]] = {}
     for i, utt_id in enumerate(ids):
         if utt_id not in speaker_map:
             raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
         by_speaker.setdefault(speaker_map[utt_id], []).append(i)
-    return [median_profile(spk, means[rows]) for spk, rows in sorted(by_speaker.items())]
+    speakers = sorted(by_speaker)
+    sizes = np.array([len(by_speaker[spk]) for spk in speakers], dtype=np.intp)
+    medians = np.empty((len(speakers), means.shape[1]), dtype=np.float64)
+    norms = np.empty(len(speakers), dtype=np.float64)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
+        members = np.flatnonzero(sizes == size)
+        step = max(1, COSINE_BLOCK_BYTES // (2 * size * means.shape[1] * 8))
+        for start in range(0, len(members), step):
+            block = members[start:start + step]
+            utts = np.array([by_speaker[speakers[k]] for k in block.tolist()], dtype=np.intp)
+            medians[block] = np.sort(means[utts], axis=1)[:, (size - 1) // 2]  # as _lower_median
+            norms[block] = row_norms(medians[block])
+    zero = ~(norms > 0.0)
+    if zero.any():
+        raise ToolkitError(f"zero-norm median embedding for speaker {speakers[int(np.argmax(zero))]!r}")
+    medians /= norms[:, None]
+    return [SpeakerProfile(spk, median) for spk, median in zip(speakers, medians)]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,20 @@ raise bare parse exceptions. Every line reader takes its lines from one
 source, :func:`_lines`, which reads and decodes the file a 64 KiB block at a
 time, so no reader holds a file's text whole and the first fault in line
 order is the one raised. :func:`read_text` holds the whole text and is for
-the JSON documents only (the fusion model and the synth config). The store
-reader checks each record's fields and casts its values with one numpy call;
-only when that cast or the finiteness check fails does it parse them token
-by token, to name the bad token. :func:`iter_embeddings` yields each record
-as its line is read, for kernels that keep a summary per record, and
-:func:`read_embeddings` is the list of it. The store writer formats and
-writes one record at a time, so the store's text is never held whole.
+the JSON documents only (the fusion model and the synth config).
+
+The store reader takes its lines a batch of about ``_STORE_BATCH_CHARS`` of
+text at a time. It checks each line's fields as it reads it and casts the
+values of the whole batch with one numpy call; only when that cast or the
+finiteness check fails does it parse them token by token, to name the bad
+token, which is raised before a fault on a later line of the batch. A batch
+is the packed form of its records, their ids, chunk counts and one (chunks,
+dim) value matrix; each record's chunks are a view of that matrix, and the
+record is made without checking it a second time.
+:func:`iter_embeddings` yields the records batch by batch, for kernels that
+keep a summary per record, and :func:`read_embeddings` is the list of it.
+The store writer formats and writes one record at a time, so the store's
+text is never held whole.
 
 A trial list is a :class:`TrialList`: an enroll id column, a test id column
 and, when labeled, a bool label array. It checks all its ids at once and
@@ -211,10 +218,10 @@ def _parse_float(token: str, path: str, line: int) -> float:
 
 
 class RowBuffer:
-    """Rows of ``width`` float64 values appended a block at a time into one
+    """Rows of ``width`` float64 values written a block at a time into one
     matrix, made for ``rows`` rows, that grows in place by an eighth when it
     is full, so a reader that does not know its row count never holds its
-    rows twice. Each row has ``lead`` more columns before those appended,
+    rows twice. Each row has ``lead`` more columns before those written,
     which are left for the caller to fill."""
 
     def __init__(self, width: int, rows: int = 0, lead: int = 0):
@@ -225,15 +232,17 @@ class RowBuffer:
     def __len__(self) -> int:
         return self._n
 
-    def append(self, rows: np.ndarray) -> None:
-        end = self._n + len(rows)
-        if end > len(self._data):
-            self._data.resize((end + end // 8, self._data.shape[1]), refcheck=False)
-        self._data[self._n:end, self._lead:] = rows
-        self._n = end
+    def grow(self, n: int) -> np.ndarray:
+        """The first ``n`` rows, past their lead columns, for the caller to
+        write at once: the buffer's row count becomes ``n`` if that is more.
+        The view is valid until the next call."""
+        if n > len(self._data):
+            self._data.resize((n + n // 8, self._data.shape[1]), refcheck=False)
+        self._n = max(self._n, n)
+        return self._data[:n, self._lead:]
 
     def take(self) -> np.ndarray:
-        """The rows appended, cut to their count in place."""
+        """The rows written, cut to their count in place."""
         self._data.resize((self._n, self._data.shape[1]), refcheck=False)
         return self._data
 
@@ -336,11 +345,17 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     return list(iter_embeddings(path))
 
 
+# Text of the store lines whose values one numpy call casts. Their tokens take about
+# four times the text, a small part of one COSINE_BLOCK_BYTES budget.
+_STORE_BATCH_CHARS = 1 << 14
+
+
 def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
-    """The store's records, each yielded as its line is read, so a consumer
-    that keeps a summary per record never holds the store. Nothing is read
-    until the first record is asked for; a fault is raised when its line is
-    reached."""
+    """The store's records, read a batch of lines at a time and yielded as
+    each batch is cast, so a consumer that keeps a summary per record never
+    holds the store. Nothing is read until the first record is asked for. A
+    batch holding a fault yields nothing: the first fault in line order is
+    raised when its batch is read."""
     path = str(path)
     lines = _data_lines(path)
     header_no, header = next(lines, (1, None))
@@ -357,42 +372,81 @@ def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
         raise DataFormatError(f"dimension must be >= 1, got {dim}", path=path, line=header_no)
 
     seen: set[str] = set()
-    for lineno, raw in lines:
-        record = _record(raw, dim, seen, path, lineno)
-        seen.add(record.utt_id)
-        yield record
+    first_line = header_no + 1  # no line is blank, so the batch's records are on consecutive lines
+    while True:
+        ids, counts, tokens, chars, fault = [], [], [], 0, None
+        try:
+            for lineno, raw in lines:
+                fields = raw.split()
+                counts.append(_record_head(fields, dim, seen, path, lineno))
+                seen.add(fields[0])
+                ids.append(fields[0])
+                tokens += fields[2:]
+                chars += len(raw)
+                if chars >= _STORE_BATCH_CHARS:
+                    break
+        except DataFormatError as exc:
+            fault = exc  # past every line of the batch; raised below unless one of them holds a bad value
+        values = _store_values(tokens, counts, dim, path, first_line)
+        if fault is not None:
+            raise fault
+        if not ids:
+            return
+        start = 0
+        for utt_id, n_chunks in zip(ids, counts):
+            yield _checked_record(utt_id, values[start:start + n_chunks])
+            start += n_chunks
+        first_line += len(ids)
 
 
-def _record(raw: str, dim: int, seen: set[str], path: str, lineno: int) -> ChunkEmbeddings:
-    """One store record, raising the located error for the first fault in the
-    line. The values are cast with one numpy call; only when that cast or the
-    record's finiteness check fails are they parsed token by token, to name
-    the bad token."""
-    tokens = raw.split()
-    if len(tokens) < 2:
+def _record_head(fields: list[str], dim: int, seen: set[str], path: str, lineno: int) -> int:
+    """The chunk count of the store record split into ``fields``, after
+    checking every part of the record but its values: the located error of
+    the first fault, in the order the record's fields are read."""
+    if len(fields) < 2:
         raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
-    utt_id = tokens[0]
     try:
-        n_chunks = int(tokens[1])
+        n_chunks = int(fields[1])
     except ValueError:
-        raise DataFormatError(f"invalid chunk count {tokens[1]!r}", path=path, line=lineno) from None
+        raise DataFormatError(f"invalid chunk count {fields[1]!r}", path=path, line=lineno) from None
     if n_chunks < 1:
         raise DataFormatError(f"chunk count must be >= 1, got {n_chunks}", path=path, line=lineno)
     expected = n_chunks * dim
-    values = tokens[2:]
-    if len(values) != expected:
+    if len(fields) - 2 != expected:
         raise DataFormatError(
-            f"expected {expected} values for {n_chunks} chunks of dim {dim}, found {len(values)}",
+            f"expected {expected} values for {n_chunks} chunks of dim {dim}, found {len(fields) - 2}",
             path=path,
             line=lineno,
         )
-    if utt_id in seen:
-        raise DataFormatError(f"duplicate utt_id {utt_id!r}", path=path, line=lineno)
+    if fields[0] in seen:
+        raise DataFormatError(f"duplicate utt_id {fields[0]!r}", path=path, line=lineno)
+    return n_chunks
+
+
+def _store_values(tokens: list[str], counts: list[int], dim: int, path: str, first_line: int) -> np.ndarray:
+    """The values of a batch of store records as one (chunks, dim) matrix, the
+    records' chunk counts ``counts`` and their first line ``first_line``.
+    They are cast with one numpy call, and parsed token by token only when
+    that cast or the finiteness check fails, to name the first bad token."""
     try:
-        return ChunkEmbeddings(utt_id, np.array(values, dtype=np.float64).reshape(n_chunks, dim))
+        values = np.array(tokens, dtype=np.float64)
+        finite = bool(np.all(np.isfinite(values)))
     except ValueError:
-        flat = np.array([_parse_float(tok, path, lineno) for tok in values], dtype=np.float64)
-        return ChunkEmbeddings(utt_id, flat.reshape(n_chunks, dim))
+        finite = False
+    if not finite:
+        per_line = (n_chunks * dim for n_chunks in counts)
+        lines = itertools.chain.from_iterable(itertools.repeat(first_line + i, n) for i, n in enumerate(per_line))
+        values = np.array([_parse_float(tok, path, line) for tok, line in zip(tokens, lines)], dtype=np.float64)
+    return values.reshape(-1, dim)
+
+
+def _checked_record(utt_id: str, chunks: np.ndarray) -> ChunkEmbeddings:
+    """The record of a token id and a finite (n_chunks, dim) float64 matrix,
+    which the store reader has checked, made without checking them again."""
+    record = object.__new__(ChunkEmbeddings)
+    object.__setattr__(record, "utt_id", utt_id)
+    object.__setattr__(record, "chunks", chunks)
+    return record
 
 
 def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
@@ -593,7 +647,7 @@ def _read_pairs(
         if fault is not None:
             raise fault
         block[blank] = np.nan
-        values.append(block.reshape(len(enroll), width))
+        values.grow(start + len(enroll))[start:] = block.reshape(len(enroll), width)
         if reference is None:
             kept_enroll += enroll
             kept_test += test
@@ -777,14 +831,24 @@ def read_attributes(path: str, schema: list[SchemaColumn]) -> AttributeTable:
 
 def write_attributes(table: AttributeTable, path: str) -> None:
     """CSV of the table, one line handed over at a time; a missing cell is
-    written blank and a real one with :func:`format_float`. An empty id, a
-    real that is not finite or a field holding a line break raises
-    ``ValueError`` and ``path`` is left as it was."""
+    written blank and a real one with :func:`format_float`. A repeated
+    column, an empty id, a real that is not finite or a field holding a line
+    break raises ``ValueError`` and ``path`` is left as it was."""
+    _require_unique(table.columns, "attribute column")
     atomic_write_text(str(path), itertools.chain(
         (_csv_line(("utt_id", *table.columns)),),
         (_csv_line((_attribute_id(utt_id), *(_attribute_cell(row.get(name)) for name in table.columns)))
          for utt_id, row in table.rows.items()),
     ))
+
+
+def _require_unique(names: Iterable[str], what: str) -> None:
+    """Raise ``ValueError`` for the first name of ``names`` that repeats an earlier one."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate {what} {name!r}")
+        seen.add(name)
 
 
 def _attribute_id(utt_id: str) -> str:
@@ -808,12 +872,13 @@ def _attribute_cell(value: float | str | None) -> str:
 
 
 def write_trial_features(trials: TrialList, names: list[str], matrix, path: str) -> None:
-    """CSV of per-trial features; NaN cells are written blank (missing). An
-    infinite value or a field holding a line break raises ``ValueError`` and
-    ``path`` is left as it was."""
+    """CSV of per-trial features; NaN cells are written blank (missing). A
+    repeated name, an infinite value or a field holding a line break raises
+    ``ValueError`` and ``path`` is left as it was."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(trials), len(names)):
         raise ValueError(f"matrix shape {matrix.shape} does not match {len(trials)} trials x {len(names)} features")
+    _require_unique(names, "feature column")
     header = _csv_line(["enroll", "test", *names])
     ids = map("{},{}".format, map(_csv_field, trials.enroll), map(_csv_field, trials.test))
     if names:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, TrialList
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, require_sides, side_rows, take_sides
+from .scoring import COSINE_BLOCK_BYTES, gather_blocks, require_sides, side_rows, take_sides
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -66,31 +66,13 @@ def _side_stats(sides: Iterable[tuple[int, ChunkEmbeddings]], out: np.ndarray) -
     mean embedding, then the mean and std of the per-dimension stds across
     chunks (population stds throughout).
 
-    Records are gathered by chunk shape as they come, and whenever one more
-    record's chunks and the deviations ``std`` forms from them would pass
-    ``COSINE_BLOCK_BYTES`` (at least one record each), each shape's gathered
-    records are stacked and reduced as one block and let go. Every statistic
-    is a reduction over the chunk axis or the contiguous last axis, as it
-    would be on a lone record, so a row does not depend on what else is in
-    its block.
+    Each block of records of one shape that
+    :func:`~svbackend.scoring.gather_blocks` stacks is reduced with one call
+    per statistic. Every statistic is a reduction over the chunk axis or the
+    contiguous last axis, as it would be on a lone record, so a row does not
+    depend on what else is in its block.
     """
-    pending: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-    held = 0
-    for row, rec in sides:
-        if held and 2 * (held + rec.chunks.nbytes) > COSINE_BLOCK_BYTES:
-            _stats_blocks(pending, out)
-            held = 0
-        rows, chunks = pending.setdefault(rec.chunks.shape, ([], []))
-        rows.append(row)
-        chunks.append(rec.chunks)
-        held += rec.chunks.nbytes
-    _stats_blocks(pending, out)
-
-
-def _stats_blocks(pending: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]], out: np.ndarray) -> None:
-    """Reduce each shape's gathered records as one block into their rows of ``out``, and empty ``pending``."""
-    for rows, chunks in pending.values():
-        block = np.array(chunks)  # C-ordered (records, n_chunks, dim)
+    for rows, block in gather_blocks(sides):
         mean = block.mean(axis=1)
         dim_stds = block.std(axis=1)
         out[rows, 0] = np.abs(mean).sum(axis=1)
@@ -98,7 +80,6 @@ def _stats_blocks(pending: dict[tuple[int, int], tuple[list[int], list[np.ndarra
         out[rows, 2] = mean.std(axis=1)
         out[rows, 3] = dim_stds.mean(axis=1)
         out[rows, 4] = dim_stds.std(axis=1)
-    pending.clear()
 
 
 def _min_max(e: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,9 @@ summation), and each pair's cosine is computed with the same elementwise
 multiply + axis sum on both sides, so swapping enroll and test yields the
 identical double, bit for bit. :func:`score_trials` scores a whole trial list
 with one batched kernel, and :func:`pairwise_score` is that kernel on one trial.
+:func:`gather_blocks` stacks a stream of records into blocks of one chunk
+shape, so the store kernels reduce each block, not each record, to its
+per-utterance summaries, as :func:`mean_rows` does.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from .errors import ToolkitError
 
 # Bytes one block of temporaries may hold, the one budget of every blocked kernel: the
 # elementwise products of cosine_matrix and score_trials (and, in score_trials, the chunks
-# gathered for them), asnorm's and curation's blocks of similarity rows, qmf's stacked
-# chunks and gathered side rows, the feature writer's blocks of rows, and the score and
-# feature readers' blocks of tokens. A stage peaks at its inputs and outputs plus a few
-# such blocks; larger blocks raise that peak.
+# gathered for them), asnorm's and curation's blocks of similarity rows, the records
+# gather_blocks stacks, curation's blocks of speaker means, qmf's gathered side rows, the
+# feature writer's blocks of rows, the score and feature readers' blocks of tokens, and
+# the pieces of fusion's sum of squares. A stage peaks at its inputs and outputs plus a
+# few such blocks; larger blocks raise that peak.
 COSINE_BLOCK_BYTES = 1 << 18
 
 
@@ -156,20 +160,55 @@ def trial_sides(
     return side_records, enroll, test
 
 
+def gather_blocks(sides: Iterable[tuple[int, ChunkEmbeddings]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(rows, block) for the records of ``sides``, a stream of (row, record)
+    pairs: ``block`` is the C-ordered (len(rows), n_chunks, dim) stack of the
+    chunks of the records given with ``rows``, which share one shape.
+
+    Records are gathered by chunk shape as they come. Whenever one more
+    record's chunks and a temporary of their size would pass
+    ``COSINE_BLOCK_BYTES`` (at least one record each), each shape's records
+    are stacked and yielded, in the order of their first record, and let go.
+    A reduction over a block's chunk axis or its contiguous last axis gives
+    each record the bits it gives on the record alone, whatever else is in
+    the block."""
+    pending: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+    held = 0
+    for row, rec in sides:
+        chunks = rec.chunks
+        if held and 2 * (held + chunks.nbytes) > COSINE_BLOCK_BYTES:
+            for rows, stack in pending.values():
+                yield np.array(rows, dtype=np.intp), np.array(stack)  # np.array stacks C-ordered
+            pending, held = {}, 0
+        rows, stack = pending.setdefault(chunks.shape, ([], []))
+        rows.append(row)
+        stack.append(chunks)
+        held += chunks.nbytes
+    for rows, stack in pending.values():
+        yield np.array(rows, dtype=np.intp), np.array(stack)
+
+
 def mean_rows(records: Iterable[ChunkEmbeddings]) -> tuple[list[str], np.ndarray]:
     """The ids of the stream ``records`` and their mean embeddings as the rows
-    of one matrix, each written into the matrix as its record is read, so no
-    record is kept. The records must share one dim."""
+    of one matrix. The means of a block of :func:`gather_blocks` are taken
+    with one call and written into their rows of the matrix, which grows in
+    place, so no more than one block of records is held. The records must
+    share one dim."""
     ids: list[str] = []
-    rows = None
-    for rec in records:
-        if rows is None:
-            dim, rows = rec.dim, RowBuffer(rec.dim)
-        elif rec.dim != dim:
-            raise ToolkitError(f"embedding dim mismatch: {ids[0]!r} has {dim}, {rec.utt_id!r} has {rec.dim}")
-        rows.append(rec.mean_embedding()[None, :])
-        ids.append(rec.utt_id)
-    return ids, np.empty((0, 0)) if rows is None else rows.take()
+
+    def numbered():
+        for rec in records:
+            ids.append(rec.utt_id)
+            yield len(ids) - 1, rec
+
+    means = None
+    for rows, block in gather_blocks(numbered()):
+        if means is None:
+            dim, means = block.shape[2], RowBuffer(block.shape[2])
+        elif block.shape[2] != dim:  # a block's first record is the first of its shape, so the first mismatch
+            raise ToolkitError(f"embedding dim mismatch: {ids[0]!r} has {dim}, {ids[rows[0]]!r} has {block.shape[2]}")
+        means.grow(len(ids))[rows] = block.mean(axis=1)
+    return ids, np.empty((0, 0)) if means is None else means.take()
 
 
 def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList) -> np.ndarray:
@@ -200,9 +239,12 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
     if not side_records:
         return np.empty(0, dtype=np.float64)
     # every side's chunk norms in one vector, side k's from offsets[k]
-    norms = np.concatenate([row_norms(rec.chunks) for rec in side_records])
     counts = np.array([rec.n_chunks for rec in side_records], dtype=np.intp)
     offsets = np.cumsum(counts) - counts
+    norms = np.empty(int(counts.sum()), dtype=np.float64)
+    for sides, block in gather_blocks(enumerate(side_records)):
+        n_sides, n_chunks, dim = block.shape
+        norms[offsets[sides, None] + np.arange(n_chunks)] = row_norms(block.reshape(-1, dim)).reshape(n_sides, n_chunks)
     dims = np.array([rec.dim for rec in side_records], dtype=np.intp)
     zero = ~(np.minimum.reduceat(norms, offsets) > 0.0)
     bad = (dims[enroll] != dims[test]) | zero[enroll] | zero[test]

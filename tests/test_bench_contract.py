@@ -11,6 +11,7 @@ checks that the fusion layers' calls go through those attributes.
 import importlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -77,6 +78,48 @@ def test_fusion_calls_route_through_traced_attributes(tmp_path):
     assert (fitted.objective_trace[1:] <= fitted.objective_trace[:-1]).all()
     assert problem.features.ndim == 2 and problem.labels.shape == problem.features.shape[:1]
     assert isinstance(problem.lam, float)
+
+
+def test_store_stages_record_the_spans_the_benchmark_reads(tmp_path):
+    """``perfbench/run.py --trace 1`` divides by the store read's and the
+    scorer's span times and reads the store kernels' spans, so each store
+    stage must still call through those attributes."""
+    data, target = tmp_path / "data", tmp_path / "target"
+    for out, n_speakers, trials in ((data, 6, {"n_pos": 8, "n_neg": 12, "seed": 4}), (target, 3, None)):
+        config = tmp_path / f"{out.name}.json"
+        config.write_text(json.dumps({
+            "n_speakers": n_speakers, "utts_per_speaker": 3, "chunks_per_utt": 2, "dim": 4,
+            "within_spread": 0.3, "between_spread": 1.0, "seed": 4, **({"trials": trials} if trials else {}),
+        }))
+        assert cli.main(["synth", "--config", str(config), "--out", str(out)]) == 0
+    emb, trials = str(data / "embeddings.txt"), str(data / "trials.txt")
+    raw, cohort = str(tmp_path / "raw.txt"), str(tmp_path / "cohort.txt")
+    stages = [
+        ["score", "--embeddings", emb, "--trials", trials, "--out", raw],
+        ["cohort", "--embeddings", emb, "--speakers", str(data / "speakers.txt"), "--per-speaker", "2",
+         "--out", cohort],
+        ["asnorm", "--scores", raw, "--embeddings", emb, "--cohort", cohort, "--top-n", "3",
+         "--out", str(tmp_path / "norm.txt")],
+        ["qmf", "--embeddings", emb, "--attributes", str(data / "attributes.csv"),
+         "--schema", str(data / "attributes.schema"), "--trials", trials, "--out", str(tmp_path / "qmf.csv")],
+        ["ddf", "--source-emb", emb, "--source-spk", str(data / "speakers.txt"),
+         "--target-emb", str(target / "embeddings.txt"), "--target-spk", str(target / "speakers.txt"),
+         "--top-k", "2", "--out", str(tmp_path / "ddf.csv")],
+    ]
+    modules = {name: importlib.import_module(f"svbackend.{name}") for name in {m for m, _ in SPANS.WRAPPED}}
+    tracer = SPANS.Tracer(modules)
+    with tracer.installed():
+        for argv in stages:
+            assert tracer.stage(argv[0], lambda: cli.main(argv)) == 0
+    recorded = {(span.stage, span.name) for span in tracer.spans}
+    for stage, name in (("score", "dataio.read_embeddings"), ("score", "scoring.score_trials"),
+                        ("cohort", "asnorm.build_cohort"), ("asnorm", "asnorm.asnorm_trials"),
+                        ("qmf", "qmf.trial_feature_matrix"),
+                        ("ddf", "curation.profiles_from_store"), ("ddf", "curation.ddf_select")):
+        assert (f"cli.{stage}", name) in recorded
+    reads = [span for span in tracer.spans if span.name == "dataio.read_embeddings"]
+    assert [span.info["bytes"] for span in reads] == [os.path.getsize(emb)]
+    assert all(span.seconds > 0 for span in tracer.spans)
 
 
 def test_scorer_takes_the_benchmark_call_form(tmp_path):

@@ -284,6 +284,10 @@ UNREADABLE_WRITES = {
     "inf feature": (dataio.write_trial_features, *one_trial_features(value=math.inf)),
     "-inf feature": (dataio.write_trial_features, *one_trial_features(value=-math.inf)),
     "feature name with a newline": (dataio.write_trial_features, *one_trial_features(name="f\n1")),
+    "repeated feature name": (dataio.write_trial_features, trial_list([("e", "t")]), ["f1", "f1"],
+                              np.array([[0.5, 0.25]])),
+    "repeated attribute column": (dataio.write_attributes,
+                                  dataio.AttributeTable(columns=("snr", "snr"), rows={"u1": {"snr": 0.5}})),
     "selection id with a newline": (dataio.write_selections, [("s\n1", 0.25, "t0")]),
 }
 

@@ -1,4 +1,5 @@
-"""Property tests: the store reader against its token-by-token oracle, the
+"""Property tests: the store reader against its token-by-token oracle (at
+batch sizes of one line to many, with two faults in one batch), the
 block-streamed line source against the whole-file read, the trial feature
 reader against its csv one and against strict csv on every line, the score
 reader against its per-line one (both with two faults, the first in line
@@ -152,6 +153,58 @@ def test_mutated_store_raises_the_token_path_error(store_path, store, data):
     expected = outcome(token_read_embeddings, store_path)
     assert expected[0] == "DataFormatError"
     assert outcome(dataio.read_embeddings, store_path) == expected
+
+
+# Text sizes of a store batch: one line per batch, a few lines, and the reader's own.
+BATCH_CHARS = [1, 200, dataio._STORE_BATCH_CHARS]
+
+
+@given(store_lines(), st.sampled_from(BATCH_CHARS), st.sampled_from([1, 64, dataio._BLOCK_BYTES]))
+def test_reader_batches_return_the_token_path_records_at_every_batch_size(store_path, store, batch, block):
+    """Records cast a batch of lines at a time, from pieces that split lines
+    and batches that split pieces, are the token path's, bit for bit."""
+    store_path.write_text(render(*store), encoding="utf-8")
+    expected = outcome(token_read_embeddings, store_path)
+    with mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch), mock.patch.object(dataio, "_BLOCK_BYTES", block):
+        assert outcome(dataio.read_embeddings, store_path) == expected
+
+
+VALUE_FAULTS = ["nan", "inf", "-inf", "1e999", "x"]
+LINE_FAULTS = ["short", "duplicate", "count", "blank"]
+
+
+@given(store_lines(tokens=finite.map(repr)), st.sampled_from(VALUE_FAULTS), st.sampled_from(LINE_FAULTS),
+       st.booleans(), st.sampled_from(BATCH_CHARS), st.data())
+def test_first_fault_in_line_order_wins_within_a_batch(store_path, store, value_fault, line_fault, value_first,
+                                                       batch, data):
+    """A bad value and a fault the reader finds before casting (a short
+    record, a repeated id, a bad count, a blank line) on two lines: the one on
+    the earlier line is raised with the token path's message, whether or not
+    one batch holds both."""
+    header, records = store
+    assume(len(records) >= 2)
+    first, second = sorted(data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2, unique=True)))
+    at_value, at_line = (first, second) if value_first else (second, first)
+    if line_fault == "duplicate" and at_line == 0:
+        line_fault = "short"  # the first record repeats no id
+    line = records[at_value]
+    line[data.draw(st.integers(2, len(line) - 1))] = value_fault
+    if line_fault == "short":
+        del records[at_line][-1]
+    elif line_fault == "duplicate":
+        records[at_line][0] = records[at_line - 1][0]
+    elif line_fault == "count":
+        records[at_line][1] = data.draw(st.sampled_from(["0", "2.0", "x"]))
+    lines = render(header, records).splitlines(keepends=True)
+    if line_fault == "blank":
+        lines.insert(at_line + 1, "\n")  # just before the record's line
+    # the token path checks for blank lines first, so it is given the lines up to the earlier fault only
+    store_path.write_text("".join(lines[:first + 2]), encoding="utf-8")
+    expected = outcome(token_read_embeddings, store_path)
+    assert expected[0] == "DataFormatError"
+    store_path.write_text("".join(lines), encoding="utf-8")
+    with mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch):
+        assert outcome(dataio.read_embeddings, store_path) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +668,7 @@ finite_float = any_float.filter(math.isfinite)
 feature_float = any_float.filter(lambda v: not math.isinf(v))  # what write_trial_features writes: NaN but no +-inf
 
 
-@given(st.lists(st.text(ID_CHARS + '," ', max_size=5), max_size=4), st.data())
+@given(st.lists(st.text(ID_CHARS + '," ', max_size=5), unique=True, max_size=4), st.data())
 def test_write_trial_features_matches_csv_writer_bytes(store_path, names, data):
     n = data.draw(st.integers(0, 5))
     id_text = st.text(ID_CHARS + ',"', min_size=1, max_size=6)

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fusion_grid_oracle import (
@@ -15,7 +16,7 @@ from fusion_grid_oracle import (
     make_grid_problem,
     problem_digest,
 )
-from svbackend import qmf
+from svbackend import fusion, qmf
 from svbackend.dataio import FusionModel, MinMaxParams
 from svbackend.errors import FeatureMismatchError, ToolkitError
 from svbackend.fusion import (
@@ -315,3 +316,35 @@ def test_train_matches_manual_pipeline(np_rng):
     assert model.feature_names == tuple(names)
     for attr in ("lo", "hi", "median"):
         assert getattr(model.scaling, attr).tobytes() == getattr(params, attr).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The step floor's sum of squares
+
+
+@given(st.integers(1, 700), st.integers(1, 40), st.sampled_from(["C", "F", "every other column"]),
+       st.sampled_from([1 << 10, 1 << 12, 1 << 15, fusion.COSINE_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
+@example(rows=11_538, cols=26, layout="C", budget=fusion.COSINE_BLOCK_BYTES, seed=1)  # 299 988 cells
+def test_sum_of_squares_matches_numpy_bit_for_bit(rows, cols, layout, budget, seed):
+    """Leaves of 128 to 32 768 cells (budgets of 1 KiB to 256 KiB) give the
+    bits of the sum over the squared matrix that fit's step floor took."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((rows, cols)) * 10.0 ** rng.integers(-3, 4, size=cols)
+    if layout == "F":
+        matrix = np.asfortranarray(matrix)
+    elif layout == "every other column":
+        matrix = matrix[:, ::2]
+    with mock.patch.object(fusion, "COSINE_BLOCK_BYTES", budget):
+        total = fusion._sum_of_squares(matrix.ravel(order="K"))
+    assert total == float((matrix * matrix).sum())
+
+
+def test_fit_holds_no_copy_of_the_features(traced_peak):
+    """fit peaks at a few per-trial vectors, below half the matrix it fits; a
+    squared copy of the matrix alone is all of it."""
+    rng = np.random.default_rng(4)
+    features = rng.random((60_000, 26))
+    problem = FusionProblem(features, features[:, 0] + rng.random(60_000) > 1.0)
+    fitted, peak = traced_peak(fit, problem, max_iters=3)
+    assert fitted.iterations == 3
+    assert peak < features.nbytes / 2
