@@ -69,19 +69,20 @@ def build_cohort(
 
 
 def _top_n_rows(sims: np.ndarray, top_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and population std of the ``top_n`` largest entries of each row.
-    ``sims`` is partitioned in place, so the caller must own it."""
-    n_cols = sims.shape[1]
-    if top_n < n_cols:
-        sims.partition(n_cols - top_n, axis=1)
-    top = sims[:, n_cols - top_n:]
+    """Mean and population std of the ``top_n`` largest entries of each row,
+    summed in ascending order. A sum's bits follow its order, and the order
+    ``partition`` leaves a top slice in depends on the kernel numpy
+    dispatches to for the CPU; a sorted row does not. ``sims`` is sorted in
+    place, so the caller must own it."""
+    sims.sort(axis=1)
+    top = sims[:, sims.shape[1] - top_n:]
     return top.mean(axis=1), top.std(axis=1)
 
 
 def top_n_stats(cohort_scores: np.ndarray, top_n: int) -> tuple[float, float]:
     """Mean and population std of the ``top_n`` largest cohort scores; the
     caller's array is left as it was."""
-    scores = np.array(cohort_scores, dtype=np.float64)  # a copy, partitioned in place below
+    scores = np.array(cohort_scores, dtype=np.float64)  # a copy, sorted in place below
     if scores.ndim != 1 or scores.shape[0] < top_n:
         raise ToolkitError(f"need at least top_n={top_n} cohort scores, got shape {scores.shape}")
     mu, sd = _top_n_rows(scores[None, :], top_n)
@@ -130,8 +131,8 @@ def asnorm_trials(
     record, each block of :func:`~svbackend.scoring.gather_blocks` reduced
     with one call. Side rows are scored against the cohort in blocks whose
     similarities fit in ``COSINE_BLOCK_BYTES`` (at least one row each), and
-    each block is partitioned in place and reduced to its rows' top-N mean
-    and std before the next is scored.
+    each block is sorted in place and reduced to its rows' top-N mean and
+    std before the next is scored.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")

@@ -99,7 +99,18 @@ def profiles_from_store(records: Iterable[ChunkEmbeddings], speaker_map: dict[st
     if zero.any():
         raise ToolkitError(f"zero-norm median embedding for speaker {speakers[int(np.argmax(zero))]!r}")
     medians /= norms[:, None]
-    return [SpeakerProfile(spk, median) for spk, median in zip(speakers, medians)]
+    if not np.all(np.isfinite(medians)):  # an overflowed mean; the one SpeakerProfile check these can fail
+        raise ValueError("non-finite profile embedding")
+    return [_checked_profile(spk, median) for spk, median in zip(speakers, medians)]
+
+
+def _checked_profile(speaker_id: str, median: np.ndarray) -> SpeakerProfile:
+    """The profile of a finite 1-D median, which :func:`profiles_from_store`
+    has checked, made without checking it again."""
+    profile = object.__new__(SpeakerProfile)
+    object.__setattr__(profile, "speaker_id", speaker_id)
+    object.__setattr__(profile, "median_embedding", median)
+    return profile
 
 
 @dataclass(frozen=True)

@@ -593,7 +593,8 @@ def write_trials(trials: TrialList, path: str) -> None:
 
 
 def _read_pairs(
-    path: str, rows: Iterable[list[str]], first_line: int, width: int, reference: TrialList | None, lead: int = 0
+    path: str, rows: Iterable[list[str]], first_line: int, width: int, reference: TrialList | None, lead: int = 0,
+    ids_are_tokens: bool = False,
 ) -> tuple[TrialList, np.ndarray]:
     """(pairs, values) of a file that lines up with a trial list; each item of
     ``rows`` is a pair's enroll id, test id and ``width`` value cells, pair i
@@ -603,7 +604,9 @@ def _read_pairs(
     about eight times its 8 bytes, so a block's cells fit in
     ``COSINE_BLOCK_BYTES``. A block's first bad id or cell is raised before a
     fault ``rows`` raises on a later line. The values go into a
-    :class:`RowBuffer` with ``lead`` free columns. Without a ``reference``
+    :class:`RowBuffer` with ``lead`` free columns. ``ids_are_tokens`` says
+    that ``rows`` gives only ids that are tokens, such as ``str.split``
+    makes, which are then not checked again. Without a ``reference``
     the ids are kept as the pairs returned. With one, only the first
     mismatch against it is kept, and after the last block a count that
     differs is raised, then that mismatch on its line; the pairs returned
@@ -625,7 +628,7 @@ def _read_pairs(
             fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
         start = len(values)
         errors = []
-        bad_id = _first_bad_id(enroll, test)
+        bad_id = None if ids_are_tokens else _first_bad_id(enroll, test)
         if bad_id is not None:
             errors.append(DataFormatError(bad_id[1], path=path, line=first_line + start + bad_id[0]))
         blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
@@ -686,7 +689,8 @@ def read_scores(path: str, reference: TrialList | None = None) -> tuple[TrialLis
                 )
             yield tokens
 
-    pairs, scores = _read_pairs(path, rows(), 1, 1, reference)  # no line is blank, so score i is on line i + 1
+    # no line is blank, so score i is on line i + 1, and str.split makes only tokens
+    pairs, scores = _read_pairs(path, rows(), 1, 1, reference, ids_are_tokens=True)
     return pairs, scores.reshape(-1)
 
 
@@ -703,7 +707,7 @@ def write_scores(trials: TrialList, scores, path: str) -> None:
 def check_score_alignment(trials: TrialList, pairs: TrialList, path: str) -> None:
     """Require that a score file's pairs line up with a trial list positionally,
     as :func:`read_scores` given the trial list as its reference requires."""
-    _read_pairs(str(path), zip(pairs.enroll, pairs.test), 1, 0, trials)
+    _read_pairs(str(path), zip(pairs.enroll, pairs.test), 1, 0, trials, ids_are_tokens=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 A trial score is the mean cosine similarity over the full cross product of
 enroll chunks and test chunks. The mean uses ``math.fsum`` (exact compensated
-summation), and each pair's cosine is computed with the same elementwise
-multiply + axis sum on both sides, so swapping enroll and test yields the
-identical double, bit for bit. :func:`score_trials` scores a whole trial list
-with one batched kernel, and :func:`pairwise_score` is that kernel on one trial.
-:func:`gather_blocks` stacks a stream of records into blocks of one chunk
-shape, so the store kernels reduce each block, not each record, to its
-per-utterance summaries, as :func:`mean_rows` does.
+summation). Every dot product, in :func:`cosine`, :func:`cosine_matrix` and
+:func:`score_trials`, is one kernel, :func:`dots`: ``np.einsum`` summing the
+contiguous last axis in fixed pieces, so a pair's dot product is the same
+double in every form and on every CPU this was checked on, and swapping
+enroll and test yields the identical double, bit for bit. :func:`score_trials`
+scores a whole trial list with one batched kernel, and :func:`pairwise_score`
+is that kernel on one trial. :func:`gather_blocks` stacks a stream of records
+into blocks of one chunk shape, so the store kernels reduce each block, not
+each record, to its per-utterance summaries, as :func:`mean_rows` does.
 """
 
 from __future__ import annotations
@@ -24,13 +26,34 @@ from .dataio import ChunkEmbeddings, RowBuffer, TrialList
 from .errors import ToolkitError
 
 # Bytes one block of temporaries may hold, the one budget of every blocked kernel: the
-# elementwise products of cosine_matrix and score_trials (and, in score_trials, the chunks
-# gathered for them), asnorm's and curation's blocks of similarity rows, the records
-# gather_blocks stacks, curation's blocks of speaker means, qmf's gathered side rows, the
-# feature writer's blocks of rows, the score and feature readers' blocks of tokens, and
-# the pieces of fusion's sum of squares. A stage peaks at its inputs and outputs plus a
-# few such blocks; larger blocks raise that peak.
+# similarities of cosine_matrix and score_trials (and, in score_trials, the chunks gathered
+# for them), asnorm's and curation's blocks of similarity rows, the records gather_blocks
+# stacks, curation's blocks of speaker means, qmf's gathered side rows, the feature
+# writer's blocks of rows, the score and feature readers' blocks of tokens, and the pieces
+# of fusion's sum of squares. The dot products themselves make no temporary. A stage
+# peaks at its inputs and outputs plus a few such blocks; larger blocks raise that peak.
 COSINE_BLOCK_BYTES = 1 << 18
+
+# Columns one einsum call sums. Past about 8 192 columns einsum's iterator splits a sum
+# where its buffer ends, so the split, and the bits, would follow the operands' shapes.
+DOT_PIECE = 4096
+
+
+def dots(spec: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """``np.einsum(spec, a, b, out=out)`` for a ``spec`` that sums over the
+    last axis of ``a`` and ``b``, such as ``"ij,kj->ik"``, taken over pieces of
+    ``DOT_PIECE`` columns whose sums are added in order.
+
+    einsum's inner loop sums one pair's products along the contiguous last
+    axis with the same instructions whatever the other axes hold, so each dot
+    product is the same double in every form: the 1-D one, a block of rows
+    against another, and a batch of blocks, with either operand first. No
+    (rows, cols, dim) product is formed."""
+    out = np.einsum(spec, a[..., :DOT_PIECE], b[..., :DOT_PIECE], out=out)
+    for start in range(DOT_PIECE, a.shape[-1], DOT_PIECE):
+        piece = slice(start, start + DOT_PIECE)
+        out += np.einsum(spec, a[..., piece], b[..., piece])
+    return out
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -48,7 +71,7 @@ def cosine(u, v) -> float:
     nv = vector_norm(v)
     if not (nu > 0.0 and nv > 0.0):
         raise ToolkitError("cosine undefined for zero-norm vector")
-    value = float(np.sum(u * v)) / (nu * nv)
+    value = float(dots("j,j->", u, v)) / (nu * nv)
     return min(1.0, max(-1.0, value))
 
 
@@ -61,16 +84,15 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | None = None) -> np.ndarray:
     """Cosines between every row of ``rows_a`` and every row of ``rows_b``.
 
-    Entry (i, j) is bit-identical to ``cosine(rows_a[i], rows_b[j])`` because
-    the reduction runs over the contiguous last axis exactly as in the scalar
-    path, and the result is symmetric under swapping the two inputs (entry
-    (i, j) becomes entry (j, i) with the same value).
+    Entry (i, j) is bit-identical to ``cosine(rows_a[i], rows_b[j])``, since
+    both take the dot product with :func:`dots` and the norms as sums of
+    squares over the contiguous last axis, and the result is symmetric under
+    swapping the two inputs (entry (i, j) becomes entry (j, i) with the same
+    value).
 
-    Products are formed for blocks of ``rows_a`` against blocks of ``rows_b``
-    within ``COSINE_BLOCK_BYTES`` (at least one row of each), so one row
-    against many ``rows_b`` is split too. Blocking splits only the row axes,
-    never the last one, so each entry is still the same last-axis sum and
-    stays bit-identical.
+    The dot products are written straight into the result, a block of
+    ``rows_a`` at a time, so that each block's norm products, the one
+    temporary, fit in ``COSINE_BLOCK_BYTES`` (at least one row).
 
     A caller that scores many blocks of rows against one ``rows_b`` passes
     ``norms_b = row_norms(rows_b)`` so that they are computed once.
@@ -84,15 +106,11 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | 
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
     sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    pair_bytes = 8 * max(1, a.shape[1])  # the products of one row against one row
-    col_step = max(1, min(b.shape[0], COSINE_BLOCK_BYTES // pair_bytes))
-    row_step = max(1, COSINE_BLOCK_BYTES // (col_step * pair_bytes))
-    for r in range(0, a.shape[0], row_step):
-        rows = slice(r, r + row_step)
-        for c in range(0, b.shape[0], col_step):
-            cols = slice(c, c + col_step)
-            dots = (a[rows, None, :] * b[None, cols, :]).sum(axis=2)
-            sims[rows, cols] = dots / (norms_a[rows, None] * norms_b[None, cols])
+    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, b.shape[0])))
+    for r in range(0, a.shape[0], step):
+        rows = slice(r, r + step)
+        block = dots("ij,kj->ik", a[rows], b, out=sims[rows])
+        block /= norms_a[rows, None] * norms_b
     np.clip(sims, -1.0, 1.0, out=sims)
     return sims
 
@@ -227,14 +245,12 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
 
     Each side's chunk norms are computed once. Trials are grouped by their
     (enroll chunks, test chunks, dim) shape, and each group is scored in
-    blocks of trials whose gathered chunks and products fit in
-    ``COSINE_BLOCK_BYTES``; a trial over that budget alone has its products
-    split over its enroll chunks and, if need be, its test chunks, as
-    :func:`cosine_matrix` splits its rows.
-    Every cosine is the same last-axis sum, division and clip as in
-    :func:`cosine_matrix`, and every score the same ``math.fsum`` over them
-    divided by the pair count, so a trial's score is the same double whatever
-    else is scored with it.
+    blocks of trials whose gathered chunks and similarities fit in
+    ``COSINE_BLOCK_BYTES`` (at least one trial), with one batched
+    :func:`dots` per block. Every cosine is the same dot product, division
+    and clip as in :func:`cosine_matrix`, and every score the same
+    ``math.fsum`` over them divided by the pair count, so a trial's score is
+    the same double whatever else is scored with it.
     """
     if not side_records:
         return np.empty(0, dtype=np.float64)
@@ -265,24 +281,17 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
     for code in np.flatnonzero(np.bincount(trial_code, minlength=len(shapes) ** 2)).tolist():
         members = np.flatnonzero(trial_code == code)
         (n_e, dim), (n_t, _) = shapes[code // len(shapes)].tolist(), shapes[code % len(shapes)].tolist()
-        per_block = max(1, COSINE_BLOCK_BYTES // ((n_e * n_t + n_e + n_t) * dim * 8))
-        row_step = min(n_e, max(1, COSINE_BLOCK_BYTES // (n_t * dim * 8)))
-        col_step = min(n_t, max(1, COSINE_BLOCK_BYTES // (row_step * dim * 8)))
+        per_block = max(1, COSINE_BLOCK_BYTES // (((n_e + n_t) * dim + n_e * n_t) * 8))
         for start in range(0, members.size, per_block):
             block = members[start:start + per_block]
             # np.array builds C-ordered blocks (np.stack would keep a Fortran-ordered record's
-            # layout), so every product below has a contiguous last axis
+            # layout), so every dot product below runs over a contiguous last axis
             e_chunks = np.array([side_records[i].chunks for i in enroll[block].tolist()])
             t_chunks = np.array([side_records[i].chunks for i in test[block].tolist()])
             e_norms = norms[offsets[enroll[block], None] + np.arange(n_e)]
             t_norms = norms[offsets[test[block], None] + np.arange(n_t)]
-            sims = np.empty((block.size, n_e, n_t), dtype=np.float64)
-            for r in range(0, n_e, row_step):
-                rs = slice(r, r + row_step)
-                for c in range(0, n_t, col_step):
-                    cs = slice(c, c + col_step)
-                    dots = (e_chunks[:, rs, None, :] * t_chunks[:, None, cs, :]).sum(axis=3)
-                    sims[:, rs, cs] = dots / (e_norms[:, rs, None] * t_norms[:, None, cs])
+            sims = dots("bij,bkj->bik", e_chunks, t_chunks)
+            sims /= e_norms[:, :, None] * t_norms[:, None, :]
             np.clip(sims, -1.0, 1.0, out=sims)
             n_pairs = n_e * n_t
             scores[block] = [math.fsum(row) / n_pairs for row in sims.reshape(block.size, n_pairs).tolist()]

@@ -77,6 +77,14 @@ def test_profiles_from_store_missing_speaker(small_synth):
         profiles_from_store(records, partial)
 
 
+def test_profiles_from_store_refuses_a_median_its_mean_overflowed():
+    # the mean of two finite 1e308 chunks is inf, and inf over its inf norm is NaN
+    records = [ChunkEmbeddings("u", np.array([[1e308, 1.0], [1e308, 1.0]]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite profile embedding$"):
+            profiles_from_store(records, {"u": "s"})
+
+
 def angled_source(sim: float, speaker_id: str) -> SpeakerProfile:
     """Source profile at a chosen cosine to the target direction (1, 0)."""
     return SpeakerProfile(speaker_id, np.array([sim, math.sqrt(1.0 - sim * sim)]))

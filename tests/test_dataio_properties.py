@@ -808,7 +808,7 @@ def test_score_trials_equals_pairwise_score_across_blocks(store, data):
     records, trials = store
     by_id = dataio.embeddings_by_id(records)
     pairs = [(by_id[e], by_id[t]) for e, t in zip(trials.enroll, trials.test)]
-    # at most one trial's products per block, and often a fraction of one
+    # at most one trial's chunk pairs times its dim, in bytes, so a block holds one or two trials
     smallest = min(e.n_chunks * t.n_chunks * e.dim * 8 for e, t in pairs)
     budget = data.draw(st.integers(1, smallest))
     with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import trial_list
 from svbackend import scoring
@@ -71,27 +73,31 @@ def test_cosine_matrix_transpose_symmetry(np_rng):
 
 
 def test_cosine_matrix_spanning_row_blocks_bit_identical(np_rng):
-    # 13 rows of 700 x 64 products take about 18 budgets, and one row's more
-    # than one, so the forward direction spans column blocks; the transpose's
-    # 700 rows of 13 x 64 products span several row blocks. Both end with a
+    # 13 rows of 700 similarities take over four budgets of 16 KiB, so the
+    # forward direction is scored in blocks of 2 rows; the transpose's 700
+    # rows of 13 similarities are scored in blocks of 157. Both end with a
     # partial last block.
+    budget = 16384
     a = np_rng.normal(size=(13, 64))
     b = np_rng.normal(size=(700, 64))
-    assert a.size * b.shape[0] * 8 > 4 * COSINE_BLOCK_BYTES
-    forward = cosine_matrix(a, b)
+    assert a.shape[0] * b.shape[0] * 8 > 4 * budget
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        forward = cosine_matrix(a, b)
+        backward = cosine_matrix(b, a)
     for i in range(a.shape[0]):
         for j in range(b.shape[0]):
             assert forward[i, j] == cosine(a[i], b[j])
-    assert forward.tobytes() == cosine_matrix(b, a).T.copy().tobytes()
+    assert forward.tobytes() == backward.T.copy().tobytes()
 
 
-def test_cosine_matrix_splits_one_row_over_column_blocks(np_rng, traced_peak):
-    # one row's 300 x 32 products take over nine budgets of 8 KiB, so every row
-    # is scored against blocks of 32 columns, the last one partial
+def test_cosine_matrix_scores_row_blocks_within_the_budget(np_rng, traced_peak):
+    # a row's 300 similarities take 2 400 bytes, so at an 8 KiB budget the 5
+    # rows are scored in blocks of 3, the last one partial; no (rows, cols,
+    # dim) product is formed, so the peak stays under the output plus 3 budgets
     budget = 8192
     a = np_rng.normal(size=(5, 32))
     b = np_rng.normal(size=(300, 32))
-    assert b.size * 8 > 9 * budget
+    assert a.shape[0] * b.shape[0] * 8 > budget
     with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         sims, peak = traced_peak(cosine_matrix, a, b, row_norms(b))
     for i in range(a.shape[0]):
@@ -220,3 +226,67 @@ def test_trial_sides_indexes_unique_utterances_in_first_appearance_order(np_rng)
     assert enroll.tolist() == [0, 1, 2, 0]
     assert test.tolist() == [1, 0, 2, 2]
     assert side_records[0] is records[3]
+
+
+# Dims 1-130, where a dot product is one einsum piece, and one past 8 192, where einsum
+# alone would split its sum where its buffer ends and the fixed pieces must not.
+DIMS = st.one_of(st.integers(1, 130), st.just(8193))
+# One-row blocks, then blocks near the program's own size.
+BUDGETS = st.sampled_from([8, 1 << 12, COSINE_BLOCK_BYTES])
+
+
+def bits(array) -> bytes:
+    return np.asarray(array, dtype=np.float64).tobytes()
+
+
+def random_rows(rng, n_rows, dim):
+    """Rows with signed zeros and values over twelve orders of magnitude,
+    each with a nonzero entry."""
+    rows = rng.normal(size=(n_rows, dim)) * 10.0 ** rng.integers(-6, 7)
+    rows[rng.random(rows.shape) < 0.05] = -0.0
+    rows[~rows.any(axis=1), 0] = 1.0
+    return rows
+
+
+@st.composite
+def row_pairs(draw):
+    dim = draw(DIMS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_rows(rng, draw(st.integers(1, 6)), dim), random_rows(rng, draw(st.integers(1, 6)), dim)
+
+
+@given(row_pairs(), BUDGETS)
+def test_cosine_matrix_entries_are_cosine_bits_in_any_block_and_order(pair, budget):
+    a, b = pair
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        forward = cosine_matrix(a, b)
+        backward = cosine_matrix(b, a)
+        columns = np.hstack([cosine_matrix(a, b[j:j + 1]) for j in range(len(b))])
+    assert bits(forward) == bits([[cosine(u, v) for v in b] for u in a])
+    assert bits(backward.T) == bits(forward)
+    assert bits(columns) == bits(forward)
+
+
+@st.composite
+def scored_stores(draw):
+    """Records of 1-4 chunks of one dim and 1-12 trials among them."""
+    dim = draw(DIMS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    records = [ChunkEmbeddings(f"u{i}", random_rows(rng, n, dim)) for i, n in enumerate(counts)]
+    side = st.integers(0, len(records) - 1)
+    pairs = draw(st.lists(st.tuples(side, side), min_size=1, max_size=12))
+    return records, trial_list((f"u{e}", f"u{t}") for e, t in pairs)
+
+
+@given(scored_stores(), BUDGETS)
+def test_score_trials_are_per_trial_cosine_means_across_blocks(case, budget):
+    records, trials = case
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        scores = score_trials(records, trials)
+    by_id = {rec.utt_id: rec.chunks for rec in records}
+    expected = []
+    for e, t in zip(trials.enroll, trials.test):
+        sims = [cosine(u, v) for u in by_id[e] for v in by_id[t]]
+        expected.append(math.fsum(sims) / len(sims))
+    assert bits(scores) == bits(expected)

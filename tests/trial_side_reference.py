@@ -77,11 +77,12 @@ def trial_feature_matrix(trials, records, table, schema, swap=False):
 
 
 def top_n_stats(scores, top_n):
-    """Mean and population std of the ``top_n`` largest entries of one row."""
+    """Mean and population std of the ``top_n`` largest entries of one row,
+    in ascending order."""
     if top_n < scores.shape[0]:
-        top = np.partition(scores, scores.shape[0] - top_n)[-top_n:]
+        top = np.sort(np.partition(scores, scores.shape[0] - top_n)[-top_n:])
     else:
-        top = scores
+        top = np.sort(scores)
     return float(top.mean()), float(top.std())
 
 
