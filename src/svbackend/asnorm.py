@@ -25,9 +25,7 @@ import numpy as np
 from .dataio import ChunkEmbeddings, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import (
-    COSINE_BLOCK_BYTES, cosine_matrix, gather_blocks, mean_rows, require_sides, row_norms, side_rows, take_sides,
-)
+from .scoring import blocks, cosine_matrix, mean_rows, require_sides, row_norms, side_rows, speaker_rows, take_sides
 
 
 def build_cohort(
@@ -49,12 +47,7 @@ def build_cohort(
         raise ValueError(f"per_speaker must be >= 1, got {per_speaker}")
     if not speaker_map:
         raise ToolkitError("empty speaker map")
-    ids, means = mean_rows(records)
-    by_speaker: dict[str, list[int]] = {}
-    for i, utt_id in enumerate(ids):
-        if utt_id not in speaker_map:
-            raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
-        by_speaker.setdefault(speaker_map[utt_id], []).append(i)
+    ids, means, by_speaker = speaker_rows(records, speaker_map)
     for speaker_id in speaker_map.values():
         if speaker_id not in by_speaker:
             raise ToolkitError(f"speaker {speaker_id!r} has no utterances in the store")
@@ -128,8 +121,8 @@ def asnorm_trials(
     Each is a list or a stream, consumed once, ``records`` first: only the
     mean embedding of each trial side is kept, in the order
     :func:`~svbackend.scoring.trial_sides` gives, and one mean row per cohort
-    record, each block of :func:`~svbackend.scoring.gather_blocks` reduced
-    with one call. Side rows are scored against the cohort in blocks whose
+    record, both by :func:`~svbackend.scoring.mean_rows`. Side rows are
+    scored against the cohort in :func:`~svbackend.scoring.blocks` whose
     similarities fit in ``COSINE_BLOCK_BYTES`` (at least one row each), and
     each block is sorted in place and reduced to its rows' top-N mean and
     std before the next is scored.
@@ -140,14 +133,8 @@ def asnorm_trials(
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
     rows, enroll, test = side_rows(pairs)
-    means = np.empty((len(rows), 0), dtype=np.float64)
-    for sides, block in gather_blocks(take_sides(records, rows)):
-        if not means.shape[1]:
-            means = np.empty((len(means), block.shape[2]), dtype=np.float64)
-        elif block.shape[2] != means.shape[1]:
-            raise ToolkitError(f"embedding dim mismatch: trial sides of dims {means.shape[1]} and {block.shape[2]}")
-        means[sides] = block.mean(axis=1)
-    _, cohort_rows = mean_rows(cohort)
+    means = mean_rows(take_sides(records, rows), len(rows))
+    cohort_rows = mean_rows(enumerate(cohort))
     if len(cohort_rows) < top_n:
         raise ToolkitError(f"cohort has {len(cohort_rows)} speakers, need >= top_n={top_n}")
     if not pairs:
@@ -156,8 +143,6 @@ def asnorm_trials(
     mu = np.empty(len(means), dtype=np.float64)
     sd = np.empty(len(means), dtype=np.float64)
     cohort_norms = row_norms(cohort_rows)
-    step = max(1, COSINE_BLOCK_BYTES // (len(cohort_rows) * 8))
-    for start in range(0, len(means), step):
-        block = slice(start, start + step)
+    for block in blocks(len(means), 8 * len(cohort_rows)):
         mu[block], sd[block] = _top_n_rows(cosine_matrix(means[block], cohort_rows, cohort_norms), top_n)
     return _normalize(raw_scores, mu[enroll], sd[enroll], mu[test], sd[test])

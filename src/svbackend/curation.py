@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import ChunkEmbeddings
+from .dataio import ChunkEmbeddings, unchecked
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, cosine_matrix, mean_rows, row_norms, vector_norm
+from .scoring import blocks, cosine_matrix, row_norms, speaker_rows, vector_norm
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,15 @@ def profiles_from_store(records: Iterable[ChunkEmbeddings], speaker_map: dict[st
     utterance count are profiled together, in blocks whose gathered means and
     their sorted copy fit in ``COSINE_BLOCK_BYTES``: one sort along the
     utterance axis and one :func:`~svbackend.scoring.row_norms` per block."""
-    ids, means = mean_rows(records)
-    by_speaker: dict[str, list[int]] = {}
-    for i, utt_id in enumerate(ids):
-        if utt_id not in speaker_map:
-            raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
-        by_speaker.setdefault(speaker_map[utt_id], []).append(i)
+    _, means, by_speaker = speaker_rows(records, speaker_map)
     speakers = sorted(by_speaker)
     sizes = np.array([len(by_speaker[spk]) for spk in speakers], dtype=np.intp)
     medians = np.empty((len(speakers), means.shape[1]), dtype=np.float64)
     norms = np.empty(len(speakers), dtype=np.float64)
     for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique would import numpy.ma
         members = np.flatnonzero(sizes == size)
-        step = max(1, COSINE_BLOCK_BYTES // (2 * size * means.shape[1] * 8))
-        for start in range(0, len(members), step):
-            block = members[start:start + step]
+        for part in blocks(len(members), 2 * size * means.shape[1] * 8):
+            block = members[part]
             utts = np.array([by_speaker[speakers[k]] for k in block.tolist()], dtype=np.intp)
             medians[block] = np.sort(means[utts], axis=1)[:, (size - 1) // 2]  # as _lower_median
             norms[block] = row_norms(medians[block])
@@ -101,16 +95,7 @@ def profiles_from_store(records: Iterable[ChunkEmbeddings], speaker_map: dict[st
     medians /= norms[:, None]
     if not np.all(np.isfinite(medians)):  # an overflowed mean; the one SpeakerProfile check these can fail
         raise ValueError("non-finite profile embedding")
-    return [_checked_profile(spk, median) for spk, median in zip(speakers, medians)]
-
-
-def _checked_profile(speaker_id: str, median: np.ndarray) -> SpeakerProfile:
-    """The profile of a finite 1-D median, which :func:`profiles_from_store`
-    has checked, made without checking it again."""
-    profile = object.__new__(SpeakerProfile)
-    object.__setattr__(profile, "speaker_id", speaker_id)
-    object.__setattr__(profile, "median_embedding", median)
-    return profile
+    return [unchecked(SpeakerProfile, speaker_id=spk, median_embedding=row) for spk, row in zip(speakers, medians)]
 
 
 @dataclass(frozen=True)
@@ -156,14 +141,13 @@ def ddf_select(
     best_sim = np.full(len(source), -np.inf)
     nearest = np.zeros(len(source), dtype=np.intp)
     src_norms = row_norms(src_matrix)
-    step = max(1, COSINE_BLOCK_BYTES // (len(source) * 8))
-    for start in range(0, len(targets), step):
-        block = np.stack([p.median_embedding for p in targets[start:start + step]])
+    for rows in blocks(len(targets), 8 * len(source)):
+        block = np.stack([p.median_embedding for p in targets[rows]])
         sims = cosine_matrix(block, src_matrix, src_norms)
         block_best = sims.max(axis=0)
         better = block_best > best_sim
         best_sim[better] = block_best[better]
-        nearest[better] = start + sims.argmax(axis=0)[better]
+        nearest[better] = rows.start + sims.argmax(axis=0)[better]
         candidate[np.argsort(np.negative(sims, out=sims), axis=1, kind="stable")[:, :k]] = True
         del sims
     return [

@@ -387,14 +387,14 @@ def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
                     break
         except DataFormatError as exc:
             fault = exc  # past every line of the batch; raised below unless one of them holds a bad value
-        values = _store_values(tokens, counts, dim, path, first_line)
+        values = _cast(tokens, (n_chunks * dim for n_chunks in counts), path, first_line).reshape(-1, dim)
         if fault is not None:
             raise fault
         if not ids:
             return
         start = 0
         for utt_id, n_chunks in zip(ids, counts):
-            yield _checked_record(utt_id, values[start:start + n_chunks])
+            yield unchecked(ChunkEmbeddings, utt_id=utt_id, chunks=values[start:start + n_chunks])
             start += n_chunks
         first_line += len(ids)
 
@@ -423,30 +423,30 @@ def _record_head(fields: list[str], dim: int, seen: set[str], path: str, lineno:
     return n_chunks
 
 
-def _store_values(tokens: list[str], counts: list[int], dim: int, path: str, first_line: int) -> np.ndarray:
-    """The values of a batch of store records as one (chunks, dim) matrix, the
-    records' chunk counts ``counts`` and their first line ``first_line``.
-    They are cast with one numpy call, and parsed token by token only when
-    that cast or the finiteness check fails, to name the first bad token."""
+def _cast(tokens: list[str], per_line: Iterable[int], path: str, first_line: int) -> np.ndarray:
+    """``tokens`` as one float64 vector, ``per_line`` of them on each line
+    from ``first_line`` on. They are cast with one numpy call, and parsed
+    token by token only when that cast or the finiteness check fails, to
+    raise the first bad token's located error."""
     try:
         values = np.array(tokens, dtype=np.float64)
-        finite = bool(np.all(np.isfinite(values)))
+        if np.all(np.isfinite(values)):
+            return values
     except ValueError:
-        finite = False
-    if not finite:
-        per_line = (n_chunks * dim for n_chunks in counts)
-        lines = itertools.chain.from_iterable(itertools.repeat(first_line + i, n) for i, n in enumerate(per_line))
-        values = np.array([_parse_float(tok, path, line) for tok, line in zip(tokens, lines)], dtype=np.float64)
-    return values.reshape(-1, dim)
+        pass
+    lines = itertools.chain.from_iterable(itertools.repeat(first_line + i, n) for i, n in enumerate(per_line))
+    return np.array([_parse_float(tok, path, line) for tok, line in zip(tokens, lines)], dtype=np.float64)
 
 
-def _checked_record(utt_id: str, chunks: np.ndarray) -> ChunkEmbeddings:
-    """The record of a token id and a finite (n_chunks, dim) float64 matrix,
-    which the store reader has checked, made without checking them again."""
-    record = object.__new__(ChunkEmbeddings)
-    object.__setattr__(record, "utt_id", utt_id)
-    object.__setattr__(record, "chunks", chunks)
-    return record
+def unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, which the caller has
+    checked, made without running its checks again: a store record of a
+    token id and a finite (n_chunks, dim) float64 matrix, or a profile of a
+    finite 1-D median. Its ``__dict__`` is filled in directly, past the
+    frozen ``__setattr__``."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
 
 
 def write_embeddings(records: list[ChunkEmbeddings], path: str) -> None:
@@ -611,9 +611,9 @@ def _read_pairs(
     mismatch against it is kept, and after the last block a count that
     differs is raised, then that mismatch on its line; the pairs returned
     are the reference."""
-    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
+    from .scoring import per_block  # scoring imports this module
 
-    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, width) * 8))
+    step = per_block(8 * max(1, width) * 8)
     rows = iter(rows)
     values = RowBuffer(width, rows=len(reference or ()), lead=lead)
     kept_enroll, kept_test, mismatch = [], [], None
@@ -635,16 +635,9 @@ def _read_pairs(
         for i in blank:  # cast as zeros, then set to NaN, so that a "nan" cell is still an error
             cells[i] = "0"
         try:
-            block = np.array(cells, dtype=np.float64)
-            finite = bool(np.all(np.isfinite(block)))
-        except ValueError:
-            finite = False
-        if not finite:
-            try:
-                block = np.array([_parse_float(text, path, first_line + start + i // width)
-                                  for i, text in enumerate(cells)], dtype=np.float64)
-            except DataFormatError as exc:
-                errors.append(exc)
+            block = _cast(cells, itertools.repeat(width, len(enroll)), path, first_line + start)
+        except DataFormatError as exc:
+            errors.append(exc)
         if errors:
             raise min(errors, key=lambda exc: exc.line)  # an id before a cell on one line
         if fault is not None:
@@ -900,11 +893,10 @@ def _feature_rows(matrix: np.ndarray) -> Iterator[str]:
     A cell's text takes up to about eight times its 8 bytes, so a block of
     cells whose texts fit in ``COSINE_BLOCK_BYTES`` holds an eighth of that
     in values."""
-    from .scoring import COSINE_BLOCK_BYTES  # scoring imports this module
+    from .scoring import blocks  # scoring imports this module
 
-    step = max(1, COSINE_BLOCK_BYTES // (8 * matrix.shape[1] * 8))
-    for start in range(0, matrix.shape[0], step):
-        block = matrix[start:start + step]
+    for rows in blocks(matrix.shape[0], 8 * matrix.shape[1] * 8):
+        block = matrix[rows]
         patterns, inverse = np.unique(block.view(np.int64), return_inverse=True)
         distinct = patterns.view(np.float64)
         if np.isinf(distinct).any():

@@ -38,7 +38,7 @@ import numpy as np
 from . import qmf
 from .dataio import FusionModel
 from .errors import ConvergenceWarning, FeatureMismatchError, ToolkitError
-from .scoring import COSINE_BLOCK_BYTES
+from .scoring import per_block
 
 
 def sigmoid(x):
@@ -114,9 +114,9 @@ def _sum_of_squares(values: np.ndarray) -> float:
     """``float((values * values).sum())`` of a 1-D array, bit for bit, without
     its copy: numpy sums a contiguous vector pairwise, halving it at
     ``n // 2`` rounded down to a multiple of 8, and this follows that split
-    down to pieces of at most ``COSINE_BLOCK_BYTES // 8`` values, each of
-    which numpy sums the same way from one temporary of its squares."""
-    if len(values) <= COSINE_BLOCK_BYTES // 8:
+    down to pieces of at most ``per_block(8)`` values, each of which numpy
+    sums the same way from one temporary of its squares."""
+    if len(values) <= per_block(8):
         return float(np.add.reduce(values * values))
     half = len(values) // 2
     half -= half % 8

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, TrialList
 from .errors import ToolkitError
-from .scoring import COSINE_BLOCK_BYTES, gather_blocks, require_sides, side_rows, take_sides
+from .scoring import blocks, gather_blocks, require_sides, side_rows, take_sides
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -129,9 +129,7 @@ def trial_feature_matrix(
     names = feature_names(schema)
     matrix = np.empty((len(enroll), len(names)), dtype=np.float64)
     kinds = [col.kind for col in schema] + ["real"] * len(EMBEDDING_STAT_NAMES)
-    step = max(1, COSINE_BLOCK_BYTES // (2 * side.shape[1] * 8))
-    for start in range(0, len(enroll), step):
-        rows = slice(start, start + step)
+    for rows in blocks(len(enroll), 2 * side.shape[1] * 8):
         _pair_sides(matrix[rows], side[enroll[rows]], side[test[rows]], kinds)
     return names, matrix
 

@@ -34,6 +34,21 @@ from .errors import ToolkitError
 # peaks at its inputs and outputs plus a few such blocks; larger blocks raise that peak.
 COSINE_BLOCK_BYTES = 1 << 18
 
+
+def per_block(item_bytes: int) -> int:
+    """Items of ``item_bytes`` bytes each that one block holds within
+    ``COSINE_BLOCK_BYTES``, read when called, and at least one."""
+    return max(1, COSINE_BLOCK_BYTES // max(1, item_bytes))
+
+
+def blocks(n: int, item_bytes: int) -> Iterator[slice]:
+    """The slices that split ``range(n)`` in order into blocks of
+    :func:`per_block` items."""
+    step = per_block(item_bytes)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
 # Columns one einsum call sums. Past about 8 192 columns einsum's iterator splits a sum
 # where its buffer ends, so the split, and the bits, would follow the operands' shapes.
 DOT_PIECE = 4096
@@ -106,9 +121,7 @@ def cosine_matrix(rows_a: np.ndarray, rows_b: np.ndarray, norms_b: np.ndarray | 
     if not (np.all(norms_a > 0.0) and np.all(norms_b > 0.0)):
         raise ToolkitError("cosine undefined for zero-norm vector")
     sims = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    step = max(1, COSINE_BLOCK_BYTES // (8 * max(1, b.shape[0])))
-    for r in range(0, a.shape[0], step):
-        rows = slice(r, r + step)
+    for rows in blocks(a.shape[0], 8 * b.shape[0]):
         block = dots("ij,kj->ik", a[rows], b, out=sims[rows])
         block /= norms_a[rows, None] * norms_b
     np.clip(sims, -1.0, 1.0, out=sims)
@@ -206,12 +219,38 @@ def gather_blocks(sides: Iterable[tuple[int, ChunkEmbeddings]]) -> Iterator[tupl
         yield np.array(rows, dtype=np.intp), np.array(stack)
 
 
-def mean_rows(records: Iterable[ChunkEmbeddings]) -> tuple[list[str], np.ndarray]:
-    """The ids of the stream ``records`` and their mean embeddings as the rows
-    of one matrix. The means of a block of :func:`gather_blocks` are taken
-    with one call and written into their rows of the matrix, which grows in
-    place, so no more than one block of records is held. The records must
-    share one dim."""
+def mean_rows(sides: Iterable[tuple[int, ChunkEmbeddings]], n_rows: int = 0) -> np.ndarray:
+    """The mean embedding of each record of ``sides``, a stream of (row,
+    record) pairs, in that row of one matrix, made for ``n_rows`` rows. The
+    means of a block of :func:`gather_blocks` are taken with one call and
+    written into their rows of the matrix, which grows in place, so no more
+    than one block of records is held. The records must share one dim; the
+    first that does not is raised with the stream's first record."""
+
+    def checked():
+        first = None
+        for row, rec in sides:
+            if first is None:
+                first = rec
+            elif rec.dim != first.dim:
+                raise ToolkitError(
+                    f"embedding dim mismatch: {first.utt_id!r} has {first.dim}, {rec.utt_id!r} has {rec.dim}")
+            yield row, rec
+
+    means = None
+    for rows, block in gather_blocks(checked()):
+        if means is None:
+            means = RowBuffer(block.shape[2], rows=n_rows)
+        means.grow(int(rows.max()) + 1)[rows] = block.mean(axis=1)
+    return np.empty((0, 0)) if means is None else means.take()
+
+
+def speaker_rows(
+    records: Iterable[ChunkEmbeddings], speaker_map: dict[str, str]
+) -> tuple[list[str], np.ndarray, dict[str, list[int]]]:
+    """The ids of ``records`` and their :func:`mean_rows`, both in stream
+    order, and each speaker's rows, in that order. ``records`` is a list or
+    a stream, consumed once before the speaker map is consulted."""
     ids: list[str] = []
 
     def numbered():
@@ -219,14 +258,13 @@ def mean_rows(records: Iterable[ChunkEmbeddings]) -> tuple[list[str], np.ndarray
             ids.append(rec.utt_id)
             yield len(ids) - 1, rec
 
-    means = None
-    for rows, block in gather_blocks(numbered()):
-        if means is None:
-            dim, means = block.shape[2], RowBuffer(block.shape[2])
-        elif block.shape[2] != dim:  # a block's first record is the first of its shape, so the first mismatch
-            raise ToolkitError(f"embedding dim mismatch: {ids[0]!r} has {dim}, {ids[rows[0]]!r} has {block.shape[2]}")
-        means.grow(len(ids))[rows] = block.mean(axis=1)
-    return ids, np.empty((0, 0)) if means is None else means.take()
+    means = mean_rows(numbered())
+    by_speaker: dict[str, list[int]] = {}
+    for row, utt_id in enumerate(ids):
+        if utt_id not in speaker_map:
+            raise ToolkitError(f"utterance {utt_id!r} missing from speaker map")
+        by_speaker.setdefault(speaker_map[utt_id], []).append(row)
+    return ids, means, by_speaker
 
 
 def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList) -> np.ndarray:
@@ -281,9 +319,8 @@ def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: 
     for code in np.flatnonzero(np.bincount(trial_code, minlength=len(shapes) ** 2)).tolist():
         members = np.flatnonzero(trial_code == code)
         (n_e, dim), (n_t, _) = shapes[code // len(shapes)].tolist(), shapes[code % len(shapes)].tolist()
-        per_block = max(1, COSINE_BLOCK_BYTES // (((n_e + n_t) * dim + n_e * n_t) * 8))
-        for start in range(0, members.size, per_block):
-            block = members[start:start + per_block]
+        for part in blocks(members.size, ((n_e + n_t) * dim + n_e * n_t) * 8):
+            block = members[part]
             # np.array builds C-ordered blocks (np.stack would keep a Fortran-ordered record's
             # layout), so every dot product below runs over a contiguous last axis
             e_chunks = np.array([side_records[i].chunks for i in enroll[block].tolist()])

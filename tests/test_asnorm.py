@@ -223,6 +223,19 @@ def test_asnorm_trials_aligns_and_vectorizes(small_synth, np_rng):
         asnorm_trials(raw[:3], pairs, sides, cohort, top_n=4)
 
 
+def test_asnorm_trials_names_the_first_side_of_another_dim(small_synth, np_rng):
+    """Trial sides of two dims name the first side the store gives and the
+    first of another dim, as score does; a record no trial names is passed
+    over."""
+    records, speaker_map = small_synth
+    cohort = build_cohort(records, speaker_map, per_speaker=2)
+    sides = [ChunkEmbeddings(u, np_rng.normal(size=(n, d)))
+             for u, n, d in [("x2", 1, 2), ("a4", 2, 4), ("b4", 1, 4), ("c8", 2, 8), ("d8", 1, 8)]]
+    pairs = trial_list([("b4", "c8"), ("a4", "d8")])
+    with pytest.raises(ToolkitError, match=r"^embedding dim mismatch: 'a4' has 4, 'c8' has 8$"):
+        asnorm_trials(np.zeros(2), pairs, sides, cohort, top_n=4)
+
+
 def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_rng):
     """Utterances shared across trials, multi-chunk sides and self-trials all
     match the per-trial oracle bit for bit."""

@@ -16,7 +16,7 @@ from fusion_grid_oracle import (
     make_grid_problem,
     problem_digest,
 )
-from svbackend import fusion, qmf
+from svbackend import fusion, qmf, scoring
 from svbackend.dataio import FusionModel, MinMaxParams
 from svbackend.errors import FeatureMismatchError, ToolkitError
 from svbackend.fusion import (
@@ -323,8 +323,8 @@ def test_train_matches_manual_pipeline(np_rng):
 
 
 @given(st.integers(1, 700), st.integers(1, 40), st.sampled_from(["C", "F", "every other column"]),
-       st.sampled_from([1 << 10, 1 << 12, 1 << 15, fusion.COSINE_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
-@example(rows=11_538, cols=26, layout="C", budget=fusion.COSINE_BLOCK_BYTES, seed=1)  # 299 988 cells
+       st.sampled_from([1 << 10, 1 << 12, 1 << 15, scoring.COSINE_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
+@example(rows=11_538, cols=26, layout="C", budget=scoring.COSINE_BLOCK_BYTES, seed=1)  # 299 988 cells
 def test_sum_of_squares_matches_numpy_bit_for_bit(rows, cols, layout, budget, seed):
     """Leaves of 128 to 32 768 cells (budgets of 1 KiB to 256 KiB) give the
     bits of the sum over the squared matrix that fit's step floor took."""
@@ -334,7 +334,7 @@ def test_sum_of_squares_matches_numpy_bit_for_bit(rows, cols, layout, budget, se
         matrix = np.asfortranarray(matrix)
     elif layout == "every other column":
         matrix = matrix[:, ::2]
-    with mock.patch.object(fusion, "COSINE_BLOCK_BYTES", budget):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         total = fusion._sum_of_squares(matrix.ravel(order="K"))
     assert total == float((matrix * matrix).sum())
 

@@ -1,6 +1,8 @@
 """Cosine and chunked pairwise trial scoring against double-loop oracles."""
 
+import importlib
 import math
+import pkgutil
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import svbackend
 from conftest import trial_list
 from svbackend import scoring
 from svbackend.dataio import ChunkEmbeddings, TrialList
@@ -16,6 +19,7 @@ from svbackend.scoring import (
     COSINE_BLOCK_BYTES,
     cosine,
     cosine_matrix,
+    mean_rows,
     pairwise_score,
     row_norms,
     score_trials,
@@ -290,3 +294,37 @@ def test_score_trials_are_per_trial_cosine_means_across_blocks(case, budget):
         sims = [cosine(u, v) for u in by_id[e] for v in by_id[t]]
         expected.append(math.fsum(sims) / len(sims))
     assert bits(scores) == bits(expected)
+
+
+# ---------------------------------------------------------------------------
+# The one block budget
+
+
+def test_only_scoring_binds_the_block_budget():
+    """Every blocked kernel reads scoring's budget, so patching it splits them
+    all; a module holding its own copy would run at the default instead."""
+    for info in pkgutil.iter_modules(svbackend.__path__):
+        module = importlib.import_module(f"svbackend.{info.name}")
+        assert info.name == "scoring" or not hasattr(module, "COSINE_BLOCK_BYTES"), info.name
+
+
+@given(st.integers(0, 200), st.integers(0, 4096), st.integers(1, 1 << 14))
+def test_blocks_cover_the_range_in_order_within_the_patched_budget(n, item_bytes, budget):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        parts = [list(range(n))[part] for part in scoring.blocks(n, item_bytes)]
+    assert [i for part in parts for i in part] == list(range(n))
+    assert all(parts)
+    # a block of more than one item fits, and every block but the last is as full as fits
+    assert all(len(part) == 1 or len(part) * item_bytes <= budget for part in parts)
+    assert all((len(part) + 1) * max(1, item_bytes) > budget for part in parts[:-1])
+
+
+def test_mean_rows_names_the_first_record_of_another_dim(np_rng):
+    records = [
+        ChunkEmbeddings("a4", np_rng.normal(size=(2, 4))),
+        ChunkEmbeddings("b4", np_rng.normal(size=(1, 4))),
+        ChunkEmbeddings("c8", np_rng.normal(size=(3, 8))),
+        ChunkEmbeddings("d8", np_rng.normal(size=(1, 8))),
+    ]
+    with pytest.raises(ToolkitError, match=r"^embedding dim mismatch: 'a4' has 4, 'c8' has 8$"):
+        mean_rows(enumerate(records))

@@ -13,11 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import trial_side_reference as reference
-from svbackend import curation, dataio, qmf, scoring
+from svbackend import dataio, qmf, scoring
 from svbackend.curation import median_profile, profiles_from_store
 from svbackend.dataio import ChunkEmbeddings
 from svbackend.errors import ToolkitError
-from svbackend.scoring import gather_blocks, mean_rows, row_norms
+from svbackend.scoring import gather_blocks, mean_rows, row_norms, speaker_rows
 
 # (text of a store batch, bytes of a line-source piece, block budget): one line per batch
 # and pieces that split every line, then sizes near the program's own
@@ -48,8 +48,7 @@ def sized(sizes):
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch))
         stack.enter_context(mock.patch.object(dataio, "_BLOCK_BYTES", block))
-        for module in (scoring, qmf, curation):
-            stack.enter_context(mock.patch.object(module, "COSINE_BLOCK_BYTES", budget))
+        stack.enter_context(mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget))
         yield
 
 
@@ -63,13 +62,20 @@ def bits(array) -> bytes:
     return np.asarray(array, dtype=np.float64).tobytes()
 
 
-@given(stores(), SIZES)
-def test_mean_rows_are_each_records_mean(tmp_path_factory, records, sizes):
+@given(stores(), SIZES, st.integers(0, 2**32 - 1))
+def test_mean_rows_are_each_records_mean(tmp_path_factory, records, sizes, seed):
+    """Each record's mean goes into its row, whether the rows come in stream
+    order, with the ids speaker_rows gives, or, as asnorm's trial sides do,
+    in any order."""
     path = store(records, tmp_path_factory)
+    rows = np.random.default_rng(seed).permutation(len(records)).tolist()
     with sized(sizes):
-        ids, means = mean_rows(dataio.iter_embeddings(path))
+        ids, in_order, _ = speaker_rows(dataio.iter_embeddings(path), {rec.utt_id: "spk" for rec in records})
+        shuffled = mean_rows(zip(rows, dataio.iter_embeddings(path)), len(records))
+    expected = [bits(rec.chunks.mean(axis=0)) for rec in records]
     assert ids == [rec.utt_id for rec in records]
-    assert [bits(row) for row in means] == [bits(rec.chunks.mean(axis=0)) for rec in records]
+    assert [bits(row) for row in in_order] == expected
+    assert [bits(shuffled[row]) for row in rows] == expected
 
 
 @given(stores(), SIZES)

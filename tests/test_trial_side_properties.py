@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import trial_side_reference as reference
 from conftest import trial_list
-from svbackend import asnorm, curation, qmf
+from svbackend import qmf, scoring
 from svbackend.asnorm import asnorm_trials, build_cohort, top_n_stats
 from svbackend.curation import DdfConfig, SpeakerProfile, ddf_select, profiles_from_store
 from svbackend.dataio import AttributeTable, ChunkEmbeddings, SchemaColumn
@@ -56,7 +56,7 @@ def qmf_inputs(draw):
 @given(qmf_inputs(), st.integers(8, 4096))
 def test_trial_feature_matrix_matches_per_trial_reference(inputs, budget):
     trials, records, table, schema = inputs
-    with mock.patch.object(qmf, "COSINE_BLOCK_BYTES", budget):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         names, got = qmf.trial_feature_matrix(trials, records, table, schema)
     ref_names, forward = reference.trial_feature_matrix(trials, records, table, schema)
     _, swapped = reference.trial_feature_matrix(trials, records, table, schema, swap=True)
@@ -128,7 +128,7 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
     raw = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(trials), max_size=len(trials))))
     budget = data.draw(st.integers(1, 8 * n_cohort * 4))  # from under one row to four rows per block
     try:
-        with mock.patch.object(asnorm, "COSINE_BLOCK_BYTES", budget):
+        with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
             got = asnorm_trials(raw, trials, records, cohort, top_n)
     except DegenerateCohortError:
         assume(False)
@@ -165,7 +165,7 @@ def ddf_inputs(draw):
 @given(ddf_inputs(), st.integers(1, 8 * 12 * 3))
 def test_ddf_select_matches_sort_key_reference(inputs, budget):
     source, targets, config = inputs
-    with mock.patch.object(curation, "COSINE_BLOCK_BYTES", budget):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         got = ddf_select(source, targets, config)
     assert got == reference.ddf_select(source, targets, config)
 
