@@ -11,41 +11,40 @@ time, so no reader holds a file's text whole and the first fault in line
 order is the one raised. :func:`read_text` holds the whole text and is for
 the JSON documents only (the fusion model and the synth config).
 
-The store reader takes its lines a batch of about ``_STORE_BATCH_CHARS`` of
-text at a time. It checks each line's fields as it reads it and casts the
-values of the whole batch with one numpy call; only when that cast or the
-finiteness check fails does it parse them token by token, to name the bad
-token, which is raised before a fault on a later line of the batch. A batch
-is the packed form of its records, their ids, chunk counts and one (chunks,
-dim) value matrix; each record's chunks are a view of that matrix, and the
-record is made without checking it a second time.
+Every value read from text, in the store, score files and feature tables,
+is cast by one loop, :func:`_batches`. Each reader hands it rows checked in
+full but for their value cells (a feature row's ids included) as it reads
+them. The loop holds rows until their fields, at ``_FIELD_BYTES`` each, fill
+``scoring.COSINE_BLOCK_BYTES``, casts their cells with one numpy call (a
+blank CSV cell is NaN), and parses them one by one only when that cast or
+the finiteness check fails, to name the first bad cell. That is raised
+before a fault on a later line, so the first fault in line order is the one
+raised, an id before a cell on one line. Each store record's chunks are a
+view of its batch's values, made without a second check.
 :func:`iter_embeddings` yields the records batch by batch, for kernels that
 keep a summary per record, and :func:`read_embeddings` is the list of it.
-The store writer formats and writes one record at a time, so the store's
-text is never held whole.
+The store writer formats and writes one record at a time.
 
 A trial list is a :class:`TrialList`: an enroll id column, a test id column
 and, when labeled, a bool label array. It checks all its ids at once and
-scans them pair by pair only to name the first bad one. The trial reader
-reads a list once and, unless told, takes whether it is labeled from its
-first line. The trial, score and feature readers return one, and it is the
-only trial type the functions here take; :class:`Trial` is the record form
-that :func:`~svbackend.scoring.score_trials` alone still converts.
+scans them pair by pair only to name the first bad one; a reader that has
+checked its ids makes one with :func:`unchecked`. The trial reader reads a
+list once and, unless told, takes whether it is labeled from its first line.
+The trial, score and feature readers return one, and it is the only trial
+type the functions here take; :class:`Trial` is the record form that
+:func:`~svbackend.scoring.score_trials` alone still converts.
 
 Score files and trial feature tables line up pair for pair with a trial
-list, and one loop, :func:`_read_pairs`, reads both. Each reader parses its
-own header and checks each row's field count; the loop casts the cells of a
-block of rows with one numpy call (a blank cell is NaN) into a
-:class:`RowBuffer`, a matrix that grows in place, and parses them one by
-one only to name a bad one, which is raised before a fault on a later line.
-Given a reference trial list, it checks each block's pairs against it and
-holds none of the file's ids: a fault anywhere in the file is raised first,
-then a count that differs, then the first mismatched pair on its line. The
-table's records come from :func:`_csv_rows`, which splits a line with no
-quote and no NUL, that is not empty and no longer than the field size
-limit, on commas, as strict ``csv`` reads it, and reads every other line
-with strict ``csv``. :func:`read_fusion_features` reads fusion's inputs as
-named columns of one matrix, the feature table cast straight into it.
+list, and :func:`_read_pairs` reads both into a :class:`RowBuffer`, a
+matrix that grows in place. Given a reference trial list, it checks each
+batch's pairs against it and holds none of the file's ids: a fault anywhere
+in the file is raised first, then a count that differs, then the first
+mismatched pair on its line. The table's records come from
+:func:`_csv_rows`, which splits a line with no quote and no NUL, that is not
+empty and no longer than the field size limit, on commas, as strict ``csv``
+reads it, and reads every other line with strict ``csv``.
+:func:`read_fusion_features` reads fusion's inputs as named columns of one
+matrix, the feature table cast straight into it.
 
 Every writer hands :func:`atomic_write_text` one line at a time, so none
 holds its file's text whole, and refuses with ``ValueError``, leaving the
@@ -180,9 +179,11 @@ def _lines(path: str) -> Iterator[tuple[int, str]]:
         except UnicodeDecodeError as exc:
             lines = (piece[:exc.start].decode("utf-8") + "_").splitlines()[:-1]
             fault = _invalid_utf8(piece, exc, path, lineno + 1)
+        del piece  # its lines hold its text
         for line in lines:
             lineno += 1
             yield lineno, line
+        del lines  # so the next block is read and split without them
         if fault is not None:
             raise fault
 
@@ -345,17 +346,10 @@ def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     return list(iter_embeddings(path))
 
 
-# Text of the store lines whose values one numpy call casts. Their tokens take about
-# four times the text, a small part of one COSINE_BLOCK_BYTES budget.
-_STORE_BATCH_CHARS = 1 << 14
-
-
 def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
-    """The store's records, read a batch of lines at a time and yielded as
-    each batch is cast, so a consumer that keeps a summary per record never
-    holds the store. Nothing is read until the first record is asked for. A
-    batch holding a fault yields nothing: the first fault in line order is
-    raised when its batch is read."""
+    """The store's records, read by :func:`_batches` and yielded as each
+    batch is cast, so a consumer that keeps a summary per record never holds
+    the store. Nothing is read until the first record is asked for."""
     path = str(path)
     lines = _data_lines(path)
     header_no, header = next(lines, (1, None))
@@ -371,79 +365,110 @@ def iter_embeddings(path: str) -> Iterator[ChunkEmbeddings]:
     if dim < 1:
         raise DataFormatError(f"dimension must be >= 1, got {dim}", path=path, line=header_no)
 
-    seen: set[str] = set()
-    first_line = header_no + 1  # no line is blank, so the batch's records are on consecutive lines
+    def rows() -> Iterator[list[str]]:
+        """Each record's fields, all but its values checked in the order they are read."""
+        seen: set[str] = set()
+        for lineno, raw in lines:
+            fields = raw.split()
+            if len(fields) < 2:
+                raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
+            try:
+                n_chunks = int(fields[1])
+            except ValueError:
+                raise DataFormatError(f"invalid chunk count {fields[1]!r}", path=path, line=lineno) from None
+            if n_chunks < 1:
+                raise DataFormatError(f"chunk count must be >= 1, got {n_chunks}", path=path, line=lineno)
+            if len(fields) - 2 != n_chunks * dim:
+                raise DataFormatError(f"expected {n_chunks * dim} values for {n_chunks} chunks of dim {dim}, "
+                                      f"found {len(fields) - 2}", path=path, line=lineno)
+            if fields[0] in seen:
+                raise DataFormatError(f"duplicate utt_id {fields[0]!r}", path=path, line=lineno)
+            seen.add(fields[0])
+            yield fields
+
+    # no line is blank, so the records are on the lines after the header
+    for ids, _, counts, values in _batches(path, rows(), header_no + 1):
+        values = values.reshape(-1, dim)
+        start = 0
+        for utt_id, count in zip(ids, counts):
+            yield unchecked(ChunkEmbeddings, utt_id=utt_id, chunks=values[start:start + count // dim])
+            start += count // dim
+
+
+# A field's text, its str object and list slot and its float64 take about 110 bytes at repr
+# precision; counting 256 keeps a batch's parse within half of one block budget.
+_FIELD_BYTES = 256
+
+
+def _batches(path: str, rows: Iterable[list[str]], first_line: int) -> Iterator[tuple]:
+    """(first fields, second fields, cell counts, values) of each batch of
+    ``rows``, each one line's fields, two leading ones and its value cells,
+    row i on line ``first_line + i``. ``rows`` raises the located error of
+    any fault but a bad cell on the line it reads. A batch holds rows until
+    their fields reach ``scoring.per_block(_FIELD_BYTES)`` and its cells are
+    cast by one :func:`_cast`, so a bad one is raised before a fault that
+    ``rows`` raised on a later line."""
+    from .scoring import per_block  # scoring imports this module
+
+    rows = iter(rows)
     while True:
-        ids, counts, tokens, chars, fault = [], [], [], 0, None
+        firsts, seconds, counts, cells, fault = [], [], [], [], None
+        room = per_block(_FIELD_BYTES)
         try:
-            for lineno, raw in lines:
-                fields = raw.split()
-                counts.append(_record_head(fields, dim, seen, path, lineno))
-                seen.add(fields[0])
-                ids.append(fields[0])
-                tokens += fields[2:]
-                chars += len(raw)
-                if chars >= _STORE_BATCH_CHARS:
+            for fields in rows:
+                firsts.append(fields[0])
+                seconds.append(fields[1])
+                counts.append(len(fields) - 2)
+                cells += fields[2:]
+                room -= len(fields)
+                if room <= 0:
                     break
         except DataFormatError as exc:
-            fault = exc  # past every line of the batch; raised below unless one of them holds a bad value
-        values = _cast(tokens, (n_chunks * dim for n_chunks in counts), path, first_line).reshape(-1, dim)
+            fault = exc  # past every row read; raised below unless one of them holds a bad cell
+        values = _cast(cells, counts, path, first_line)
         if fault is not None:
             raise fault
-        if not ids:
+        if not firsts:
             return
-        start = 0
-        for utt_id, n_chunks in zip(ids, counts):
-            yield unchecked(ChunkEmbeddings, utt_id=utt_id, chunks=values[start:start + n_chunks])
-            start += n_chunks
-        first_line += len(ids)
-
-
-def _record_head(fields: list[str], dim: int, seen: set[str], path: str, lineno: int) -> int:
-    """The chunk count of the store record split into ``fields``, after
-    checking every part of the record but its values: the located error of
-    the first fault, in the order the record's fields are read."""
-    if len(fields) < 2:
-        raise DataFormatError("expected 'utt_id n_chunks v1 ...'", path=path, line=lineno)
-    try:
-        n_chunks = int(fields[1])
-    except ValueError:
-        raise DataFormatError(f"invalid chunk count {fields[1]!r}", path=path, line=lineno) from None
-    if n_chunks < 1:
-        raise DataFormatError(f"chunk count must be >= 1, got {n_chunks}", path=path, line=lineno)
-    expected = n_chunks * dim
-    if len(fields) - 2 != expected:
-        raise DataFormatError(
-            f"expected {expected} values for {n_chunks} chunks of dim {dim}, found {len(fields) - 2}",
-            path=path,
-            line=lineno,
-        )
-    if fields[0] in seen:
-        raise DataFormatError(f"duplicate utt_id {fields[0]!r}", path=path, line=lineno)
-    return n_chunks
+        yield firsts, seconds, counts, values
+        first_line += len(firsts)
 
 
 def _cast(tokens: list[str], per_line: Iterable[int], path: str, first_line: int) -> np.ndarray:
     """``tokens`` as one float64 vector, ``per_line`` of them on each line
-    from ``first_line`` on. They are cast with one numpy call, and parsed
-    token by token only when that cast or the finiteness check fails, to
-    raise the first bad token's located error."""
+    from ``first_line`` on, a blank token (only a CSV cell can be one) as
+    NaN. They are cast with one numpy call; only when it fails are blanks
+    looked for and cast as zeros, and only when a cast or the finiteness
+    check still fails are the tokens parsed one by one, to raise the first
+    bad token's located error."""
+    values = _finite(tokens)
+    if values is None and "" in tokens:
+        values = _finite([text or "0" for text in tokens])  # zeros, so that a "nan" cell is still an error
+        if values is not None:
+            values[[i for i, text in enumerate(tokens) if not text]] = np.nan
+    if values is not None:
+        return values
+    lines = itertools.chain.from_iterable(itertools.repeat(first_line + i, n) for i, n in enumerate(per_line))
+    return np.array([_parse_float(tok, path, line) if tok else math.nan for tok, line in zip(tokens, lines)],
+                    dtype=np.float64)
+
+
+def _finite(tokens: list[str]) -> np.ndarray | None:
+    """``tokens`` cast with one numpy call, or None when the cast or the finiteness check fails."""
     try:
         values = np.array(tokens, dtype=np.float64)
-        if np.all(np.isfinite(values)):
-            return values
     except ValueError:
-        pass
-    lines = itertools.chain.from_iterable(itertools.repeat(first_line + i, n) for i, n in enumerate(per_line))
-    return np.array([_parse_float(tok, path, line) for tok, line in zip(tokens, lines)], dtype=np.float64)
+        return None
+    return values if np.all(np.isfinite(values)) else None
 
 
 def unchecked(cls, **fields):
     """The frozen dataclass ``cls`` holding ``fields``, which the caller has
     checked, made without running its checks again: a store record of a
-    token id and a finite (n_chunks, dim) float64 matrix, or a profile of a
-    finite 1-D median. Its ``__dict__`` is filled in directly, past the
-    frozen ``__setattr__``."""
+    token id and a finite (n_chunks, dim) float64 matrix, a trial list of
+    token ids in two lists of one length, or a profile of a finite 1-D
+    median. Its ``__dict__`` is filled in directly, past the frozen
+    ``__setattr__``."""
     made = object.__new__(cls)
     made.__dict__.update(fields)
     return made
@@ -490,20 +515,13 @@ class Trial:
     test_id: str
 
 
-def _first_bad_id(enroll: list[str], test: list[str]) -> tuple[int, str] | None:
-    """(index, message) of the first pair with an id that is not a token, the
-    enroll id checked before the test id, or None when every id is one. A
-    column holds only tokens when none of its ids is empty and their
-    concatenation holds no whitespace, so the pairs are scanned only when a
-    column fails that."""
-    if all(_is_token("".join(ids)) and all(ids) for ids in (enroll, test) if ids):
-        return None
-    return next(
-        (i, f"{name} must be non-empty without whitespace, got {value!r}")
-        for i, pair in enumerate(zip(enroll, test))
-        for name, value in zip(("enroll_id", "test_id"), pair)
-        if not _is_token(value)
-    )
+def _id_fault(enroll: str, test: str) -> str | None:
+    """The message naming the first id of a pair that is not a token, the
+    enroll id before the test id, or None when both are tokens."""
+    for name, value in (("enroll_id", enroll), ("test_id", test)):
+        if not _is_token(value):
+            return f"{name} must be non-empty without whitespace, got {value!r}"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,9 +540,10 @@ class TrialList:
         enroll, test = (ids if type(ids) is list else list(ids) for ids in (self.enroll, self.test))
         if len(enroll) != len(test):
             raise ValueError(f"{len(enroll)} enroll ids but {len(test)} test ids")
-        bad = _first_bad_id(enroll, test)
-        if bad is not None:
-            raise ValueError(bad[1])
+        # a column holds only tokens when none of its ids is empty and their concatenation holds no
+        # whitespace, so the pairs are scanned only when a column fails that
+        if not all(_is_token("".join(ids)) and all(ids) for ids in (enroll, test) if ids):
+            raise ValueError(next(filter(None, map(_id_fault, enroll, test))))
         object.__setattr__(self, "enroll", enroll)
         object.__setattr__(self, "test", test)
         if self.labels is not None:
@@ -576,7 +595,8 @@ def read_trials(path: str, expect_labels: bool | None = None) -> TrialList:
             e, t = tokens
         enroll.append(e)
         test.append(t)
-    return TrialList(enroll, test, np.array(labels, dtype=bool) if expect_labels else None)
+    labels = np.array(labels, dtype=bool) if expect_labels else None
+    return unchecked(TrialList, enroll=enroll, test=test, labels=labels)  # str.split makes only tokens
 
 
 def sniff_trial_labels(path: str) -> bool:
@@ -594,56 +614,20 @@ def write_trials(trials: TrialList, path: str) -> None:
 
 def _read_pairs(
     path: str, rows: Iterable[list[str]], first_line: int, width: int, reference: TrialList | None, lead: int = 0,
-    ids_are_tokens: bool = False,
 ) -> tuple[TrialList, np.ndarray]:
-    """(pairs, values) of a file that lines up with a trial list; each item of
-    ``rows`` is a pair's enroll id, test id and ``width`` value cells, pair i
-    on line ``first_line + i``. A block of cells is cast with one numpy call,
-    a blank cell as NaN, and parsed one by one only when that cast or the
-    finiteness check fails, to name the first bad cell; a cell's text takes
-    about eight times its 8 bytes, so a block's cells fit in
-    ``COSINE_BLOCK_BYTES``. A block's first bad id or cell is raised before a
-    fault ``rows`` raises on a later line. The values go into a
-    :class:`RowBuffer` with ``lead`` free columns. ``ids_are_tokens`` says
-    that ``rows`` gives only ids that are tokens, such as ``str.split``
-    makes, which are then not checked again. Without a ``reference``
-    the ids are kept as the pairs returned. With one, only the first
-    mismatch against it is kept, and after the last block a count that
-    differs is raised, then that mismatch on its line; the pairs returned
-    are the reference."""
-    from .scoring import per_block  # scoring imports this module
-
-    step = per_block(8 * max(1, width) * 8)
-    rows = iter(rows)
+    """(pairs, values) of a file that lines up with a trial list, read by
+    :func:`_batches`; each item of ``rows`` is a pair's two token ids and
+    ``width`` value cells, pair i on line ``first_line + i``. The values go
+    into a :class:`RowBuffer` with ``lead`` free columns. Without a
+    ``reference`` the ids are kept as the pairs returned. With one, only the
+    first mismatch against it is kept, and after the last batch a count that
+    differs is raised, then that mismatch on its line; the pairs returned are
+    the reference."""
     values = RowBuffer(width, rows=len(reference or ()), lead=lead)
     kept_enroll, kept_test, mismatch = [], [], None
-    while True:
-        enroll, test, cells, fault = [], [], [], None  # the ids and cells (row-major) of the block being read
-        try:
-            for fields in itertools.islice(rows, step):
-                enroll.append(fields[0])
-                test.append(fields[1])
-                cells += fields[2:]
-        except DataFormatError as exc:
-            fault = exc  # past every row read; raised below unless one of them holds a bad id or cell
+    for enroll, test, _, batch in _batches(path, rows, first_line):
         start = len(values)
-        errors = []
-        bad_id = None if ids_are_tokens else _first_bad_id(enroll, test)
-        if bad_id is not None:
-            errors.append(DataFormatError(bad_id[1], path=path, line=first_line + start + bad_id[0]))
-        blank = [i for i, text in enumerate(cells) if not text] if "" in cells else []
-        for i in blank:  # cast as zeros, then set to NaN, so that a "nan" cell is still an error
-            cells[i] = "0"
-        try:
-            block = _cast(cells, itertools.repeat(width, len(enroll)), path, first_line + start)
-        except DataFormatError as exc:
-            errors.append(exc)
-        if errors:
-            raise min(errors, key=lambda exc: exc.line)  # an id before a cell on one line
-        if fault is not None:
-            raise fault
-        block[blank] = np.nan
-        values.grow(start + len(enroll))[start:] = block.reshape(len(enroll), width)
+        values.grow(start + len(enroll))[start:] = batch.reshape(len(enroll), width)
         if reference is None:
             kept_enroll += enroll
             kept_test += test
@@ -652,10 +636,8 @@ def _read_pairs(
             if want_e != enroll[:len(want_e)] or want_t != test[:len(want_t)]:
                 i = next(i for i, pair in enumerate(zip(want_e, want_t)) if pair != (enroll[i], test[i]))
                 mismatch = (start + i, enroll[i], test[i])
-        if len(enroll) < step:
-            break
     if reference is None:
-        return TrialList(kept_enroll, kept_test), values.take()
+        return unchecked(TrialList, enroll=kept_enroll, test=kept_test, labels=None), values.take()
     if len(values) != len(reference):
         raise DataFormatError(f"expected {len(reference)} scored pairs, found {len(values)}", path=path)
     if mismatch is not None:
@@ -667,10 +649,7 @@ def _read_pairs(
 
 def read_scores(path: str, reference: TrialList | None = None) -> tuple[TrialList, np.ndarray]:
     """Score file as (pair list without labels, score vector), in file order,
-    read by :func:`_read_pairs`: the scores are cast a block at a time, a bad
-    score is raised before a fault on any later line, and given a
-    ``reference`` trial list the file's pairs are checked against it as they
-    are read and the pair list returned is the reference."""
+    read by :func:`_read_pairs`, against ``reference`` when one is given."""
     path = str(path)
 
     def rows() -> Iterator[list[str]]:
@@ -683,7 +662,7 @@ def read_scores(path: str, reference: TrialList | None = None) -> tuple[TrialLis
             yield tokens
 
     # no line is blank, so score i is on line i + 1, and str.split makes only tokens
-    pairs, scores = _read_pairs(path, rows(), 1, 1, reference, ids_are_tokens=True)
+    pairs, scores = _read_pairs(path, rows(), 1, 1, reference)
     return pairs, scores.reshape(-1)
 
 
@@ -700,7 +679,7 @@ def write_scores(trials: TrialList, scores, path: str) -> None:
 def check_score_alignment(trials: TrialList, pairs: TrialList, path: str) -> None:
     """Require that a score file's pairs line up with a trial list positionally,
     as :func:`read_scores` given the trial list as its reference requires."""
-    _read_pairs(str(path), zip(pairs.enroll, pairs.test), 1, 0, trials, ids_are_tokens=True)
+    _read_pairs(str(path), zip(pairs.enroll, pairs.test), 1, 0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +908,8 @@ def read_trial_features(
         for lineno, fields in records:
             if len(fields) != len(header):
                 raise DataFormatError(f"expected {len(header)} fields, found {len(fields)}", path=path, line=lineno)
+            if not (_is_token(fields[0]) and _is_token(fields[1])):
+                raise DataFormatError(_id_fault(fields[0], fields[1]), path=path, line=lineno)
             yield fields
 
     trials, matrix = _read_pairs(path, rows(), 2, len(names), reference, lead)  # line 1 is the header
@@ -1046,7 +1027,21 @@ def save_fusion_model(model: FusionModel, path: str) -> None:
     atomic_write_text(str(path), json.dumps(payload, indent=2) + "\n")
 
 
+def _json_number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number; a bool or a numeric string raises ``ValueError``."""
+    if type(value) not in (int, float):  # a JSON bool loads as a bool, a subclass of int
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be an array of numbers")
+    return np.array([_json_number(value, name) for value in values], dtype=np.float64)
+
+
 def load_fusion_model(path: str) -> FusionModel:
+    """The model :func:`save_fusion_model` wrote; a value of a JSON type it does not write is refused."""
     path = str(path)
     text = read_text(path)
     try:
@@ -1060,19 +1055,19 @@ def load_fusion_model(path: str) -> FusionModel:
         if key not in payload:
             raise DataFormatError(f"missing key {key!r}", path=path)
     try:
-        minmax = payload["minmax"]
-        scaling = MinMaxParams(
-            names=tuple(str(n) for n in payload["feature_names"]),
-            lo=np.asarray([pair[0] for pair in minmax], dtype=np.float64),
-            hi=np.asarray([pair[1] for pair in minmax], dtype=np.float64),
-            median=np.asarray(payload["medians"], dtype=np.float64),
-        )
+        names, minmax = payload["feature_names"], payload["minmax"]
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ValueError("feature_names must be an array of strings")
+        if not isinstance(minmax, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in minmax):
+            raise ValueError("minmax must be an array of [lo, hi] pairs")
+        lo, hi = (_json_numbers([pair[k] for pair in minmax], "minmax") for k in (0, 1))
+        scaling = MinMaxParams(names=tuple(names), lo=lo, hi=hi, median=_json_numbers(payload["medians"], "medians"))
         model = FusionModel(
             scaling=scaling,
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            intercept=float(payload["intercept"]),
-            lam=float(payload["lambda"]),
+            weights=_json_numbers(payload["weights"], "weights"),
+            intercept=_json_number(payload["intercept"], "intercept"),
+            lam=_json_number(payload["lambda"], "lambda"),
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"invalid model contents: {exc}", path=path) from None
     return model

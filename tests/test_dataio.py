@@ -859,6 +859,35 @@ def test_fusion_model_file_errors(tmp_path):
         dataio.load_fusion_model(str(path))
 
 
+# JSON that json.loads reads but save_fusion_model never writes: names as one string or as
+# numbers, a bool or a numeric string where a number goes, a minmax entry that is not a pair,
+# and an integer too large for a float
+NOT_PAIRS = r"minmax must be an array of \[lo, hi\] pairs"
+MALFORMED_MODELS = {
+    "names as one string": (dict(feature_names="ab"), "feature_names must be an array of strings"),
+    "names as numbers": (dict(feature_names=[1, 2]), "feature_names must be an array of strings"),
+    "bool weight": (dict(weights=[True, 1.0]), "weights must be a number, got True"),
+    "bool intercept": (dict(intercept=True), "intercept must be a number, got True"),
+    "numeric string lambda": ({"lambda": "0.01"}, "lambda must be a number, got '0.01'"),
+    "numeric string median": (dict(medians=[0.5, "2.0"]), "medians must be a number, got '2.0'"),
+    "minmax entry of three numbers": (dict(minmax=[[0.0, 1.0, 2.0], [1.0, 3.0]]), NOT_PAIRS),
+    "minmax entry as a string": (dict(minmax=["01", [1.0, 3.0]]), NOT_PAIRS),
+    "integer past the float range": (dict(intercept=10**400), "int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_model_loader_refuses_values_a_saved_model_never_holds(tmp_path, case):
+    changes, message = MALFORMED_MODELS[case]
+    payload = {"feature_names": ["a", "b"], "weights": [1.0, -1.0], "intercept": 0.0,
+               "minmax": [[0.0, 1.0], [1.0, 3.0]], "medians": [0.5, 2.0], "lambda": 0.01, **changes}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataFormatError, match=f"model.json: invalid model contents: {message}") as err:
+        dataio.load_fusion_model(str(path))
+    assert (err.value.path, err.value.line) == (str(path), None)
+
+
 SCALING_DEFECTS = {
     "lo above hi": (dict(lo=[2.0, 1.0], hi=[1.0, 3.0]), "minimum above"),
     "non-finite": (dict(median=[0.5, float("nan")]), "non-finite"),

@@ -155,17 +155,37 @@ def test_mutated_store_raises_the_token_path_error(store_path, store, data):
     assert outcome(dataio.read_embeddings, store_path) == expected
 
 
-# Text sizes of a store batch: one line per batch, a few lines, and the reader's own.
-BATCH_CHARS = [1, 200, dataio._STORE_BATCH_CHARS]
+# Block budgets that make store batches (lines of 3 to 66 fields) of one line each (a budget
+# of one field), of a few lines (32 fields), and of the whole store (the program's own).
+STORE_BUDGETS = [1, 32 * dataio._FIELD_BYTES, scoring.COSINE_BLOCK_BYTES]
+# Block budgets that make pair-file batches (rows of 3 to 7 fields) of one row each (one
+# field), of one or two rows (4 fields), of two or three (8), and of the whole file (the
+# program's own)
+PAIR_BUDGETS = [1, 4 * dataio._FIELD_BYTES, 8 * dataio._FIELD_BYTES, scoring.COSINE_BLOCK_BYTES]
+# Block budgets of 1 to 12 fields, for batches of one to four score lines (three fields each),
+# and of 1 to 10, for batches of one to five feature table rows (two fields or more)
+FEW_ROWS = st.integers(1, 12).map(lambda fields: fields * dataio._FIELD_BYTES)
+FEW_TABLE_ROWS = st.integers(1, 10).map(lambda fields: fields * dataio._FIELD_BYTES)
 
 
-@given(store_lines(), st.sampled_from(BATCH_CHARS), st.sampled_from([1, 64, dataio._BLOCK_BYTES]))
-def test_reader_batches_return_the_token_path_records_at_every_batch_size(store_path, store, batch, block):
+def test_the_smallest_budgets_cast_a_small_file_a_line_at_a_time(store_path):
+    """So the tests below that patch them split their files into batches."""
+    for text, reader, budget in (("dim=2\na 1 0.5 1.5\nb 1 2.5 3.5\n", dataio.read_embeddings, min(STORE_BUDGETS)),
+                                 ("a b 0.5\nc d 1.5\n", dataio.read_scores, min(PAIR_BUDGETS))):
+        store_path.write_text(text, encoding="utf-8")
+        with (mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget),
+              mock.patch.object(dataio, "_cast", wraps=dataio._cast) as cast):
+            reader(store_path)
+        assert cast.call_count > 1
+
+
+@given(store_lines(), st.sampled_from(STORE_BUDGETS), st.sampled_from([1, 64, dataio._BLOCK_BYTES]))
+def test_reader_batches_return_the_token_path_records_at_every_batch_size(store_path, store, budget, block):
     """Records cast a batch of lines at a time, from pieces that split lines
     and batches that split pieces, are the token path's, bit for bit."""
     store_path.write_text(render(*store), encoding="utf-8")
     expected = outcome(token_read_embeddings, store_path)
-    with mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch), mock.patch.object(dataio, "_BLOCK_BYTES", block):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget), mock.patch.object(dataio, "_BLOCK_BYTES", block):
         assert outcome(dataio.read_embeddings, store_path) == expected
 
 
@@ -174,9 +194,9 @@ LINE_FAULTS = ["short", "duplicate", "count", "blank"]
 
 
 @given(store_lines(tokens=finite.map(repr)), st.sampled_from(VALUE_FAULTS), st.sampled_from(LINE_FAULTS),
-       st.booleans(), st.sampled_from(BATCH_CHARS), st.data())
+       st.booleans(), st.sampled_from(STORE_BUDGETS), st.data())
 def test_first_fault_in_line_order_wins_within_a_batch(store_path, store, value_fault, line_fault, value_first,
-                                                       batch, data):
+                                                       budget, data):
     """A bad value and a fault the reader finds before casting (a short
     record, a repeated id, a bad count, a blank line) on two lines: the one on
     the earlier line is raised with the token path's message, whether or not
@@ -203,7 +223,7 @@ def test_first_fault_in_line_order_wins_within_a_batch(store_path, store, value_
     expected = outcome(token_read_embeddings, store_path)
     assert expected[0] == "DataFormatError"
     store_path.write_text("".join(lines), encoding="utf-8")
-    with mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch):
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         assert outcome(dataio.read_embeddings, store_path) == expected
 
 
@@ -445,9 +465,10 @@ def token_read_scores(path):
     return dataio.TrialList(enroll, test), np.array(scores, dtype=np.float64)
 
 
-@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=8), st.data())
-def test_score_reader_raises_the_first_fault_in_line_order(store_path, rows, data):
-    # a bad score before a later structural fault is raised first, and after one it is not
+@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=8), st.sampled_from(PAIR_BUDGETS), st.data())
+def test_score_reader_raises_the_first_fault_in_line_order(store_path, rows, budget, data):
+    # a bad score before a later structural fault is raised first, and after one it is not, whether
+    # or not one batch holds both
     lines = [f"{e} {t} {v}" for e, t, v in rows]
     faulty = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=min(2, len(lines)), max_size=2, unique=True))
     for i in faulty:
@@ -457,13 +478,15 @@ def test_score_reader_raises_the_first_fault_in_line_order(store_path, rows, dat
         ]))
     store_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     expected = table_outcome(token_read_scores, store_path)
-    assert table_outcome(dataio.read_scores, store_path) == expected
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        assert table_outcome(dataio.read_scores, store_path) == expected
     assert expected[1].startswith(f"{store_path}:{min(faulty) + 1}: ")
 
 
-@given(feature_tables(), st.data())
-def test_trial_feature_reader_raises_the_first_fault_in_line_order(store_path, rows, data):
-    # a bad cell before a later short row or bad id is raised first, and after one it is not
+@given(feature_tables(), st.sampled_from(PAIR_BUDGETS), st.data())
+def test_trial_feature_reader_raises_the_first_fault_in_line_order(store_path, rows, budget, data):
+    # a bad cell before a later short row or bad id is raised first, and after one it is not, whether
+    # or not one batch holds both
     if len(rows[0]) == 2:
         rows = [[*row, "0.5"] for row in rows]
         rows[0][-1] = "f"
@@ -480,8 +503,26 @@ def test_trial_feature_reader_raises_the_first_fault_in_line_order(store_path, r
             rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["", "a b", "\t", '"q r"']))
     store_path.write_text(render_csv(rows), encoding="utf-8")
     expected = table_outcome(csv_read_trial_features, store_path)
-    assert table_outcome(dataio.read_trial_features, store_path) == expected
+    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
+        assert table_outcome(dataio.read_trial_features, store_path) == expected
     assert expected[1].startswith(f"{store_path}:{min(faulty) + 1}: ")
+
+
+@pytest.mark.parametrize("budget", PAIR_BUDGETS)
+@pytest.mark.parametrize("later", ["short", "id"])
+def test_pair_readers_raise_a_bad_cell_before_a_fault_on_a_later_line(store_path, budget, later):
+    """The cases the two tests above draw only now and then, at every budget:
+    a bad cell, then on the next line a short row or (in the table) a bad id,
+    in one batch or in two."""
+    score_line, table_line = {"short": ("c d", "c,d"), "id": ("c d 0.5", '"c d",e,0.5')}[later]
+    for text, reader, fault in (
+        (f"a b 0.5\na b x\n{score_line}\n", dataio.read_scores, "2: invalid float 'x'"),
+        (f"enroll,test,f\na,b,0.5\na,b,inf\n{table_line}\n", dataio.read_trial_features, "3: non-finite value 'inf'"),
+    ):
+        store_path.write_text(text, encoding="utf-8")
+        with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget), pytest.raises(DataFormatError) as err:
+            reader(store_path)
+        assert str(err.value) == f"{store_path}:{fault}"
 
 
 FIELD_LIMIT = 32  # csv.field_size_limit() in the tests below: above every field feature_tables draws
@@ -489,8 +530,9 @@ LINE_EDITS = {"nul": "\0", "long": "x" * (FIELD_LIMIT + 1), "quote": '"', "comma
               "empty": None}
 
 
-@given(feature_tables(), st.lists(st.tuples(st.sampled_from(sorted(LINE_EDITS)), st.integers(0, 99), st.integers(0, 99)),
-                                  max_size=2), st.integers(1, 320))
+@given(feature_tables(),
+       st.lists(st.tuples(st.sampled_from(sorted(LINE_EDITS)), st.integers(0, 99), st.integers(0, 99)), max_size=2),
+       FEW_TABLE_ROWS)
 def test_trial_feature_reader_splits_plain_lines_as_strict_csv_reads_them(store_path, rows, edits, budget):
     """Lines shorter and longer than the field limit, quoted ids and names
     holding commas and quotes, blank cells, and up to two lines edited with a
@@ -513,7 +555,7 @@ def test_trial_feature_reader_splits_plain_lines_as_strict_csv_reads_them(store_
         csv.field_size_limit(limit)
 
 
-@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=12), st.integers(64, 256), st.data())
+@given(st.lists(st.tuples(ids, ids, value_tokens), min_size=1, max_size=12), FEW_ROWS, st.data())
 def test_score_reader_blocks_give_the_per_line_outcome(store_path, rows, budget, data):
     """With blocks of one to four scores, each cast on its own, a bad score
     and maybe a short line give the per-line reader's first error."""
@@ -558,7 +600,7 @@ def edited_pairs(data, pairs):
     return dataio.TrialList([e for e, _ in pairs], [t for _, t in pairs])
 
 
-@given(st.lists(st.tuples(ids, ids, value_tokens), max_size=12), st.integers(64, 256), st.data())
+@given(st.lists(st.tuples(ids, ids, value_tokens), max_size=12), FEW_ROWS, st.data())
 def test_score_reader_checks_pairs_against_a_reference_as_reading_then_checking_does(store_path, rows, budget, data):
     """With blocks of one to four scores, a reference that is the file's
     pairs, one short, one longer or with one id changed, and maybe a bad
@@ -575,7 +617,7 @@ def test_score_reader_checks_pairs_against_a_reference_as_reading_then_checking_
     assert got == table_outcome(read_then_check_pairs, dataio.read_scores, store_path, reference, 1)
 
 
-@given(feature_tables(), st.integers(1, 320), st.data())
+@given(feature_tables(), FEW_TABLE_ROWS, st.data())
 def test_feature_reader_checks_pairs_against_a_reference_as_reading_then_checking_does(store_path, rows, budget,
                                                                                        data):
     """As the score reader's test above, for feature tables read a block of
@@ -607,7 +649,7 @@ def located_outcome(reader, path, reference):
     return "ok", pairs, rest[-1].reshape(-1).tobytes()
 
 
-@given(st.lists(st.tuples(ids, ids, finite), max_size=12), st.integers(64, 256), st.data())
+@given(st.lists(st.tuples(ids, ids, finite), max_size=12), FEW_ROWS, st.data())
 def test_score_and_feature_readers_read_one_set_of_pairs_alike(store_path, rows, budget, data):
     """A score file and a one-column feature table written from the same
     pairs and values, read in blocks of one to four rows, maybe with a

@@ -19,11 +19,11 @@ from svbackend.dataio import ChunkEmbeddings
 from svbackend.errors import ToolkitError
 from svbackend.scoring import gather_blocks, mean_rows, row_norms, speaker_rows
 
-# (text of a store batch, bytes of a line-source piece, block budget): one line per batch
-# and pieces that split every line, then sizes near the program's own
-SIZES = st.tuples(st.sampled_from([1, 3000, dataio._STORE_BATCH_CHARS]),
-                  st.sampled_from([1024, dataio._BLOCK_BYTES]),
-                  st.sampled_from([8, 1 << 12, scoring.COSINE_BLOCK_BYTES]))
+# (bytes of a line-source piece, block budget): pieces that split every line, and store
+# batches of one line (a budget of 1 or 16 fields) or of a few (256 fields), then sizes near
+# the program's own
+SIZES = st.tuples(st.sampled_from([1024, dataio._BLOCK_BYTES]),
+                  st.sampled_from([8, 1 << 12, 256 * dataio._FIELD_BYTES, scoring.COSINE_BLOCK_BYTES]))
 
 
 @st.composite
@@ -43,12 +43,9 @@ def stores(draw):
 
 @contextlib.contextmanager
 def sized(sizes):
-    """Run the block with the store batches, line-source pieces and block budget of ``sizes``."""
-    batch, block, budget = sizes
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(mock.patch.object(dataio, "_STORE_BATCH_CHARS", batch))
-        stack.enter_context(mock.patch.object(dataio, "_BLOCK_BYTES", block))
-        stack.enter_context(mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget))
+    """Run the block with the line-source pieces and block budget of ``sizes``."""
+    block, budget = sizes
+    with mock.patch.object(dataio, "_BLOCK_BYTES", block), mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
         yield
 
 
