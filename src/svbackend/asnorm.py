@@ -25,7 +25,7 @@ import numpy as np
 from .dataio import ChunkEmbeddings, TrialList
 from .errors import DegenerateCohortError, ToolkitError
 from .rng import SplitMix64, derive_seed
-from .scoring import blocks, cosine_matrix, mean_rows, require_sides, row_norms, side_rows, speaker_rows, take_sides
+from .scoring import blocks, cosine_matrix, mean_rows, row_norms, speaker_rows, trial_sides
 
 
 def build_cohort(
@@ -118,28 +118,29 @@ def asnorm_trials(
     """AS-Norm of each scored pair, with the sides' embeddings looked up in
     ``records`` and the cohort rows the mean embeddings of ``cohort``'s records.
 
-    Each is a list or a stream, consumed once, ``records`` first: only the
-    mean embedding of each trial side is kept, in the order
-    :func:`~svbackend.scoring.trial_sides` gives, and one mean row per cohort
-    record, both by :func:`~svbackend.scoring.mean_rows`. Side rows are
-    scored against the cohort in :func:`~svbackend.scoring.blocks` whose
-    similarities fit in ``COSINE_BLOCK_BYTES`` (at least one row each), and
-    each block is sorted in place and reduced to its rows' top-N mean and
-    std before the next is scored.
+    Each is a list or a stream, consumed once, ``cohort`` first: one mean row
+    per cohort record is kept, then only the mean embedding of each trial
+    side, in the order :func:`~svbackend.scoring.trial_sides` gives, both by
+    :func:`~svbackend.scoring.mean_rows`. So a malformed cohort is raised
+    before a malformed store, which is raised before a missing side, and the
+    cohort's size is checked last. Side rows are scored against the cohort in
+    :func:`~svbackend.scoring.blocks` whose similarities fit in
+    ``COSINE_BLOCK_BYTES`` (at least one row each), and each block is sorted
+    in place and reduced to its rows' top-N mean and std before the next is
+    scored.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     raw_scores = np.asarray(raw_scores, dtype=np.float64)
     if raw_scores.shape != (len(pairs),):
         raise ToolkitError("raw scores and trial pairs must have equal length")
-    rows, enroll, test = side_rows(pairs)
-    means = mean_rows(take_sides(records, rows), len(rows))
     cohort_rows = mean_rows(enumerate(cohort))
+    ids, enroll, test, sides = trial_sides(records, pairs)
+    means = mean_rows(sides, len(ids))
     if len(cohort_rows) < top_n:
         raise ToolkitError(f"cohort has {len(cohort_rows)} speakers, need >= top_n={top_n}")
     if not pairs:
         return raw_scores
-    require_sides(rows)
     mu = np.empty(len(means), dtype=np.float64)
     sd = np.empty(len(means), dtype=np.float64)
     cohort_norms = row_norms(cohort_rows)

@@ -39,9 +39,6 @@ class DetCurve:
     p_miss: np.ndarray
     p_fa: np.ndarray
 
-    def __len__(self) -> int:
-        return self.thresholds.shape[0]
-
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)

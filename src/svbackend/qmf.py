@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import AttributeTable, ChunkEmbeddings, MinMaxParams, SchemaColumn, TrialList
 from .errors import ToolkitError
-from .scoring import blocks, gather_blocks, require_sides, side_rows, take_sides
+from .scoring import blocks, gather_blocks, row_norms, trial_sides
 
 EMBEDDING_STAT_NAMES = (
     "emb_l1_norm",
@@ -76,7 +76,7 @@ def _side_stats(sides: Iterable[tuple[int, ChunkEmbeddings]], out: np.ndarray) -
         mean = block.mean(axis=1)
         dim_stds = block.std(axis=1)
         out[rows, 0] = np.abs(mean).sum(axis=1)
-        out[rows, 1] = np.sqrt(np.sum(mean * mean, axis=1))
+        out[rows, 1] = row_norms(mean)
         out[rows, 2] = mean.std(axis=1)
         out[rows, 3] = dim_stds.mean(axis=1)
         out[rows, 4] = dim_stds.std(axis=1)
@@ -109,11 +109,9 @@ def trial_feature_matrix(
     ``records`` is a list or a stream, consumed once; only the embedding
     statistics of each side are kept.
     """
-    side_ids, enroll, test = side_rows(trials)
+    side_ids, enroll, test, sides = trial_sides(records, trials)
     side = np.empty((len(side_ids), len(schema) + len(EMBEDDING_STAT_NAMES)), dtype=np.float64)
-    missing = dict(side_ids)
-    _side_stats(take_sides(records, missing), side[:, len(schema):])
-    require_sides(missing)
+    _side_stats(sides, side[:, len(schema):])
     rows = []
     for utt_id in side_ids:
         if utt_id not in table.rows:

@@ -8,9 +8,11 @@ contiguous last axis in fixed pieces, so a pair's dot product is the same
 double in every form and on every CPU this was checked on, and swapping
 enroll and test yields the identical double, bit for bit. :func:`score_trials`
 scores a whole trial list with one batched kernel, and :func:`pairwise_score`
-is that kernel on one trial. :func:`gather_blocks` stacks a stream of records
-into blocks of one chunk shape, so the store kernels reduce each block, not
-each record, to its per-utterance summaries, as :func:`mean_rows` does.
+is that kernel on one trial. :func:`trial_sides`, the one lookup of trial
+sides in a store, serves scoring, AS-Norm and QMF. :func:`gather_blocks`
+stacks a stream of records into blocks of one chunk shape, so the store
+kernels reduce each block, not each record, to its per-utterance summaries,
+as :func:`mean_rows` does.
 """
 
 from __future__ import annotations
@@ -147,48 +149,29 @@ def pairwise_score(enroll: ChunkEmbeddings, test: ChunkEmbeddings) -> PairwiseSc
     return PairwiseScore(value=value, n_pairs=enroll.n_chunks * test.n_chunks)
 
 
-def side_rows(trials: TrialList) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    """Each utterance the trials reference mapped to its row, in order of
-    first appearance (enroll before test within a trial), and each trial's
-    enroll and test row."""
+def trial_sides(
+    records: Iterable[ChunkEmbeddings], trials: TrialList
+) -> tuple[list[str], np.ndarray, np.ndarray, Iterator[tuple[int, ChunkEmbeddings]]]:
+    """The utterances the trials reference, each once in order of first
+    appearance (enroll before test within a trial), each trial's enroll and
+    test row in that list, and a stream of (row, record) for the first record
+    of each, taken from ``records`` (a list or a stream, consumed once) as it
+    gives them. Once ``records`` ends, the stream raises for the first
+    utterance, in row order, that it did not find."""
     order = dict.fromkeys(itertools.chain.from_iterable(zip(trials.enroll, trials.test)))
     rows = {utt_id: row for row, utt_id in enumerate(order)}
     enroll, test = (np.fromiter(map(rows.__getitem__, ids), dtype=np.intp, count=len(ids))
                     for ids in (trials.enroll, trials.test))
-    return rows, enroll, test
 
+    def sides():
+        for rec in records:
+            row = rows.pop(rec.utt_id, None)  # what stays in rows is missing
+            if row is not None:
+                yield row, rec
+        for utt_id in rows:
+            raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
 
-def take_sides(records: Iterable[ChunkEmbeddings], rows: dict[str, int]) -> Iterator[tuple[int, ChunkEmbeddings]]:
-    """(row, record) for the first record of each utterance in ``rows``, as
-    the stream ``records`` gives them; records ``rows`` does not name are
-    passed over. Each utterance found is removed from ``rows``, so once the
-    stream is consumed ``rows`` holds the missing ones, for
-    :func:`require_sides`."""
-    for rec in records:
-        row = rows.pop(rec.utt_id, None)
-        if row is not None:
-            yield row, rec
-
-
-def require_sides(missing: dict[str, int]) -> None:
-    """Raise for the first utterance left in ``missing`` by :func:`take_sides`."""
-    for utt_id in missing:
-        raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
-
-
-def trial_sides(
-    records: Iterable[ChunkEmbeddings], trials: TrialList
-) -> tuple[list[ChunkEmbeddings], np.ndarray, np.ndarray]:
-    """The records the trials reference, each once in order of first
-    appearance (enroll before test within a trial), and each trial's enroll
-    and test row in that list. ``records`` is consumed once, and only the
-    records the trials reference are kept."""
-    rows, enroll, test = side_rows(trials)
-    side_records: list = [None] * len(rows)
-    for row, rec in take_sides(records, rows):
-        side_records[row] = rec
-    require_sides(rows)
-    return side_records, enroll, test
+    return list(rows), enroll, test, sides()
 
 
 def gather_blocks(sides: Iterable[tuple[int, ChunkEmbeddings]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -274,7 +257,11 @@ def score_trials(records: Iterable[ChunkEmbeddings], trials: TrialList) -> np.nd
     the benchmark's swap-symmetry check passes; no other function takes it."""
     if not isinstance(trials, TrialList):
         trials = TrialList([t.enroll_id for t in trials], [t.test_id for t in trials])
-    return _score_sides(*trial_sides(records, trials))
+    ids, enroll, test, sides = trial_sides(records, trials)
+    side_records: list = [None] * len(ids)
+    for row, rec in sides:
+        side_records[row] = rec
+    return _score_sides(side_records, enroll, test)
 
 
 def _score_sides(side_records: list[ChunkEmbeddings], enroll: np.ndarray, test: np.ndarray) -> np.ndarray:

@@ -461,6 +461,19 @@ def test_synth_bad_trials_block_writes_no_file(tmp_path, capsys, trials_spec, me
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "synth.json: invalid JSON"), ("[1]", "synth.json: config must be a JSON object")],
+)
+def test_synth_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "synth.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["between_spread", "within_spread", "attribute_noise"])
 def test_synth_integer_too_large_for_a_float_writes_no_file(tmp_path, capsys, name):
     cfg_path = tmp_path / "synth.json"

@@ -146,6 +146,7 @@ def test_embeddings_write_then_rewrite_identical_bytes(tmp_path, small_synth):
 @pytest.mark.parametrize(
     "text, line, fragment",
     [
+        ("", 1, "missing 'dim=<D>' header"),
         ("u1 1 0.5 0.5\n", 1, "dim"),
         ("dim=two\nu1 1 0.5 0.5\n", 1, "header"),
         ("dim=0\n", 1, ">= 1"),
@@ -514,6 +515,9 @@ def test_attributes_round_trip_with_missing_cells(tmp_path):
 def test_attributes_errors(tmp_path):
     schema = [dataio.SchemaColumn("snr", "real", "identity")]
     path = tmp_path / "attr.csv"
+    path.write_text("")
+    with pytest.raises(DataFormatError, match=r"attr\.csv:1: missing CSV header"):
+        dataio.read_attributes(str(path), schema)
     path.write_text("id,snr\nu1,3\n")
     with pytest.raises(DataFormatError, match="utt_id"):
         dataio.read_attributes(str(path), schema)
@@ -525,6 +529,9 @@ def test_attributes_errors(tmp_path):
         dataio.read_attributes(str(path), schema)
     path.write_text("utt_id,snr,snr\nu1,3,4\n")
     with pytest.raises(DataFormatError, match="duplicate attribute column"):
+        dataio.read_attributes(str(path), schema)
+    path.write_text('utt_id,snr\n"",3\n')
+    with pytest.raises(DataFormatError, match=r"attr\.csv:2: empty utt_id"):
         dataio.read_attributes(str(path), schema)
     path.write_text("utt_id,snr\nu1,3\nu1,4\n")
     with pytest.raises(DataFormatError, match="duplicate utt_id") as err:
@@ -558,6 +565,9 @@ def test_trial_features_round_trip_with_nan(tmp_path):
 
 def test_trial_features_errors(tmp_path):
     path = tmp_path / "feat.csv"
+    path.write_text("")
+    with pytest.raises(DataFormatError, match=r"feat\.csv:1: missing CSV header"):
+        dataio.read_trial_features(str(path))
     path.write_text("a,b,f1\nu1,u2,0.5\n")
     with pytest.raises(DataFormatError, match="enroll"):
         dataio.read_trial_features(str(path))
@@ -840,6 +850,9 @@ def test_fusion_model_file_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(DataFormatError, match="model.json"):
         dataio.load_fusion_model(str(path))
+    path.write_text("[1, 2]")
+    with pytest.raises(DataFormatError, match=r"model\.json: model file must hold a JSON object"):
+        dataio.load_fusion_model(str(path))
     good = {
         "feature_names": ["a"],
         "weights": [1.0],
@@ -860,8 +873,9 @@ def test_fusion_model_file_errors(tmp_path):
 
 
 # JSON that json.loads reads but save_fusion_model never writes: names as one string or as
-# numbers, a bool or a numeric string where a number goes, a minmax entry that is not a pair,
-# and an integer too large for a float
+# numbers, a bool or a numeric string where a number goes, a number where an array goes, a
+# minmax entry that is not a pair, an integer too large for a float, and values a model
+# refuses: a NaN intercept (json reads the literal NaN) and a negative lambda
 NOT_PAIRS = r"minmax must be an array of \[lo, hi\] pairs"
 MALFORMED_MODELS = {
     "names as one string": (dict(feature_names="ab"), "feature_names must be an array of strings"),
@@ -873,6 +887,9 @@ MALFORMED_MODELS = {
     "minmax entry of three numbers": (dict(minmax=[[0.0, 1.0, 2.0], [1.0, 3.0]]), NOT_PAIRS),
     "minmax entry as a string": (dict(minmax=["01", [1.0, 3.0]]), NOT_PAIRS),
     "integer past the float range": (dict(intercept=10**400), "int too large to convert to float"),
+    "weights as a number": (dict(weights=5), "weights must be an array of numbers"),
+    "NaN intercept": (dict(intercept=float("nan")), "non-finite intercept"),
+    "negative lambda": ({"lambda": -1}, r"lambda must be finite and >= 0, got -1\.0"),
 }
 
 

@@ -225,11 +225,11 @@ def test_score_trials_missing_utterance(np_rng):
 def test_trial_sides_indexes_unique_utterances_in_first_appearance_order(np_rng):
     records = [ChunkEmbeddings(f"u{i}", np_rng.normal(size=(1, 4))) for i in range(5)]
     trials = trial_list([("u3", "u1"), ("u1", "u3"), ("u0", "u0"), ("u3", "u0")])
-    side_records, enroll, test = trial_sides(records, trials)
-    assert [rec.utt_id for rec in side_records] == ["u3", "u1", "u0"]
+    ids, enroll, test, sides = trial_sides(records, trials)
+    assert ids == ["u3", "u1", "u0"]
     assert enroll.tolist() == [0, 1, 2, 0]
     assert test.tolist() == [1, 0, 2, 2]
-    assert side_records[0] is records[3]
+    assert dict(sides)[0] is records[3]
 
 
 # Dims 1-130, where a dot product is one einsum piece, and one past 8 192, where einsum

@@ -96,6 +96,29 @@ def test_a_store_fault_comes_before_the_checks_on_its_contents(pipeline_inputs, 
             call()
 
 
+def test_asnorm_names_a_missing_side_before_a_small_cohort(pipeline_inputs):
+    """The store's sides are checked as it ends, the cohort's size once both are read."""
+    store, cohort_path, _, trials, _ = pipeline_inputs
+    ghosts = with_ghost_sides(trials)
+    for read in (dataio.iter_embeddings, dataio.read_embeddings):
+        with pytest.raises(ToolkitError, match=r"^utterance 'ghost-b' missing from embedding store$"):
+            asnorm_trials(np.zeros(len(ghosts)), ghosts, read(store), read(cohort_path), 100)
+
+
+def test_asnorm_reads_the_cohort_before_the_store(pipeline_inputs, tmp_path):
+    """Both streams end in a malformed line, and the cohort's is raised. (A
+    list is read whole before the call, so only streams can order the two.)"""
+    store, cohort_path, _, trials, _ = pipeline_inputs
+    bad = {}
+    for name, path in (("store", store), ("cohort", cohort_path)):
+        bad[name] = tmp_path / f"bad-{name}.txt"
+        bad[name].write_text(Path(path).read_text() + "late 1 nan" + " 0.5" * 7 + "\n")
+    n_lines = len(bad["cohort"].read_text().splitlines())
+    with pytest.raises(DataFormatError, match=rf"bad-cohort\.txt:{n_lines}: non-finite value 'nan'"):
+        asnorm_trials(np.zeros(len(trials)), trials, dataio.iter_embeddings(bad["store"]),
+                      dataio.iter_embeddings(bad["cohort"]), TOP_N)
+
+
 # ---------------------------------------------------------------------------
 # Memory
 

@@ -3,6 +3,7 @@ array kernels: QMF built one trial at a time from per-record statistics,
 AS-Norm side statistics one cohort row at a time, and ddf ranking each target
 row with a Python sort key. The tests compare the kernels against these."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from svbackend.curation import DdfSelection
 from svbackend.errors import ToolkitError
 from svbackend.qmf import feature_names
-from svbackend.scoring import cosine_matrix, trial_sides, vector_norm
+from svbackend.scoring import cosine_matrix, vector_norm
 
 
 def embedding_qmf(record) -> tuple[float, ...]:
@@ -60,16 +61,21 @@ def build_trial_qmf(enroll_attrs, enroll_qmf, test_attrs, test_qmf, schema) -> n
 
 
 def trial_feature_matrix(trials, records, table, schema, swap=False):
-    """The per-trial loop; ``swap`` builds every row with its sides exchanged."""
+    """The per-trial loop over the first record of each id in ``records``;
+    ``swap`` builds every row with its sides exchanged."""
     names = feature_names(schema)
-    side_records, enroll, test = trial_sides(records, trials)
-    side_qmf = [embedding_qmf(rec) for rec in side_records]
+    by_id = {}
+    for rec in records:
+        by_id.setdefault(rec.utt_id, rec)
+    for utt_id in itertools.chain.from_iterable(zip(trials.enroll, trials.test)):
+        if utt_id not in by_id:
+            raise ToolkitError(f"utterance {utt_id!r} missing from embedding store")
     matrix = np.empty((len(trials), len(names)), dtype=np.float64)
     for i, (e, t) in enumerate(zip(trials.enroll, trials.test)):
         for utt_id in (e, t):
             if utt_id not in table.rows:
                 raise ToolkitError(f"utterance {utt_id!r} missing from attribute table")
-        sides = [(table.rows[e], side_qmf[enroll[i]]), (table.rows[t], side_qmf[test[i]])]
+        sides = [(table.rows[e], embedding_qmf(by_id[e])), (table.rows[t], embedding_qmf(by_id[t]))]
         if swap:
             sides.reverse()
         matrix[i] = build_trial_qmf(*sides[0], *sides[1], schema)
