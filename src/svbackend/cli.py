@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 import os
 import sys
-import warnings
 
 import click
 
 from . import asnorm as asnorm_mod
 from . import curation, dataio, fusion, metrics, qmf, scoring, synth, trainspec
-from .errors import ConvergenceWarning, ToolkitError
+from .errors import ToolkitError
 
 
 @click.group(name="svbackend")
@@ -111,11 +110,10 @@ def fuse_fit(scores, qmf_path, trials, lam, max_iters, tol, out):
     """Fit L1 logistic fusion on labeled trials."""
     pairs, names, raw = dataio.read_fusion_features(scores, qmf_path, dataio.read_trials(trials, expect_labels=True))
     labels, pairs = pairs.labels, None  # the ids are not needed to fit
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConvergenceWarning)
-        model = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
-    for warning in caught:
-        click.echo(f"warning: {warning.message}", err=True)
+    model, fitted = fusion.train(raw, labels, names, lam=lam, max_iters=max_iters, tol=tol)
+    if not fitted.converged:
+        click.echo(f"warning: fusion stopped after {fitted.iterations} iterations with KKT residual "
+                   f"{fitted.kkt_residual:.3g} > tol {tol:g}", err=True)
     dataio.save_fusion_model(model, out)
 
 

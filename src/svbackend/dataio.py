@@ -337,9 +337,6 @@ class ChunkEmbeddings:
     def dim(self) -> int:
         return self.chunks.shape[1]
 
-    def mean_embedding(self) -> np.ndarray:
-        return self.chunks.mean(axis=0)
-
 
 def read_embeddings(path: str) -> list[ChunkEmbeddings]:
     """Every record of the store, in file order."""

@@ -30,14 +30,13 @@ with g the loss gradient at the kept iterate, at most ``tol``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmf
 from .dataio import FusionModel
-from .errors import ConvergenceWarning, FeatureMismatchError, ToolkitError
+from .errors import FeatureMismatchError, ToolkitError
 from .scoring import per_block
 
 
@@ -88,6 +87,10 @@ class FusionProblem:
 
 @dataclass(frozen=True)
 class FittedFusion:
+    """What ``fit`` reached: the weights and intercept, the penalized
+    objective there and its trace over the kept iterates (``iterations + 1``
+    entries), the KKT residual, and whether it is at most the ``tol`` asked."""
+
     weights: np.ndarray
     intercept: float
     objective: float
@@ -161,12 +164,12 @@ def fit(problem: FusionProblem, max_iters: int = 100000, tol: float = 1e-9) -> F
 
     weights, intercept = np.zeros(k), 0.0
     logits = X @ weights + intercept
-    loss = current = _mean_loss(neg_sign, logits)
+    current = _mean_loss(neg_sign, logits)
     grad_w, grad_b = gradient(logits)
     residual = kkt_residual(weights, grad_w, grad_b)
     trace = [current]
     # extrapolated point y, its loss and gradient; y_1 = x_0
-    y_w, y_b, y_loss, y_grad_w, y_grad_b = weights, intercept, loss, grad_w, grad_b
+    y_w, y_b, y_loss, y_grad_w, y_grad_b = weights, intercept, current, grad_w, grad_b
     t = 1.0
     step = step0
     iterations = 0
@@ -191,7 +194,7 @@ def fit(problem: FusionProblem, max_iters: int = 100000, tol: float = 1e-9) -> F
             momentum = (t - 1.0) / t_next
             y_w = cand_w + momentum * (cand_w - weights)
             y_b = cand_b + momentum * (cand_b - intercept)
-            weights, intercept, loss, current = cand_w, cand_b, cand_loss, cand_obj
+            weights, intercept, current = cand_w, cand_b, cand_obj
             grad_w, grad_b = gradient(cand_logits)
             residual = kkt_residual(weights, grad_w, grad_b)
             t = t_next
@@ -219,23 +222,16 @@ def train(
     lam: float = 0.01,
     max_iters: int = 100000,
     tol: float = 1e-9,
-) -> FusionModel:
+) -> tuple[FusionModel, FittedFusion]:
     """Fit min-max scaling on raw (unscaled) feature rows, then the fusion
-    weights on the rows scaled in place, which uses up ``raw_features``; the
-    model carries both. A fit that stops at
-    ``max_iters`` before its KKT residual reaches ``tol`` still returns its
-    model, and issues a ``ConvergenceWarning`` saying how far it got."""
+    weights on the rows scaled in place, which uses up ``raw_features``.
+    Returns the model, which carries both, and the fit it came from. A fit
+    that stops at ``max_iters`` before its KKT residual reaches ``tol`` still
+    returns its model, with ``converged`` false in the fit."""
     scaling = qmf.minmax_fit(raw_features, names)
     problem = FusionProblem(features=qmf.minmax_apply(raw_features, scaling), labels=labels, lam=lam)
     fitted = fit(problem, max_iters=max_iters, tol=tol)
-    if not fitted.converged:
-        warnings.warn(
-            f"fusion stopped after {fitted.iterations} iterations with KKT residual "
-            f"{fitted.kkt_residual:.3g} > tol {tol:g}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return FusionModel(scaling=scaling, weights=fitted.weights, intercept=fitted.intercept, lam=lam)
+    return FusionModel(scaling=scaling, weights=fitted.weights, intercept=fitted.intercept, lam=lam), fitted
 
 
 def apply_model(raw_features: np.ndarray, names: list[str], model: FusionModel) -> np.ndarray:

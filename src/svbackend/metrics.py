@@ -17,21 +17,6 @@ from .errors import ToolkitError
 
 
 @dataclass(frozen=True)
-class DcfParams:
-    """Operating costs and target prior for the detection cost function."""
-
-    p_target: float = 0.05
-    c_miss: float = 1.0
-    c_fa: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.p_target < 1.0:
-            raise ValueError(f"p_target must lie in (0, 1), got {self.p_target}")
-        if self.c_miss <= 0.0 or self.c_fa <= 0.0:
-            raise ValueError("costs must be positive")
-
-
-@dataclass(frozen=True)
 class DetCurve:
     """Miss/false-alarm rates at each candidate threshold (ascending)."""
 
@@ -101,22 +86,21 @@ def eer(curve: DetCurve) -> float:
     return float(0.5 * ((m1 + t * (m2 - m1)) + (f1 + t * (f2 - f1))))
 
 
-def min_dcf(curve: DetCurve, params: DcfParams = DcfParams()) -> tuple[float, float]:
-    """Minimum normalized detection cost over the curve.
+def min_dcf(curve: DetCurve, p_target: float = 0.05) -> tuple[float, float]:
+    """Minimum normalized detection cost over the curve, at unit miss and
+    false-alarm costs.
 
     Returns:
         (cost, threshold): cost is min over points of
-        c_miss * p_target * p_miss + c_fa * (1 - p_target) * p_fa, divided by
-        the best trivial system min(c_miss * p_target, c_fa * (1 - p_target));
-        threshold is where the minimum is reached, smallest threshold on ties.
+        p_target * p_miss + (1 - p_target) * p_fa, divided by the best trivial
+        system min(p_target, 1 - p_target); threshold is where the minimum is
+        reached, smallest threshold on ties.
     """
-    raw = (
-        params.c_miss * params.p_target * curve.p_miss
-        + params.c_fa * (1.0 - params.p_target) * curve.p_fa
-    )
+    if not 0.0 < p_target < 1.0:
+        raise ValueError(f"p_target must lie in (0, 1), got {p_target}")
+    raw = p_target * curve.p_miss + (1.0 - p_target) * curve.p_fa
     idx = int(np.argmin(raw))
-    floor = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
-    return float(raw[idx] / floor), float(curve.thresholds[idx])
+    return float(raw[idx] / min(p_target, 1.0 - p_target)), float(curve.thresholds[idx])
 
 
 def evaluate(scores, labels, p_targets: tuple[float, ...] = (0.05, 0.01)) -> dict:
@@ -124,6 +108,6 @@ def evaluate(scores, labels, p_targets: tuple[float, ...] = (0.05, 0.01)) -> dic
     curve = det_curve(scores, labels)
     result = {"eer": eer(curve), "min_dcf": {}}
     for p_target in p_targets:
-        cost, threshold = min_dcf(curve, DcfParams(p_target=p_target))
+        cost, threshold = min_dcf(curve, p_target)
         result["min_dcf"][p_target] = {"cost": cost, "threshold": threshold}
     return result

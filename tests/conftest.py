@@ -12,8 +12,11 @@ from svbackend.dataio import TrialList, write_embeddings
 from svbackend.synth import SynthConfig, gen_dataset
 
 # Property tests draw the same examples on every run and carry no time limit,
-# so a slow spell of the machine cannot fail them.
+# so a slow spell of the machine cannot fail them. The "random" profile draws
+# fresh examples from hypothesis's seed, for runs that look past that one
+# stream: pytest --hypothesis-profile=random --hypothesis-seed=N
 settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.register_profile("random", deadline=None)
 settings.load_profile("deterministic")
 
 

@@ -146,7 +146,7 @@ def test_build_cohort_matches_substream_replay(small_synth):
         )
         rng = SplitMix64(derive_seed(seed, f"cohort/{speaker}"))
         chosen = rng.take(utts, min(3, len(utts)))
-        expected = np.stack([r.mean_embedding() for r in chosen]).mean(axis=0)
+        expected = np.stack([r.chunks.mean(axis=0) for r in chosen]).mean(axis=0)
         assert row.tobytes() == expected.tobytes()
 
 
@@ -154,7 +154,7 @@ def test_build_cohort_uses_all_when_quota_exceeds(small_synth):
     records, speaker_map = small_synth
     cohort = build_cohort(records, speaker_map, per_speaker=50, seed=0)
     for row, speaker in zip(_rows(cohort), _ids(cohort)):
-        means = [r.mean_embedding() for r in records if speaker_map[r.utt_id] == speaker]
+        means = [r.chunks.mean(axis=0) for r in records if speaker_map[r.utt_id] == speaker]
         # all utterances contribute; summation order follows the subsample draw
         assert np.allclose(row, np.stack(means).mean(axis=0), rtol=0, atol=1e-12)
 
@@ -247,7 +247,7 @@ def test_asnorm_trials_repeated_utterances_match_manual_oracle(small_synth, np_r
     by_id = {rec.utt_id: rec for rec in sides}
     out = asnorm_trials(raw, pairs, sides + records[:2], cohort, top_n=4)
     for i, (e, t) in enumerate(zip(pairs.enroll, pairs.test)):
-        expected = _manual_asnorm(float(raw[i]), by_id[e].mean_embedding(), by_id[t].mean_embedding(), cohort, 4)
+        expected = _manual_asnorm(float(raw[i]), by_id[e].chunks.mean(axis=0), by_id[t].chunks.mean(axis=0), cohort, 4)
         assert out[i] == expected
 
 
@@ -274,7 +274,7 @@ def test_asnorm_trials_multi_chunk_cohort_equals_store_of_its_means(small_synth,
     rows are the records' mean embeddings."""
     records, _ = small_synth
     cohort = [ChunkEmbeddings(f"c{k}", np_rng.normal(size=(int(np_rng.integers(1, 4)), 8))) for k in range(6)]
-    means = [ChunkEmbeddings(rec.utt_id, rec.mean_embedding()[None, :]) for rec in cohort]
+    means = [ChunkEmbeddings(rec.utt_id, rec.chunks.mean(axis=0)[None, :]) for rec in cohort]
     drawn = np_rng.integers(0, len(records), size=(10, 2))
     pairs = trial_list((records[i].utt_id, records[j].utt_id) for i, j in drawn)
     raw = np_rng.normal(size=len(pairs)) * 0.3

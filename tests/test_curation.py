@@ -63,7 +63,7 @@ def test_profiles_from_store_sorted_by_speaker(small_synth):
     assert ids == sorted(set(speaker_map.values()))
     by_speaker = {}
     for rec in records:
-        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec.mean_embedding())
+        by_speaker.setdefault(speaker_map[rec.utt_id], []).append(rec.chunks.mean(axis=0))
     for profile in profiles:
         expected = median_profile(profile.speaker_id, by_speaker[profile.speaker_id])
         assert profile.median_embedding.tobytes() == expected.median_embedding.tobytes()

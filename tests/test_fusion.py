@@ -305,7 +305,7 @@ def test_train_matches_manual_pipeline(np_rng):
     raw = np_rng.normal(size=(40, 3)) * np.array([1.0, 10.0, 0.1])
     raw[3, 1] = np.nan
     labels = raw[:, 0] + 0.3 * np_rng.normal(size=40) > 0.0
-    model = train(raw.copy(), labels, names, lam=0.02, max_iters=5000, tol=1e-10)  # train scales its copy in place
+    model, got = train(raw.copy(), labels, names, lam=0.02, max_iters=5000, tol=1e-10)  # train scales its copy in place
 
     params = qmf.minmax_fit(raw, names)
     problem = FusionProblem(qmf.minmax_apply(raw, params), labels, lam=0.02)
@@ -316,6 +316,21 @@ def test_train_matches_manual_pipeline(np_rng):
     assert model.feature_names == tuple(names)
     for attr in ("lo", "hi", "median"):
         assert getattr(model.scaling, attr).tobytes() == getattr(params, attr).tobytes()
+    assert got.weights.tobytes() == fitted.weights.tobytes()
+    assert got.intercept == fitted.intercept
+    assert got.iterations == fitted.iterations
+    assert got.kkt_residual == fitted.kkt_residual
+    assert got.converged == fitted.converged
+
+
+def test_train_returns_a_fit_stopped_at_its_cap_without_warning(np_rng):
+    """pytest's ``filterwarnings = error`` (pyproject.toml) turns a warning into a failure."""
+    raw = np_rng.normal(size=(40, 2))
+    labels = raw[:, 0] > 0.0
+    model, fitted = train(raw, labels, ["a", "b"], max_iters=1)
+    assert not fitted.converged
+    assert fitted.iterations == 1
+    assert model.weights.tobytes() == fitted.weights.tobytes()
 
 
 # ---------------------------------------------------------------------------

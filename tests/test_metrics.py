@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from svbackend.errors import ToolkitError
-from svbackend.metrics import DcfParams, det_curve, eer, evaluate, min_dcf
+from svbackend.metrics import det_curve, eer, evaluate, min_dcf
 
 
 def oracle_thresholds(scores):
@@ -42,20 +42,18 @@ def oracle_eer(scores, labels) -> float:
     raise AssertionError("no crossing found")
 
 
-def oracle_min_dcf(scores, labels, params: DcfParams):
-    """Same float cost formula, but over brute-force counted rates."""
+def oracle_min_dcf(scores, labels, p_target: float):
+    """Same float cost formula at unit costs, but over brute-force counted rates."""
     labels = [bool(y) for y in labels]
     n_pos = sum(labels)
     n_neg = len(labels) - n_pos
     best_cost, best_thr = np.inf, None
     for threshold in oracle_thresholds(scores):
         n_miss, n_fa = oracle_counts(scores, labels, threshold)
-        cost = params.c_miss * params.p_target * (n_miss / n_pos) + params.c_fa * (
-            1.0 - params.p_target
-        ) * (n_fa / n_neg)
+        cost = p_target * (n_miss / n_pos) + (1.0 - p_target) * (n_fa / n_neg)
         if cost < best_cost:
             best_cost, best_thr = cost, threshold
-    floor = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
+    floor = min(p_target, 1.0 - p_target)
     return best_cost / floor, best_thr
 
 
@@ -97,7 +95,7 @@ def test_min_dcf_reject_all_is_one():
     # scores anti-correlated with labels: the reject-everything sentinel wins
     scores = np.array([0.1, 0.2, 0.7, 0.8])
     labels = np.array([1, 1, 0, 0], dtype=bool)
-    cost, threshold = min_dcf(det_curve(scores, labels), DcfParams(p_target=0.05))
+    cost, threshold = min_dcf(det_curve(scores, labels), 0.05)
     assert cost == 1.0
     assert threshold > 0.8
 
@@ -106,7 +104,7 @@ def test_min_dcf_tie_takes_smallest_threshold():
     # thresholds 0.2 and 0.6 tie on cost; the smaller one must be reported
     scores = np.array([0.6, 0.2, 0.5, 0.1])
     labels = np.array([1, 1, 0, 0], dtype=bool)
-    cost, threshold = min_dcf(det_curve(scores, labels), DcfParams(p_target=0.5))
+    cost, threshold = min_dcf(det_curve(scores, labels), 0.5)
     assert cost == 0.5
     assert threshold == 0.2
 
@@ -144,8 +142,8 @@ def test_min_dcf_matches_counting_oracle_exactly(np_rng):
         scores, labels = random_set(np_rng)
         curve = det_curve(scores, labels)
         for p_target in (0.05, 0.01, 0.5):
-            got_cost, got_thr = min_dcf(curve, DcfParams(p_target=p_target))
-            exp_cost, exp_thr = oracle_min_dcf(scores, labels, DcfParams(p_target=p_target))
+            got_cost, got_thr = min_dcf(curve, p_target)
+            exp_cost, exp_thr = oracle_min_dcf(scores, labels, p_target)
             assert got_cost == exp_cost
             assert got_thr == exp_thr
 
@@ -190,6 +188,4 @@ def test_input_validation():
     with pytest.raises(ToolkitError, match="equal-length"):
         det_curve(np.array([0.1, 0.2]), np.array([True]))
     with pytest.raises(ValueError, match="p_target"):
-        DcfParams(p_target=0.0)
-    with pytest.raises(ValueError, match="costs"):
-        DcfParams(c_miss=0.0)
+        min_dcf(det_curve(np.array([0.1, 0.2]), np.array([True, False])), 0.0)

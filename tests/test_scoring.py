@@ -124,10 +124,8 @@ def test_score_trials_peak_stays_within_a_few_blocks(np_rng, traced_peak):
     assert peak < 5 * COSINE_BLOCK_BYTES + scores.nbytes
 
 
-def test_vector_norm_and_mean_embedding():
+def test_vector_norm():
     assert vector_norm(np.array([3.0, 4.0])) == 5.0
-    rec = ChunkEmbeddings("u", np.array([[1.0, 2.0], [3.0, 6.0]]))
-    assert np.array_equal(rec.mean_embedding(), np.array([2.0, 4.0]))
 
 
 def test_pairwise_score_matches_double_loop_oracle(np_rng):

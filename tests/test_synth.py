@@ -90,8 +90,8 @@ def test_tighter_within_spread_scores_better():
         for a, b in itertools.combinations(ids, 2):
             if (speaker_map[a] == speaker_map[b]) != same:
                 continue
-            u = by_id[a].mean_embedding()
-            v = by_id[b].mean_embedding()
+            u = by_id[a].chunks.mean(axis=0)
+            v = by_id[b].chunks.mean(axis=0)
             total += float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
             count += 1
         return total / count

@@ -118,7 +118,7 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
     rows = st.lists(values, min_size=dim, max_size=dim)
     utts = data.draw(st.lists(ids, min_size=1, max_size=8, unique=True))
     records = [ChunkEmbeddings(u, nonzero_rows(data.draw(st.lists(rows, min_size=1, max_size=3)))) for u in utts]
-    assume(all(np.any(rec.mean_embedding()) for rec in records))
+    assume(all(np.any(rec.chunks.mean(axis=0)) for rec in records))
     side = st.sampled_from(utts)
     trials = data.draw(st.lists(st.tuples(side, side), min_size=1, max_size=15).map(trial_list))
     n_cohort = data.draw(st.integers(1, 12))
@@ -134,7 +134,7 @@ def test_asnorm_trials_blocks_equal_whole_matrix_reference(data):
         assume(False)
     by_id = {rec.utt_id: rec for rec in records}
     side_ids = list(dict.fromkeys(u for pair in zip(trials.enroll, trials.test) for u in pair))
-    mu, sd = reference.side_stats(np.stack([by_id[u].mean_embedding() for u in side_ids]), cohort_rows, top_n)
+    mu, sd = reference.side_stats(np.stack([by_id[u].chunks.mean(axis=0) for u in side_ids]), cohort_rows, top_n)
     e = np.array([side_ids.index(u) for u in trials.enroll])
     t = np.array([side_ids.index(u) for u in trials.test])
     expected = 0.5 * ((raw - mu[e]) / sd[e] + (raw - mu[t]) / sd[t])

@@ -17,7 +17,7 @@ from svbackend.scoring import cosine_matrix, vector_norm
 def embedding_qmf(record) -> tuple[float, ...]:
     """L1/L2 norm and component std of the mean embedding, plus the mean and
     std of the per-dimension stds across chunks (population stds throughout)."""
-    mean = record.mean_embedding()
+    mean = record.chunks.mean(axis=0)
     dim_stds = record.chunks.std(axis=0)
     return (
         float(np.abs(mean).sum()),
