@@ -102,7 +102,7 @@ def qmf_cmd(embeddings, attributes, schema, trials, out):
 @click.option("--trials", required=True, help="Labeled trial list.")
 @click.option("--lambda", "lam", default=0.01, show_default=True, type=_FiniteFloatRange(min=0.0),
               help="L1 penalty weight.")
-@click.option("--max-iters", default=100000, show_default=True, type=click.IntRange(min=1), help="Iteration cap.")
+@click.option("--max-iters", default=100000, show_default=True, type=click.IntRange(min=1), help="Cap on Newton steps.")
 @click.option("--tol", default=1e-9, show_default=True, type=_FiniteFloatRange(min=0.0),
               help="KKT residual stop threshold.")
 @click.option("--out", required=True, help="Output model JSON.")

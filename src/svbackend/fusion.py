@@ -5,19 +5,18 @@ features, each min-max scaled to [0, 1]) to a target probability
 
     P = 1 / (1 + exp(-(w . x + b)))
 
-and is fit by monotone FISTA (MFISTA; Beck & Teboulle, SIAM J. Imaging Sci.
-2009 and IEEE TIP 2009): accelerated proximal gradient steps on the mean
-logistic loss, each followed by soft thresholding of the weights, with a
-candidate kept only if it does not raise the penalized objective, so the
-objective trace is monotone nonincreasing. A rejected candidate also
-restarts the momentum (the function-value restart of O'Donoghue & Candès,
-Found. Comput. Math. 2015); without it, momentum built up over hundreds of
-iterations can keep the candidates rejected for thousands more. The
-intercept b is not penalized. Step sizes backtrack on the descent lemma and
-double after every iteration; they never drop below
-``4 n / (sum(X**2) + n)``, the inverse of the Frobenius bound on the loss
-curvature (with the intercept column, so the bound is finite), at which the
-descent lemma always holds. The solver stops on an optimality certificate:
+and is fit by proximal Newton, the method of glmnet and newGLMNET (Friedman,
+Hastie & Tibshirani, J. Stat. Softw. 2010; Yuan, Ho & Lin, JMLR 2012). Each
+outer step takes the loss gradient g and Hessian G, the intercept as a column
+of ones, from one pass over blocks of rows through ``scoring.dots``, and
+minimises the model ``g.d + d.G.d / 2`` plus the penalty in Python floats: a
+coordinate-descent sweep over all coefficients, sweeps over the nonzero ones
+until none leaves, then an exact Cholesky solve with each weight held at zero
+or at its sign, kept if the signs hold and no zero weight should move (a
+broken sign drops its weight from the solve), else more sweeps, ``SWEEPS`` at
+most. The step then halves until the objective falls by ``ARMIJO`` of the
+decrease the model predicts, so the objective trace never rises. The
+intercept b is not penalized. The solver stops on an optimality certificate:
 the max-norm KKT residual
 
     |g_j + lam * sign(w_j)|  for w_j != 0,
@@ -37,7 +36,7 @@ import numpy as np
 from . import qmf
 from .dataio import FusionModel
 from .errors import FeatureMismatchError, ToolkitError
-from .scoring import per_block
+from .scoring import blocks, dots
 
 
 def sigmoid(x):
@@ -45,13 +44,6 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))  # at most 1, so neither branch overflows
     out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(out) if out.ndim == 0 else out
-
-
-def soft_threshold(values, threshold: float):
-    """Shrink toward zero: sign(v) * max(|v| - threshold, 0)."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -88,7 +80,7 @@ class FusionProblem:
 @dataclass(frozen=True)
 class FittedFusion:
     """What ``fit`` reached: the weights and intercept, the penalized
-    objective there and its trace over the kept iterates (``iterations + 1``
+    objective there and its trace over the outer steps (``iterations + 1``
     entries), the KKT residual, and whether it is at most the ``tol`` asked."""
 
     weights: np.ndarray
@@ -100,114 +92,147 @@ class FittedFusion:
     converged: bool
 
 
-def _mean_loss(neg_sign: np.ndarray, logits: np.ndarray) -> float:
-    """Mean logistic loss from logits; ``neg_sign`` is -1 for targets, +1 otherwise."""
-    return float(np.logaddexp(0.0, neg_sign * logits).mean())
+def _objective(problem: FusionProblem, weights: np.ndarray, intercept: float):
+    """The logits and the penalized objective at (weights, intercept)."""
+    logits = dots("ij,j->i", problem.features, weights)
+    logits += intercept
+    loss = float(np.logaddexp(0.0, np.where(problem.labels, -logits, logits)).mean())
+    return logits, loss + problem.lam * float(np.abs(weights).sum())
 
 
 def objective_value(problem: FusionProblem, weights, intercept: float) -> float:
     """Mean logistic loss plus lam * ||weights||_1 (intercept unpenalized)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    logits = problem.features @ weights + intercept
-    neg_sign = np.where(problem.labels, -1.0, 1.0)
-    return _mean_loss(neg_sign, logits) + problem.lam * float(np.abs(weights).sum())
+    return _objective(problem, np.asarray(weights, dtype=np.float64), intercept)[1]
 
 
-def _sum_of_squares(values: np.ndarray) -> float:
-    """``float((values * values).sum())`` of a 1-D array, bit for bit, without
-    its copy: numpy sums a contiguous vector pairwise, halving it at
-    ``n // 2`` rounded down to a multiple of 8, and this follows that split
-    down to pieces of at most ``per_block(8)`` values, each of which numpy
-    sums the same way from one temporary of its squares."""
-    if len(values) <= per_block(8):
-        return float(np.add.reduce(values * values))
-    half = len(values) // 2
-    half -= half % 8
-    return _sum_of_squares(values[:half]) + _sum_of_squares(values[half:])
+SWEEPS = 100  # coordinate-descent sweeps one Newton step may spend; at the cap it takes where they got
+ARMIJO = 0.01  # the share of its model's predicted decrease a step must achieve on the objective
+
+
+def _newton_step(gram: list[list[float]], grad: list[float], point: list[float], lam: float) -> list[float]:
+    """The step d that minimises the model g.d + d.G.d / 2 + lam * ||w + d_w||_1
+    at ``point`` = (w, b), intercept last (see the module docstring)."""
+    k = len(point) - 1
+    target = list(point)  # point + d
+    slope = list(grad)  # the model's gradient, g + G d
+
+    def move(j: int, change: float) -> None:
+        target[j] += change
+        slope[:] = [s + change * g for s, g in zip(slope, gram[j])]
+
+    def sweep(coords) -> None:
+        for j in coords:
+            h = gram[j][j]
+            if not h > 0.0:
+                continue
+            value = h * target[j] - slope[j]
+            if j < k:
+                shrunk = abs(value) - lam
+                value = math.copysign(shrunk, value) if shrunk > 0.0 else 0.0
+            change = value / h - target[j]
+            if change:
+                move(j, change)
+
+    def support() -> list[int]:
+        return [j for j in range(k) if target[j]] + [k]
+
+    def exact(active: list[int]) -> list[float] | None:
+        """The step to the model's minimiser with the weights off ``active`` at zero and those on it
+        at their signs; None if a zero weight should move or a sign breaks, which moves the sweeps'
+        point toward that minimiser until its first weight reaches zero."""
+        signs = [math.copysign(lam, target[j]) if j < k else 0.0 for j in active]
+        step = [0.0 if target[j] else -point[j] for j in range(k)] + [0.0]
+        # the right-hand side of G's active block, solved in place through the Cholesky factor
+        solved = [-grad[i] - s - sum(g * d for g, d in zip(gram[i], step)) for i, s in zip(active, signs)]
+        lower: list[list[float]] = []
+        for i, a in enumerate(active):
+            row = []
+            for j, b in enumerate(active[:i]):
+                row.append((gram[a][b] - sum(x * y for x, y in zip(row, lower[j]))) / lower[j][j])
+            pivot = gram[a][a] - sum(x * x for x in row)
+            if not pivot > 0.0:
+                return None
+            lower.append([*row, math.sqrt(pivot)])
+            solved[i] = (solved[i] - sum(x * y for x, y in zip(row, solved))) / lower[i][i]
+        for i in reversed(range(len(active))):
+            solved[i] = (solved[i] - sum(lower[j][i] * solved[j] for j in range(i + 1, len(active)))) / lower[i][i]
+        for i, d in zip(active, solved):
+            step[i] = d
+        flips = [(target[i] / (target[i] - point[i] - d), i) for i, s, d in zip(active, signs, solved)
+                 if s * (point[i] + d) < 0.0]
+        if flips:
+            t, first = min(flips)
+            for i in active:
+                move(i, -target[i] if i == first else t * (point[i] + step[i] - target[i]))
+            return None
+        if any(not target[j] and abs(grad[j] + sum(g * d for g, d in zip(gram[j], step))) > lam for j in range(k)):
+            return None
+        return step
+
+    full = True
+    for _ in range(SWEEPS):
+        active = support()
+        sweep(range(k + 1) if full else active)
+        if support() != active:  # sweep the support until a sweep leaves it as it was
+            full = False
+            continue
+        step = exact(active)
+        while step is None and support() != active:  # a broken sign took its weight out
+            active = support()
+            step = exact(active)
+        if step is not None:
+            return step
+        full = True
+    return [u - w for u, w in zip(target, point)]
 
 
 def fit(problem: FusionProblem, max_iters: int = 100000, tol: float = 1e-9) -> FittedFusion:
-    """MFISTA fit from zero initialization (see the module docstring).
-
-    Each iteration takes a backtracked proximal gradient step from the
-    extrapolated point to a candidate and keeps the candidate only if it
-    does not raise the objective; otherwise the previous iterate is kept,
-    the candidate only steers the next extrapolation, and momentum starts
-    over. Stops when the KKT residual at the kept iterate is at most ``tol``
-    (``converged``) or after ``max_iters`` iterations. The zero start is
-    iteration 0, so the trace of kept objectives has ``iterations + 1``
-    entries.
-    """
+    """Proximal Newton fit from zero initialization (see the module docstring).
+    Stops when the KKT residual is at most ``tol`` (``converged``) or after
+    ``max_iters`` outer steps. The zero start is step 0, so the trace of
+    objectives has ``iterations + 1`` entries."""
     if max_iters < 1:
         raise ToolkitError(f"max_iters must be >= 1, got {max_iters}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ToolkitError(f"tol must be finite and >= 0, got {tol}")
-    X = problem.features
-    n, k = X.shape
+    n, k = problem.features.shape
     lam = problem.lam
-    y01 = problem.labels.astype(np.float64)
-    neg_sign = np.where(problem.labels, -1.0, 1.0)
-    # the descent lemma holds at this step from any point, so backtracking stops here
-    step0 = 4.0 * n / (_sum_of_squares(X.ravel(order="K")) + n)
-
-    def gradient(logits):
-        residual = sigmoid(logits) - y01
-        return X.T @ residual / n, float(residual.mean())
-
-    def kkt_residual(weights, grad_w, grad_b):
-        per_weight = np.where(
-            weights != 0.0,
-            np.abs(grad_w + lam * np.sign(weights)),
-            np.maximum(np.abs(grad_w) - lam, 0.0),
-        )
-        return max(float(per_weight.max(initial=0.0)), abs(grad_b))
-
     weights, intercept = np.zeros(k), 0.0
-    logits = X @ weights + intercept
-    current = _mean_loss(neg_sign, logits)
-    grad_w, grad_b = gradient(logits)
-    residual = kkt_residual(weights, grad_w, grad_b)
+    logits, current = _objective(problem, weights, intercept)
     trace = [current]
-    # extrapolated point y, its loss and gradient; y_1 = x_0
-    y_w, y_b, y_loss, y_grad_w, y_grad_b = weights, intercept, current, grad_w, grad_b
-    t = 1.0
-    step = step0
     iterations = 0
-    while residual > tol and iterations < max_iters:
-        while True:
-            cand_w = soft_threshold(y_w - step * y_grad_w, step * lam)
-            cand_b = y_b - step * y_grad_b
-            cand_logits = X @ cand_w + cand_b
-            cand_loss = _mean_loss(neg_sign, cand_logits)
-            if step == step0:
+    while True:
+        # the loss gradient and Hessian, intercept last, from one pass over blocks of rows; the
+        # Hessian is one scaled block's product with itself, so it is symmetric to the bit
+        grad, gram = np.zeros(k + 1), np.zeros((k + 1, k + 1))
+        for rows in blocks(n, 8 * (k + 1)):
+            block = problem.features[rows]
+            columns = np.ones((k + 1, len(block)))
+            columns[:k] = block.T
+            p = sigmoid(logits[rows])
+            grad += dots("ji,i->j", columns, p - problem.labels[rows])
+            columns *= np.sqrt(p * (1.0 - p))
+            gram += dots("ji,ki->jk", columns, columns)
+        grad, gram = grad / n, gram / n
+        per_weight = np.where(weights != 0.0, np.abs(grad[:k] + lam * np.sign(weights)),
+                              np.maximum(np.abs(grad[:k]) - lam, 0.0))
+        residual = max(float(per_weight.max(initial=0.0)), abs(float(grad[k])))
+        if residual <= tol or iterations == max_iters:
+            break
+        point = [*weights.tolist(), intercept]
+        step = _newton_step(gram.tolist(), grad.tolist(), point, lam)
+        decrease = sum(g * d for g, d in zip(grad.tolist(), step)) + lam * sum(
+            abs(w + d) - abs(w) for w, d in zip(point[:k], step))
+        t = 1.0
+        while True:  # Armijo: ends, at the latest, once t * step no longer moves the objective
+            cand_w, cand_b = weights + t * np.array(step[:k]), intercept + t * step[k]
+            cand_logits, cand = _objective(problem, cand_w, cand_b)
+            if cand <= current + ARMIJO * t * decrease:
                 break
-            d_w, d_b = cand_w - y_w, cand_b - y_b
-            linear = float(y_grad_w @ d_w) + y_grad_b * d_b
-            if cand_loss <= y_loss + linear + (float(d_w @ d_w) + d_b * d_b) / (2.0 * step):
-                break
-            step *= 0.5
-        cand_obj = cand_loss + lam * float(np.abs(cand_w).sum())
-
+            t *= 0.5
+        weights, intercept, logits, current = cand_w, cand_b, cand_logits, cand
         iterations += 1
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        if cand_obj <= current:
-            momentum = (t - 1.0) / t_next
-            y_w = cand_w + momentum * (cand_w - weights)
-            y_b = cand_b + momentum * (cand_b - intercept)
-            weights, intercept, current = cand_w, cand_b, cand_obj
-            grad_w, grad_b = gradient(cand_logits)
-            residual = kkt_residual(weights, grad_w, grad_b)
-            t = t_next
-        else:
-            pull = t / t_next
-            y_w = weights + pull * (cand_w - weights)
-            y_b = intercept + pull * (cand_b - intercept)
-            t = 1.0
         trace.append(current)
-        y_logits = X @ y_w + y_b
-        y_loss = _mean_loss(neg_sign, y_logits)
-        y_grad_w, y_grad_b = gradient(y_logits)
-        step *= 2.0
     return FittedFusion(weights, intercept, current, iterations, np.asarray(trace), residual, residual <= tol)
 
 
@@ -248,4 +273,4 @@ def apply_model(raw_features: np.ndarray, names: list[str], model: FusionModel) 
         if expected != got:
             raise FeatureMismatchError(f"feature {i + 1}: model expects {expected!r}, got {got!r}")
     scaled = qmf.minmax_apply(raw_features, model.scaling)
-    return sigmoid(scaled @ model.weights + model.intercept)
+    return sigmoid(dots("ij,j->i", scaled, model.weights) + model.intercept)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fusion_grid_oracle import (
@@ -16,7 +16,7 @@ from fusion_grid_oracle import (
     make_grid_problem,
     problem_digest,
 )
-from svbackend import fusion, qmf, scoring
+from svbackend import dataio, fusion, qmf
 from svbackend.dataio import FusionModel, MinMaxParams
 from svbackend.errors import FeatureMismatchError, ToolkitError
 from svbackend.fusion import (
@@ -25,10 +25,10 @@ from svbackend.fusion import (
     fit,
     objective_value,
     sigmoid,
-    soft_threshold,
     train,
 )
 from svbackend.metrics import det_curve, eer
+from test_pipeline_golden import run_pipeline
 
 
 def test_sigmoid_hand_values():
@@ -65,15 +65,6 @@ def test_sigmoid_is_the_masked_form_bit_for_bit(values):
         got = sigmoid(np.array(value))  # a 0-d input gives a float
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(masked_sigmoid(value)).tobytes()
-
-
-def test_soft_threshold_values():
-    assert soft_threshold(5.0, 2.0) == 3.0
-    assert soft_threshold(-5.0, 2.0) == -3.0
-    assert soft_threshold(1.0, 2.0) == 0.0
-    assert soft_threshold(-1.0, 2.0) == 0.0
-    assert soft_threshold(0.7, 0.0) == 0.7
-    assert np.array_equal(soft_threshold(np.array([3.0, -0.5]), 1.0), np.array([2.0, 0.0]))
 
 
 def test_fuse_logit_hand_value():
@@ -179,17 +170,35 @@ def grid_problem(lam):
     return FusionProblem(problem.features, problem.labels, lam=lam)
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [separated_problem(), grid_problem(0.0), grid_problem(0.01), grid_problem(0.05)],
-    ids=["separated", "grid-0", "grid-0.01", "grid-0.05"],
-)
-def test_fit_stops_on_kkt_certificate(problem):
+def benchmark_problem(tmp_path, workload):
+    """The fuse-fit problem of one golden pipeline round on a benchmark
+    workload (seed 1), raw and norm scores and the QMF features, at the CLI's
+    default lambda."""
+    run_pipeline(tmp_path, workload, 1)
+    out = tmp_path / "out"
+    trials = dataio.read_trials(str(tmp_path / "source" / "trials.txt"), expect_labels=True)
+    pairs, names, raw = dataio.read_fusion_features([str(out / "raw.txt"), str(out / "norm.txt")],
+                                                    str(out / "qmf.csv"), trials)
+    return FusionProblem(qmf.minmax_apply(raw, qmf.minmax_fit(raw, names)), pairs.labels, lam=0.01)
+
+
+# the most outer steps each problem may take
+KKT_CASES = {"separated": 12, "grid-0": 7, "grid-0.01": 6, "grid-0.05": 4, "trials-dense": 10, "speakers-wide": 10}
+
+
+@pytest.mark.parametrize("case", list(KKT_CASES))
+def test_fit_stops_on_kkt_certificate(tmp_path, case):
+    if case == "separated":
+        problem = separated_problem()
+    elif case.startswith("grid-"):
+        problem = grid_problem(float(case.removeprefix("grid-")))
+    else:
+        problem = benchmark_problem(tmp_path, case)
     result = fit(problem, tol=1e-9)
     assert result.converged
     assert result.kkt_residual <= 1e-9
     assert kkt_residual(problem, result.weights, result.intercept) <= 1e-9
-    assert result.iterations >= 1
+    assert 1 <= result.iterations <= KKT_CASES[case]
 
 
 def test_optimal_start_returns_without_iterating():
@@ -210,9 +219,9 @@ def test_iteration_cap_reports_not_converged():
     assert result.kkt_residual == pytest.approx(kkt_residual(grid_problem(0.01), result.weights, result.intercept))
 
 
-def test_momentum_restart_converges_on_nearly_separable_data():
-    # without the restart on a rejected candidate MFISTA needs about 18k
-    # iterations here: candidates stay rejected while old momentum decays
+def test_fit_converges_on_nearly_separable_data():
+    # the unpenalized optimum has large weights, where most rows sit far out
+    # on the sigmoid and the loss curvature is small
     rng = np.random.default_rng(21)
     features = rng.uniform(size=(100, 3))
     logits = (features - 0.5) @ np.array([6.0, 3.0, 0.0]) + 0.1 * rng.normal(size=100)
@@ -220,6 +229,33 @@ def test_momentum_restart_converges_on_nearly_separable_data():
     result = fit(problem, max_iters=2000)
     assert result.converged
     assert kkt_residual(problem, result.weights, result.intercept) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_fit_converges_with_a_duplicated_column(lam):
+    """A repeated column makes the Hessian singular and leaves the split of
+    its weight free; the fit still reaches the certificate, at the optimum of
+    the problem without the copy."""
+    problem = grid_problem(lam)
+    doubled = FusionProblem(problem.features[:, [0, 1, 0]], problem.labels, lam=lam)
+    result = fit(doubled, max_iters=20)
+    assert result.converged
+    assert kkt_residual(doubled, result.weights, result.intercept) <= 1e-9
+    assert abs(result.objective - fit(problem).objective) <= 1e-12
+
+
+def test_armijo_halves_an_overlong_step_and_the_trace_never_rises():
+    """Each step is made eight times the model's minimiser, which overshoots,
+    so the line search must halve it, down to the minimiser itself."""
+    problem = grid_problem(0.01)
+    newton_step = fusion._newton_step
+    with mock.patch.object(fusion, "_newton_step", lambda *args: [8.0 * d for d in newton_step(*args)]), \
+            mock.patch.object(fusion, "_objective", wraps=fusion._objective) as objective:
+        result = fit(problem, max_iters=100)
+    assert result.converged
+    assert objective.call_count > 2 * result.iterations + 1
+    assert np.all(np.diff(result.objective_trace) <= 0.0)
+    assert abs(result.objective - fit(problem).objective) <= 1e-12
 
 
 def test_fit_parameter_validation():
@@ -331,27 +367,6 @@ def test_train_returns_a_fit_stopped_at_its_cap_without_warning(np_rng):
     assert not fitted.converged
     assert fitted.iterations == 1
     assert model.weights.tobytes() == fitted.weights.tobytes()
-
-
-# ---------------------------------------------------------------------------
-# The step floor's sum of squares
-
-
-@given(st.integers(1, 700), st.integers(1, 40), st.sampled_from(["C", "F", "every other column"]),
-       st.sampled_from([1 << 10, 1 << 12, 1 << 15, scoring.COSINE_BLOCK_BYTES]), st.integers(0, 2**32 - 1))
-@example(rows=11_538, cols=26, layout="C", budget=scoring.COSINE_BLOCK_BYTES, seed=1)  # 299 988 cells
-def test_sum_of_squares_matches_numpy_bit_for_bit(rows, cols, layout, budget, seed):
-    """Leaves of 128 to 32 768 cells (budgets of 1 KiB to 256 KiB) give the
-    bits of the sum over the squared matrix that fit's step floor took."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.random((rows, cols)) * 10.0 ** rng.integers(-3, 4, size=cols)
-    if layout == "F":
-        matrix = np.asfortranarray(matrix)
-    elif layout == "every other column":
-        matrix = matrix[:, ::2]
-    with mock.patch.object(scoring, "COSINE_BLOCK_BYTES", budget):
-        total = fusion._sum_of_squares(matrix.ravel(order="K"))
-    assert total == float((matrix * matrix).sum())
 
 
 def test_fit_holds_no_copy_of_the_features(traced_peak):

@@ -3,7 +3,9 @@ shapes keep their sha256. They were pinned when every cosine became one
 einsum dot product (``scoring.dots``) and AS-Norm's top-N slice was sorted
 before its mean and std, which changed the bits of ``raw.txt``, ``norm.txt``,
 ``ddf.csv``, ``model.json`` and ``fused.txt`` but no eval text; the
-array kernels before that changed no output byte."""
+array kernels before that changed no output byte. ``model.json`` and
+``fused.txt`` were pinned again when fusion's solver became proximal Newton,
+which moved their last bits and no eval text."""
 
 import contextlib
 import hashlib
@@ -27,8 +29,8 @@ GOLDEN = {
     "speakers-wide/1/eval_fused.txt": "3137d208d121e6f6c64a46ceb90da6f56a09e739a984e89bbf738d56a1e5f150",
     "speakers-wide/1/eval_norm.txt": "ff2feb5696e8b68e005c2b2a7e3a2a4ffd81e8f2492b50af6eadb5ebea691f7e",
     "speakers-wide/1/eval_raw.txt": "01313e7944c627681121a70a7fa36c35881e9c8a3ced18efd4178a4702025dd4",
-    "speakers-wide/1/fused.txt": "fbfabb61d25007dc67404cc0a4faadc39c7fe025876c433e5310b7da4d620656",
-    "speakers-wide/1/model.json": "017e8aaa44f97d34d04eb50a389afeebf05cf7e926fb0758a38cf6749bf88cfe",
+    "speakers-wide/1/fused.txt": "ff2de4153e6e57de235f932f325781033b16a812ec28b3a515b45e216968c492",
+    "speakers-wide/1/model.json": "3696f5065aee38240a8faff31d500c726da5c8883234a9f4d208feeb909c02be",
     "speakers-wide/1/norm.txt": "5dec1060f40dc01ccc26893550ad07154d718f27cd4cf0f625fa66deaa029fe3",
     "speakers-wide/1/qmf.csv": "3cb588be1fe07a3e73ce254d8c7a3f6fc895fc46604cd36daba62ab081339dd5",
     "speakers-wide/1/raw.txt": "d32f35c63dead0cb6ac6fe4acf3e210e7adf5af8a6749b21d81355761c208a13",
@@ -37,8 +39,8 @@ GOLDEN = {
     "speakers-wide/2/eval_fused.txt": "1158c9ddd149afa83948eecf80eda7b8f61c8efca05685aa4dbeba0af77129fe",
     "speakers-wide/2/eval_norm.txt": "e7f6d66048fef350463fa795688b987240ddaae13a46038c6b77b363ac0662c9",
     "speakers-wide/2/eval_raw.txt": "b021b954da8dba8dc5f6db69982b2db3fbbee428033e13e8079b7460acdc5cbb",
-    "speakers-wide/2/fused.txt": "06cb3e974ce2bfef4926b24afc634f75ace8eda96154ddafe3451c92da330192",
-    "speakers-wide/2/model.json": "e5d61ec13f3a77eccf59b3364bc75c4c0038480b31cce103776ddeb01c4d8da9",
+    "speakers-wide/2/fused.txt": "c45750e40ca35ee13110637ed8ac519a27fc69e1be9c207df090e8570772746b",
+    "speakers-wide/2/model.json": "e24b80778fd4662082a07d598a38ef1d852c350f0a446222487aae75ef782cf3",
     "speakers-wide/2/norm.txt": "49939fee6d930a680c6c026616559aee573c816cb0905a53a4595f7da28cbce1",
     "speakers-wide/2/qmf.csv": "9c7e353d7649206425275cf60a00b8ff1595a7401991fba71a8f885a1a2194a9",
     "speakers-wide/2/raw.txt": "02c3f8368ce93d594ff1ad2fb13888788e73c3c1dbf84bf80d58c5d167a20439",
@@ -47,8 +49,8 @@ GOLDEN = {
     "trials-dense/1/eval_fused.txt": "aea44929c639b12003cf35adcc17ba7a6847a358f21c086af62655348afc4dfa",
     "trials-dense/1/eval_norm.txt": "3e03f85142dee3625ca4c0f8e4ec3ab0ee9b980a50d6d82b8069157806261bb1",
     "trials-dense/1/eval_raw.txt": "a0401a1fdf558917565a06d306ade5fa8eb29c3fac5f9898cc6fa13a747da772",
-    "trials-dense/1/fused.txt": "cdc60a45d28e383930134b6ae307a98771e5dec4a0ba75c1eb0597f5753ff68e",
-    "trials-dense/1/model.json": "b02bc097182c07bc3b6f15cdaa07d7d79669504321b82cb9aebc7b500ba19757",
+    "trials-dense/1/fused.txt": "5333ce06014ea3f1e8d0eb2999268a1e7d6d3986b91e48ba8ccdcd250168e969",
+    "trials-dense/1/model.json": "6bd62d39965e43d70e66262e4edea2358502c27224dffd031318526454d0a7bf",
     "trials-dense/1/norm.txt": "59a047793df2e97bcc0ee27c34a7c2a71808eed286bc53e4242be5071e89038b",
     "trials-dense/1/qmf.csv": "99943225e65dac40db343f61f6b0256fe4f5c781241c6a6963f9c7432d2d3428",
     "trials-dense/1/raw.txt": "5f3a96b696ae6f9bf9f21c9c246a7fa86451d745e9fb29009ef995f056e27eca",
@@ -57,8 +59,8 @@ GOLDEN = {
     "trials-dense/2/eval_fused.txt": "4fc1799e23b7f5c2d054e617bbb9830b084b5c180b9f927c21d17b731513a7b5",
     "trials-dense/2/eval_norm.txt": "8f7aa0e156b158f249740488f0ded05f945eefb7a324e690cc98d39f7dfde011",
     "trials-dense/2/eval_raw.txt": "60d40ce60596ebdb9437b033d186ac27c5269e5d0b11711aa6f242fe20e59089",
-    "trials-dense/2/fused.txt": "456dfa83caa170af590c008112e4070018d680391ee68223782d0912aa159000",
-    "trials-dense/2/model.json": "55443eea5395cafb7fd5c81c1640990ce08b830373d3936f9b0841620ae97efd",
+    "trials-dense/2/fused.txt": "d4f73adde76788c1b1f3c1fe14d839a280f37559c18cd449f779e4e4cf3c0f18",
+    "trials-dense/2/model.json": "9faaa56a39ec36164580a5a7c61f4ed18a8d06713ea3b7c7a0d8fc1f629dd207",
     "trials-dense/2/norm.txt": "9d48659694ddcc65e3a1b5b8c0bcbbd476ec4b94edde51280f8502d27aaf949e",
     "trials-dense/2/qmf.csv": "0cfad93dfa73b76edbbc0c5fa7f899916fb8dc8886f046190ea41c7d2fe2d13f",
     "trials-dense/2/raw.txt": "08f8b506138487575d5e7456f0aa819a8dba423043c12a982f55d4ebb2c29041",
